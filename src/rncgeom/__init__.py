@@ -8,7 +8,6 @@ All arithmetic is exact, over Q or over a prime field Z/p.
 
 from .curve import (
     BinaryForm,
-    DiffOperator,
     ParamPoint,
     RNCModel,
     apolar_operator,

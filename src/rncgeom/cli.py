@@ -6,8 +6,8 @@ Exit codes: 0 for a true verdict or successful computation, 1 for a false
 verdict, 2 for usage or input errors.
 
 Output is deterministic: identical command, flags and seed produce
-byte-identical JSON, independent of --jobs (chunks are merged back in
-enumeration order).
+byte-identical JSON.  The symbolic commands' --jobs workers change only
+the speed, as their records come back in enumeration order.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import multiprocessing
 import os
 import random
 import sys
+from functools import partial
+from math import ceil
 from typing import Optional
 
 from .curve import curve_contains, fit_rnc, model_to_json
@@ -60,6 +62,17 @@ def _field_flag(text: str) -> Field:
         f"unknown field {text!r}; use 'rationals' or 'prime:p'")
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _field_label(field: Field) -> str:
     return "rationals" if field == QQ else f"prime:{field.p}"
 
@@ -90,52 +103,25 @@ def _load_json(path: str):
 
 
 # ---------------------------------------------------------------------------
-# parallel evaluation
+# parallel symbolic checks
 
 
-def _split_chunks(items: list, parts: int) -> list[list]:
-    parts = max(1, min(parts, len(items)))
-    q, r = divmod(len(items), parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        size = q + (1 if i < r else 0)
-        out.append(items[start:start + size])
-        start += size
-    return [c for c in out if c]
-
-
-def _report_chunk(payload):
-    config, eqs = payload
-    return evaluate_many(config, eqs)
-
-
-def _parallel_reports(config: Configuration, eqs: list, jobs: int) -> list:
-    if jobs <= 1 or len(eqs) <= 1:
-        return evaluate_many(config, eqs)
-    chunks = _split_chunks(eqs, jobs)
-    with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
-        parts = pool.map(_report_chunk, [(config, c) for c in chunks])
-    return [r for part in parts for r in part]
-
-
-def _check_chunk(payload):
-    kind, items = payload
+def _check_one(kind: str, item) -> dict:
+    """The record for one subset split (kind "factorization") or one
+    equation identity (kind is the sym-psi method)."""
     if kind == "factorization":
-        return [factorization_record(s, verify_factorization(s))
-                for s in items]
-    method = kind.split(":", 1)[1]
-    return [identity_record(eq, verify_equation_identity(eq, method))
-            for eq in items]
+        return factorization_record(item, verify_factorization(item))
+    return identity_record(item, verify_equation_identity(item, kind))
 
 
 def _parallel_checks(kind: str, items: list, jobs: int) -> list:
+    """Records in the order of items; each worker gets one contiguous
+    chunk."""
+    check = partial(_check_one, kind)
     if jobs <= 1 or len(items) <= 1:
-        return _check_chunk((kind, items))[:]
-    chunks = _split_chunks(items, jobs)
-    with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
-        parts = pool.map(_check_chunk, [(kind, c) for c in chunks])
-    return [r for part in parts for r in part]
+        return [check(item) for item in items]
+    with multiprocessing.Pool(min(jobs, len(items))) as pool:
+        return pool.map(check, items, chunksize=ceil(len(items) / jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +142,7 @@ def _cmd_verify(args) -> int:
     inst = instance_from_json(_load_json(args.input))
     cert = verify_instance(
         inst, with_castelnuovo=args.castelnuovo, sample=args.sample,
-        sample_seed=args.seed,
-        evaluator=lambda config, eqs: _parallel_reports(
-            config, eqs, args.jobs))
+        sample_seed=args.seed)
     _write_json(certificate_to_json(cert), args.output)
     cast = "skipped" if cert.castelnuovo_ok is None else cert.castelnuovo_ok
     _note(f"verdict={cert.verdict} glp={cert.glp_ok} "
@@ -183,7 +167,7 @@ def _cmd_check_psi(args) -> int:
         eqs = list(enumerate_equations(d, n))
     else:
         eqs = sample_equations(d, n, args.sample, args.seed)
-    reports = _parallel_reports(config, eqs, args.jobs)
+    reports = evaluate_many(config, eqs)
     _write_lines(
         (report_to_json(r, config.field) for r in reports), args.output)
     nonzero = sum(1 for r in reports if r.value)
@@ -248,7 +232,7 @@ def _cmd_sym_psi(args) -> int:
         eqs = sample_equations(d, n, args.sample, args.seed)
     else:
         eqs = list(enumerate_equations(d, n))
-    records = _parallel_checks(f"psi:{args.method}", eqs, args.jobs)
+    records = _parallel_checks(args.method, eqs, args.jobs)
     _write_lines(records, args.output)
     bad = sum(1 for r in records if not r["ok"])
     _note(f"identities={len(records)} method={args.method} failed={bad}")
@@ -299,7 +283,7 @@ def _add_common(sub, *, seed=False, field=False, height=False, sample=False,
         sub.add_argument("--height", type=int, default=20,
                          help="bound on sampled numerators/denominators")
     if sample:
-        sub.add_argument("--sample", type=int, default=None,
+        sub.add_argument("--sample", type=_at_least_one, default=None,
                          help="evaluate a seeded sample of this size "
                               "instead of everything")
     if jobs:
@@ -329,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify",
                         help="certify that an instance's vertices lie on "
                              "a rational normal curve")
-    _add_common(p, seed=True, sample=True, jobs=True, inp=True)
+    _add_common(p, seed=True, sample=True, inp=True)
     p.add_argument("--castelnuovo", action="store_true",
                    help="also fit a curve through d+3 vertices and test "
                         "the rest for containment")
@@ -340,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "configuration, one JSON line each")
     p.add_argument("--n", type=int, default=None,
                    help="assert the configuration has this many points")
-    _add_common(p, seed=True, sample=True, jobs=True, inp=True)
+    _add_common(p, seed=True, sample=True, inp=True)
     p.set_defaults(func=_cmd_check_psi)
 
     p = subs.add_parser("fit-curve",

@@ -130,20 +130,30 @@ def osculating_hyperplane(q: ParamPoint, d: int) -> Hyperplane:
     return Hyperplane(osculating_coeffs(q, d), q.field)
 
 
+def linear_product_coeffs(pairs: Sequence[tuple], one, zero) -> tuple:
+    """The coefficients of prod (a_i x + b_i y) over the pairs (a_i, b_i),
+    x^d y^0 first, for d = len(pairs).
+
+    Works over any commutative ring given its one and zero: field scalars
+    here, MultiPoly for the symbolic vertices.
+    """
+    coeffs = [one]   # coeffs[m] multiplies x^(len(coeffs) - 1 - m) y^m
+    for a, b in pairs:
+        nxt = [zero] * (len(coeffs) + 1)
+        for m, c in enumerate(coeffs):
+            nxt[m] = nxt[m] + a * c
+            nxt[m + 1] = nxt[m + 1] + b * c
+        coeffs = nxt
+    return tuple(coeffs)
+
+
 def vertex_coords(qs: Sequence[ParamPoint]) -> tuple:
     """Raw coordinates r_k = sum over (d-k)-subsets S' of a_{S'} b_{rest},
     for d = len(qs); equivalently the coefficients of prod (a_i x + b_i y).
     """
     field = qs[0].field
-    coeffs = [field.one]
-    for q in qs:
-        nxt = [field.zero] * (len(coeffs) + 1)
-        for m, c in enumerate(coeffs):
-            nxt[m] = nxt[m] + q.b * c
-            nxt[m + 1] = nxt[m + 1] + q.a * c
-        coeffs = nxt
-    d = len(qs)
-    return tuple(coeffs[d - k] for k in range(d + 1))
+    return linear_product_coeffs(
+        [(q.a, q.b) for q in qs], field.one, field.zero)
 
 
 def simplex_vertex(qs: Sequence[ParamPoint]) -> ProjectivePoint:
@@ -168,7 +178,12 @@ def simplex_vertex(qs: Sequence[ParamPoint]) -> ProjectivePoint:
 @dataclass(frozen=True)
 class BinaryForm:
     """A binary form of degree len(coeffs)-1; coeffs[i] multiplies
-    x0^(deg-i) x1^i.  The zero form is allowed."""
+    x0^(deg-i) x1^i.  The zero form is allowed.
+
+    The same coefficients also describe a constant-coefficient operator,
+    coeffs[i] multiplying D0^(deg-i) D1^i where Dk differentiates in x_k;
+    apolarity_apply reads its first argument that way.
+    """
 
     coeffs: tuple
     field: Field
@@ -194,35 +209,6 @@ class BinaryForm:
         return out
 
 
-@dataclass(frozen=True)
-class DiffOperator:
-    """A constant-coefficient operator of degree len(coeffs)-1; coeffs[i]
-    multiplies D0^(deg-i) D1^i where Dk differentiates in x_k."""
-
-    coeffs: tuple
-    field: Field
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(self.field.scalar(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise ValueError("an operator needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "DiffOperator") -> "DiffOperator":
-        return DiffOperator(
-            _convolve(self.coeffs, other.coeffs, self.field), self.field)
-
-    def power(self, k: int) -> "DiffOperator":
-        out = DiffOperator((self.field.one,), self.field)
-        for _ in range(k):
-            out = out * self
-        return out
-
-
 def _convolve(c1: tuple, c2: tuple, field: Field) -> tuple:
     out = [field.zero] * (len(c1) + len(c2) - 1)
     for i, a in enumerate(c1):
@@ -237,9 +223,9 @@ def linear_form(q: ParamPoint) -> BinaryForm:
     return BinaryForm((q.a, q.b), q.field)
 
 
-def apolar_operator(q: ParamPoint) -> DiffOperator:
+def apolar_operator(q: ParamPoint) -> BinaryForm:
     """The operator b D0 - a D1, which annihilates (a x0 + b x1)^n."""
-    return DiffOperator((q.b, -q.a), q.field)
+    return BinaryForm((q.b, -q.a), q.field)
 
 
 def _falling(field: Field, n: int, k: int) -> Scalar:
@@ -249,8 +235,9 @@ def _falling(field: Field, n: int, k: int) -> Scalar:
     return out
 
 
-def apolarity_apply(op: DiffOperator, f: BinaryForm) -> Union[Scalar, BinaryForm]:
-    """Apply the operator to the form by formal differentiation.
+def apolarity_apply(op: BinaryForm, f: BinaryForm) -> Union[Scalar, BinaryForm]:
+    """Apply op, read as a differential operator, to the form f by formal
+    differentiation.
 
     Returns a form of degree f.degree - op.degree, collapsed to a bare
     scalar when the degrees are equal (the apolarity pairing).

@@ -166,11 +166,13 @@ def inversion_count(seq: Sequence[int]) -> int:
 
 
 class BracketTable:
-    """Cache of sorted-column brackets for one configuration."""
+    """Cache of sorted-column brackets for one configuration, and of the
+    sorted columns and permutation parity of each written column order."""
 
     def __init__(self, config: Configuration):
         self.config = config
         self._cache: dict = {}
+        self._orders: dict = {}
 
     def minor(self, cols: tuple[int, ...]) -> Scalar:
         """Bracket of the 1-based sorted column labels."""
@@ -182,10 +184,12 @@ class BracketTable:
 
     def signed(self, cols: tuple[int, ...]) -> Scalar:
         """Bracket with the columns in the written order."""
-        value = self.minor(tuple(sorted(cols)))
-        if value and inversion_count(cols) % 2:
-            return -value
-        return value
+        order = self._orders.get(cols)
+        if order is None:
+            order = (tuple(sorted(cols)), inversion_count(cols) % 2)
+            self._orders[cols] = order
+        value = self.minor(order[0])
+        return -value if value and order[1] else value
 
 
 @dataclass(frozen=True)

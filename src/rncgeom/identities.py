@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Literal, Sequence
 
+from .curve import linear_product_coeffs
 from .equations import BracketEquation, inversion_count
 from .errors import MismatchError
 from .polynomials import MultiPoly, poly_det
@@ -104,17 +105,10 @@ def vertex_polys(d: int, omit: int, side: int) -> tuple[MultiPoly, ...]:
     if omit not in group:
         raise ValueError(f"label {omit} is not on side {side}")
     n = 2 * d + 2
-    coeffs = [MultiPoly.one(n)]
-    for i in group:
-        if i == omit:
-            continue
-        a, b = MultiPoly.var_a(n, i), MultiPoly.var_b(n, i)
-        nxt = [MultiPoly.zero(n) for _ in range(len(coeffs) + 1)]
-        for m, c in enumerate(coeffs):
-            nxt[m] = nxt[m] + b * c
-            nxt[m + 1] = nxt[m + 1] + a * c
-        coeffs = nxt
-    return tuple(coeffs[d - k] for k in range(d + 1))
+    return linear_product_coeffs(
+        [(MultiPoly.var_a(n, i), MultiPoly.var_b(n, i))
+         for i in group if i != omit],
+        MultiPoly.one(n), MultiPoly.zero(n))
 
 
 def vertex_bracket_poly(d: int, split: SubsetSplit) -> MultiPoly:

@@ -196,8 +196,8 @@ def verify_instance(inst: VonStaudtInstance,
     vanishing of every (or every sampled) equation, then optionally the
     fitted-curve cross-check.
 
-    The evaluator hook lets a caller parallelize the equation reports; it
-    must return them in the order given.
+    The evaluator hook lets a caller observe or replace the evaluation of
+    the equation reports; it must return them in the order given.
     """
     d = inst.d
     n = 2 * d + 2

@@ -135,18 +135,6 @@ def test_verify_tampered_instance(tmp_path, capsys):
     assert cert["psi_zero"] < cert["psi_total"] or not cert["glp_ok"]
 
 
-def test_verify_jobs_agree(tmp_path, capsys):
-    path = gen_instance_file(tmp_path, capsys, d=3, seed=1)
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    assert main(["verify", "--input", str(path), "--jobs", "1",
-                 "--output", str(serial)]) == 0
-    assert main(["verify", "--input", str(path), "--jobs", "4",
-                 "--output", str(parallel)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # check-psi
 
@@ -202,18 +190,6 @@ def test_check_psi_nonmember(tmp_path, capsys):
     values = [json.loads(line)["value"] for line in out.splitlines()]
     assert any(v != "0" for v in values)
     assert "member=False" in err
-
-
-def test_check_psi_jobs_agree(tmp_path, capsys):
-    path = gen_instance_file(tmp_path, capsys, d=3, seed=1)
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    assert main(["check-psi", "--input", str(path), "--jobs", "1",
-                 "--output", str(serial)]) == 0
-    assert main(["check-psi", "--input", str(path), "--jobs", "3",
-                 "--output", str(parallel)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +284,11 @@ def test_sym_psi_cubic_sample(capsys):
 
 
 def test_sym_jobs_agree(capsys):
-    _, serial, _ = run_cli(["sym-psi", "--d", "3", "--sample", "6",
-                            "--jobs", "1"], capsys)
-    _, parallel, _ = run_cli(["sym-psi", "--d", "3", "--sample", "6",
-                              "--jobs", "3"], capsys)
-    assert serial == parallel
+    for command in ("sym-psi", "sym-factorization"):
+        argv = [command, "--d", "3", "--sample", "6"]
+        _, serial, _ = run_cli([*argv, "--jobs", "1"], capsys)
+        _, parallel, _ = run_cli([*argv, "--jobs", "3"], capsys)
+        assert serial == parallel
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +336,31 @@ def test_unknown_field_flag_exits_two(capsys):
         main(["gen-instance", "--d", "2", "--field", "complex"])
     assert info.value.code == 2
     assert "rationals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "check-psi"])
+def test_numeric_commands_reject_jobs(command, tmp_path, capsys):
+    path = gen_instance_file(tmp_path, capsys, d=2, seed=1)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--input", str(path), "--jobs", "2"])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "verify", "check-psi", "sym-factorization", "sym-psi"])
+def test_sample_zero_exits_two(command, tmp_path, capsys):
+    path = gen_instance_file(tmp_path, capsys, d=3, seed=1)
+    source = ["--d", "3"] if command.startswith("sym-") else [
+        "--input", str(path)]
+    with pytest.raises(SystemExit) as info:
+        main([command, *source, "--sample", "0"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"rncgeom {command}: error: argument --sample: "
+                      "must be at least 1, got 0"]
 
 
 def test_missing_input_file(capsys):

@@ -14,7 +14,6 @@ from oracles import (
 )
 from rncgeom.curve import (
     BinaryForm,
-    DiffOperator,
     ParamPoint,
     RNCModel,
     apolar_operator,
@@ -236,7 +235,7 @@ def test_apolarity_monomial_pairing_is_diagonal(d):
     diagonal and zero off it: a perfect pairing."""
     for i in range(d + 1):
         op_c = tuple(QQ.one if k == i else QQ.zero for k in range(d + 1))
-        op = DiffOperator(op_c, QQ)
+        op = BinaryForm(op_c, QQ)
         for j in range(d + 1):
             f_c = tuple(QQ.one if k == j else QQ.zero for k in range(d + 1))
             f = BinaryForm(f_c, QQ)
@@ -245,7 +244,7 @@ def test_apolarity_monomial_pairing_is_diagonal(d):
 
 
 def test_apolarity_degree_mismatch_raises():
-    op = DiffOperator((QQ.one, QQ.one), QQ)
+    op = BinaryForm((QQ.one, QQ.one), QQ)
     f = BinaryForm((QQ.one,), QQ)
     with pytest.raises(MismatchError):
         apolarity_apply(op, f)
@@ -253,7 +252,7 @@ def test_apolarity_degree_mismatch_raises():
 
 def test_apolarity_partial_application_differentiates():
     # D0 applied to x0^2 x1 gives 2 x0 x1
-    op = DiffOperator((QQ.one, QQ.zero), QQ)
+    op = BinaryForm((QQ.one, QQ.zero), QQ)
     f = BinaryForm((QQ.zero, QQ.one, QQ.zero, QQ.zero), QQ)
     g = apolarity_apply(op, f)
     assert g.coeffs == (Fraction(0), Fraction(2), Fraction(0))
