@@ -152,7 +152,7 @@ def _cmd_verify(args) -> int:
 
 def _load_configuration(path: str) -> Configuration:
     obj = _load_json(path)
-    if "params" in obj:
+    if isinstance(obj, dict) and "params" in obj:
         return instance_from_json(obj).vertices
     return config_from_json(obj)
 
@@ -170,7 +170,7 @@ def _cmd_check_psi(args) -> int:
     reports = evaluate_many(config, eqs)
     _write_lines(
         (report_to_json(r, config.field) for r in reports), args.output)
-    nonzero = sum(1 for r in reports if r.value)
+    nonzero = sum(1 for r in reports if r.nonzero)
     _note(f"equations={len(reports)} nonzero={nonzero} "
           f"member={nonzero == 0}")
     return 0 if nonzero == 0 else 1

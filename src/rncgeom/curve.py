@@ -33,11 +33,11 @@ from .projective import (
     Configuration,
     Hyperplane,
     ProjectivePoint,
+    bracket,
     canonical_coords,
     is_general_linear_position,
     mat_inverse,
     mat_vec,
-    solve_linear,
 )
 
 
@@ -302,9 +302,14 @@ def fit_rnc(config: Configuration) -> RNCModel:
             f"fitting in P^{d} needs exactly {d + 3} points, got {len(config)}")
     if not is_general_linear_position(config):
         raise DegenerateInputError("points are not in general linear position")
-    cols = [p.coords for p in config.points]
+    points = config.points
+    cols = [p.coords for p in points]
     frame = [[cols[j][i] for j in range(d + 1)] for i in range(d + 1)]
-    lam = solve_linear(frame, list(cols[d + 1]), field)
+    # Cramer's rule: the unit point is sum_i lam_i p_i with lam_i the frame
+    # bracket with p_i replaced by the unit point, over the frame bracket
+    base = bracket(points[:d + 1])
+    lam = [bracket(points[:i] + points[d + 1:d + 2] + points[i + 1:d + 1])
+           / base for i in range(d + 1)]
     if not all(lam):
         raise DegenerateInputError("unit point degenerates against the frame")
     inv = mat_inverse(frame, field)

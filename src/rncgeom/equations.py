@@ -12,26 +12,29 @@ where each bracket is the determinant of the point coordinates taken as
 columns in the written order.  A configuration in general linear position
 lies on a rational normal curve iff all of these vanish.
 
-Evaluation caches the determinant of each sorted column set, since one
-support J shares its brackets across many I; the written-order value is the
-cached value times the permutation sign.
+Evaluation reads the configuration's integer bracket table, so each sorted
+column set is computed once however many equations share it.  Which sorted
+column sets an equation needs depends only on where I sits inside J, and
+sorting the written columns never changes a monomial's sign; a per-degree
+template holds the sorted sets, and each support turns it into labels.
+Both monomials then are products of plain integers over one common scale:
+every sextet label appears twice and every shared label four times in each.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .errors import MismatchError
 from .fields import Field, Scalar
-from .projective import (
-    Configuration,
-    bracket,
-    bracket_vectors,
-    is_general_linear_position,
-)
+from .projective import BracketTable, Configuration, is_general_linear_position
 
 # positions within the sorted 6-subset whose triples make up each monomial
 _TRIPLES_FIRST = ((3, 4, 5), (1, 2, 5), (0, 2, 4), (0, 1, 3))
@@ -89,6 +92,18 @@ class BracketEquation:
         return {"J": list(self.support), "I": list(self.sextet)}
 
 
+def _equation(dim: int, n_points: int, support: tuple[int, ...],
+              sextet: tuple[int, ...]) -> BracketEquation:
+    """An equation whose indices are valid by construction, built without
+    the checks of BracketEquation's constructor."""
+    eq = object.__new__(BracketEquation)
+    object.__setattr__(eq, "dim", dim)
+    object.__setattr__(eq, "n_points", n_points)
+    object.__setattr__(eq, "support", support)
+    object.__setattr__(eq, "sextet", sextet)
+    return eq
+
+
 def equation_from_json(obj: dict, dim: int, n_points: int) -> BracketEquation:
     return BracketEquation(dim=dim, n_points=n_points,
                            support=tuple(obj["J"]), sextet=tuple(obj["I"]))
@@ -106,14 +121,11 @@ def count_equations(dim: int, n: int) -> int:
 
 def enumerate_equations(dim: int, n: int) -> Iterator[BracketEquation]:
     """All equations in lexicographic (support, then sextet) order."""
-    from itertools import combinations
-
     if dim < 2 or n < dim + 4:
         raise MismatchError(f"no equations for dim {dim} with {n} points")
     for support in combinations(range(1, n + 1), dim + 4):
         for sextet in combinations(support, 6):
-            yield BracketEquation(dim=dim, n_points=n,
-                                  support=support, sextet=sextet)
+            yield _equation(dim, n, support, sextet)
 
 
 def _unrank_combination(n: int, k: int, r: int) -> tuple[int, ...]:
@@ -138,8 +150,7 @@ def equation_at(dim: int, n: int, index: int) -> BracketEquation:
     support = _unrank_combination(n, dim + 4, index // per_support)
     positions = _unrank_combination(dim + 4, 6, index % per_support)
     sextet = tuple(support[p - 1] for p in positions)
-    return BracketEquation(dim=dim, n_points=n,
-                           support=support, sextet=sextet)
+    return _equation(dim, n, support, sextet)
 
 
 def sample_equations(dim: int, n: int, k: int,
@@ -165,41 +176,75 @@ def inversion_count(seq: Sequence[int]) -> int:
                if seq[i] > seq[j])
 
 
-class BracketTable:
-    """Cache of sorted-column brackets for one configuration, and of the
-    sorted columns and permutation parity of each written column order."""
+@cache
+def _template(dim: int) -> dict:
+    """For each sextet I of the local positions 0..dim+3 of a support, per
+    monomial, getters that pick each bracket's sorted column labels out of
+    the support tuple.
 
-    def __init__(self, config: Configuration):
-        self.config = config
-        self._cache: dict = {}
-        self._orders: dict = {}
-
-    def minor(self, cols: tuple[int, ...]) -> Scalar:
-        """Bracket of the 1-based sorted column labels."""
-        value = self._cache.get(cols)
-        if value is None:
-            value = bracket([self.config.points[c - 1] for c in cols])
-            self._cache[cols] = value
-        return value
-
-    def signed(self, cols: tuple[int, ...]) -> Scalar:
-        """Bracket with the columns in the written order."""
-        order = self._orders.get(cols)
-        if order is None:
-            order = (tuple(sorted(cols)), inversion_count(cols) % 2)
-            self._orders[cols] = order
-        value = self.minor(order[0])
-        return -value if value and order[1] else value
+    Sorting needs no sign: the triples are written in increasing order, and
+    a sextet label crosses a smaller shared label in two brackets of each
+    monomial, so each monomial's written orders have even total parity.
+    """
+    out = {}
+    for sextet in combinations(range(dim + 4), 6):
+        shared = tuple(k for k in range(dim + 4) if k not in sextet)
+        out[sextet] = tuple(
+            tuple(itemgetter(*sorted(tuple(sextet[p] for p in t) + shared))
+                  for t in triples)
+            for triples in (_TRIPLES_FIRST, _TRIPLES_SECOND))
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EquationReport:
-    """An evaluated equation: both monomials and their difference."""
+    """An evaluated equation: both monomials and their difference.
+
+    Evaluation keeps each monomial as a product n1, n2 of integer brackets
+    (reduced mod p over Z/p); m1, m2 and value are field scalars formed
+    from them when read.
+    """
 
     equation: BracketEquation
-    m1: Scalar
-    m2: Scalar
-    value: Scalar
+    n1: int
+    n2: int
+    table: BracketTable
+    _scale: Optional[int] = None
+
+    @property
+    def nonzero(self) -> bool:
+        return self.n1 != self.n2
+
+    def _scalar(self, n: int) -> Scalar:
+        table = self.table
+        if table.modulus:
+            return table.field.from_int(n)
+        if not n:
+            return Fraction(0)
+        if self._scale is None:
+            # over Q each bracket is its integer over the product of its
+            # columns' scales: sextet labels appear twice in a monomial,
+            # shared labels four times
+            scales = table.scales
+            support = sextet = 1
+            for k in self.equation.support:
+                support *= scales[k - 1]
+            for k in self.equation.sextet:
+                sextet *= scales[k - 1]
+            self._scale = (support * support // sextet) ** 2
+        return Fraction(n, self._scale)
+
+    @property
+    def m1(self) -> Scalar:
+        return self._scalar(self.n1)
+
+    @property
+    def m2(self) -> Scalar:
+        return self._scalar(self.n2)
+
+    @property
+    def value(self) -> Scalar:
+        return self._scalar(self.n1 - self.n2)
 
 
 def report_to_json(report: EquationReport, field: Field) -> dict:
@@ -219,62 +264,38 @@ def _check_match(config: Configuration, eq: BracketEquation) -> None:
             f"{len(config)} points in P^{config.dim}")
 
 
-def evaluate_equation(config: Configuration, eq: BracketEquation,
-                      table: Optional[BracketTable] = None) -> EquationReport:
-    """Exact value of one equation on the configuration.
-
-    A monomial is zero as soon as one of its brackets is, so evaluation of
-    that monomial stops there; the reported value is exact either way.
-    """
-    _check_match(config, eq)
-    if table is None:
-        table = BracketTable(config)
-    field = config.field
-    first, second = eq.monomial_columns()
-
-    def monomial(cols_list):
-        total = field.one
-        for cols in cols_list:
-            v = table.signed(cols)
-            if not v:
-                return field.zero
-            total = total * v
-        return total
-
-    m1 = monomial(first)
-    m2 = monomial(second)
-    return EquationReport(equation=eq, m1=m1, m2=m2, value=m1 - m2)
-
-
-def evaluate_many(config: Configuration, eqs: Sequence[BracketEquation],
-                  table: Optional[BracketTable] = None) -> list[EquationReport]:
-    if table is None:
-        table = BracketTable(config)
-    return [evaluate_equation(config, eq, table) for eq in eqs]
+def evaluate_many(config: Configuration,
+                  eqs: Sequence[BracketEquation]) -> list[EquationReport]:
+    """Exact values of the equations on the configuration, in order."""
+    table = config.bracket_table
+    minor = table.minor
+    p = table.modulus
+    template = _template(config.dim)
+    out = []
+    support = None
+    for eq in eqs:
+        _check_match(config, eq)
+        if eq.support != support:
+            support = eq.support
+            local = {label: k for k, label in enumerate(support)}.__getitem__
+        first, second = template[tuple(map(local, eq.sextet))]
+        a, b, c, e = first
+        n1 = (minor(a(support)) * minor(b(support)) * minor(c(support))
+              * minor(e(support)))
+        a, b, c, e = second
+        n2 = (minor(a(support)) * minor(b(support)) * minor(c(support))
+              * minor(e(support)))
+        if p:
+            n1 %= p
+            n2 %= p
+        out.append(EquationReport(eq, n1, n2, table))
+    return out
 
 
-def evaluate_equation_vectors(field: Field, vectors: Sequence[Sequence[Scalar]],
-                              eq: BracketEquation) -> EquationReport:
-    """Evaluate one equation on raw coordinate vectors, no canonicalization
-    and no cache; each bracket is a direct determinant in written column
-    order.  Exposed for scale-covariance testing against the cached path.
-    """
-    if len(vectors) != eq.n_points:
-        raise MismatchError("vector count does not match the equation")
-
-    def monomial(cols_list):
-        total = field.one
-        for cols in cols_list:
-            v = bracket_vectors(field, [vectors[c - 1] for c in cols])
-            if not v:
-                return field.zero
-            total = total * v
-        return total
-
-    first, second = eq.monomial_columns()
-    m1 = monomial(first)
-    m2 = monomial(second)
-    return EquationReport(equation=eq, m1=m1, m2=m2, value=m1 - m2)
+def evaluate_equation(config: Configuration,
+                      eq: BracketEquation) -> EquationReport:
+    """Exact value of one equation on the configuration."""
+    return evaluate_many(config, [eq])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +323,7 @@ def membership(config: Configuration, sample: Optional[int] = None,
     else:
         eqs = sample_equations(d, n, sample, seed)
     reports = evaluate_many(config, eqs)
-    member = all(not r.value for r in reports)
+    member = not any(r.nonzero for r in reports)
     return MembershipResult(member=member, reports=tuple(reports))
 
 
@@ -312,7 +333,8 @@ def lies_on_rnc(config: Configuration) -> bool:
     True iff the configuration is in general linear position and every
     equation vanishes; under the general-position hypothesis this is an
     exact certificate.  Without it no claim is made (degenerate
-    configurations satisfy the equations vacuously).
+    configurations satisfy the equations vacuously).  Both tests read the
+    configuration's one bracket table.
     """
     if len(config) < config.dim + 4:
         raise MismatchError(

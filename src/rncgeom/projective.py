@@ -4,11 +4,13 @@ Homogeneous coordinates are stored canonically: scaled so the first nonzero
 coordinate is 1.  Equality and hashing act on canonical tuples, so two points
 given by proportional coordinate vectors compare equal.
 
-Determinants are exact.  Over the rationals each point caches a primitive
-integer representative, so a bracket is an integer determinant (Bareiss,
-fraction free) times a known rational scale; over a prime field elimination
-divides in the field directly.  Sizes up to 4 use unrolled cofactor forms,
-which dominate the small-degree workloads.
+Determinants are exact and have one integer kernel for both fields: each
+point caches an integer representative (over Q its primitive vector, over
+Z/p its residues), a bracket is the integer determinant of those (unrolled
+up to size 4, fraction-free Bareiss elimination above) divided by the
+points' scales over Q or reduced mod p.  A configuration keeps a table of
+these integer brackets, so each is computed once however often the
+general-position test and the bracket equations read it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import DegenerateInputError, MismatchError
+from .errors import DegenerateInputError, MismatchError, malformed_input
 from .fields import Field, PrimeField, Scalar, field_from_json, field_to_json
 
 
@@ -49,17 +51,21 @@ class ProjectivePoint:
         return len(self.coords) - 1
 
     @cached_property
-    def primitive(self) -> tuple[tuple[int, ...], Fraction]:
-        """Integer representative and its scale, ints[i] == coords[i]*scale.
+    def primitive(self) -> tuple[tuple[int, ...], int]:
+        """Integer representative and its integer scale.
 
-        Rationals only.  The integer vector has content 1 and positive first
-        nonzero entry; brackets divide out the scales afterwards.
+        Over the rationals ints[i] == coords[i]*scale, the vector has content
+        1 and positive first nonzero entry, and the scale is that entry (the
+        canonical first nonzero coordinate is 1).  Over Z/p the
+        representative is the residues' least nonnegative values and the
+        scale is 1.  Brackets divide out the scales afterwards.
         """
+        if isinstance(self.field, PrimeField):
+            return tuple(c.value for c in self.coords), 1
         dens = lcm(*(c.denominator for c in self.coords))
         ints = [int(c * dens) for c in self.coords]
         g = gcd(*ints)
-        ints = [v // g for v in ints]
-        return tuple(ints), Fraction(dens, g)
+        return tuple(v // g for v in ints), dens // g
 
     def __repr__(self) -> str:
         inner = ":".join(str(c) for c in self.coords)
@@ -121,37 +127,45 @@ class Configuration:
     def __getitem__(self, i: int) -> ProjectivePoint:
         return self.points[i]
 
+    @cached_property
+    def bracket_table(self) -> "BracketTable":
+        """The integer brackets of these points, filled as they are read."""
+        return BracketTable(self)
+
 
 # ---------------------------------------------------------------------------
 # determinants
 
 
-def _det_small(m: list, zero) -> Scalar:
+def _det_int(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (rows may be tuples)."""
     n = len(m)
     if n == 1:
         return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if n == 3:
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    # n == 4, cofactors along the first row
-    total = zero
-    sign = 1
-    for j in range(4):
-        if m[0][j]:
-            minor = [[m[i][k] for k in range(4) if k != j] for i in (1, 2, 3)]
-            term = m[0][j] * _det_small(minor, zero)
-            total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
+        a, b, c = m
+        return (a[0] * (b[1] * c[2] - b[2] * c[1])
+                - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    if n == 4:
+        # Laplace expansion along the first two rows: 2x2 minors of the top
+        # pair against the complementary 2x2 minors of the bottom pair
+        a, b, c, e = m
+        return ((a[0] * b[1] - a[1] * b[0]) * (c[2] * e[3] - c[3] * e[2])
+                - (a[0] * b[2] - a[2] * b[0]) * (c[1] * e[3] - c[3] * e[1])
+                + (a[0] * b[3] - a[3] * b[0]) * (c[1] * e[2] - c[2] * e[1])
+                + (a[1] * b[2] - a[2] * b[1]) * (c[0] * e[3] - c[3] * e[0])
+                - (a[1] * b[3] - a[3] * b[1]) * (c[0] * e[2] - c[2] * e[0])
+                + (a[2] * b[3] - a[3] * b[2]) * (c[0] * e[1] - c[1] * e[0]))
+    return _det_bareiss_int(m)
 
 
-def _det_bareiss_int(m: list[list[int]]) -> int:
+def _det_bareiss_int(m: Sequence[Sequence[int]]) -> int:
     """Fraction-free elimination; exact for integer matrices of any size."""
     n = len(m)
-    m = [row[:] for row in m]
+    m = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -163,39 +177,15 @@ def _det_bareiss_int(m: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = m[k][k]
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
+            row_i = m[i]
             head = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _det_gauss_field(m: list, field: Field) -> Scalar:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = field.one
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if m[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return field.zero
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det = det * pivot
-        for i in range(k + 1, n):
-            if m[i][k]:
-                factor = m[i][k] / pivot
-                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-    return det
 
 
 def det(m: Sequence[Sequence[Scalar]], field: Field) -> Scalar:
@@ -205,17 +195,15 @@ def det(m: Sequence[Sequence[Scalar]], field: Field) -> Scalar:
         raise ValueError("matrix is not square")
     if n == 0:
         return field.one
-    if n <= 4:
-        return _det_small([list(row) for row in m], field.zero)
     if isinstance(field, PrimeField):
-        return _det_gauss_field([list(row) for row in m], field)
-    scale = Fraction(1)
+        return field.from_int(_det_int([[c.value for c in row] for row in m]))
+    scale = 1
     rows = []
     for row in m:
         dens = lcm(*(c.denominator for c in row))
         scale *= dens
         rows.append([int(c * dens) for c in row])
-    return Fraction(_det_bareiss_int(rows)) / scale
+    return Fraction(_det_int(rows), scale)
 
 
 def bracket_vectors(field: Field, vectors: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -229,8 +217,9 @@ def bracket_vectors(field: Field, vectors: Sequence[Sequence[Scalar]]) -> Scalar
     if any(len(v) != k for v in vectors):
         raise MismatchError(
             f"need {k} vectors of length {k} for a full bracket")
-    m = [[field.scalar(vectors[j][i]) for j in range(k)] for i in range(k)]
-    return det(m, field)
+    # a determinant is unchanged by transposition, so the column vectors
+    # serve as rows
+    return det([[field.scalar(x) for x in v] for v in vectors], field)
 
 
 def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
@@ -247,21 +236,62 @@ def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
     if len(points) != d + 1:
         raise MismatchError(
             f"bracket in P^{d} needs {d + 1} points, got {len(points)}")
-    if isinstance(field, PrimeField):
-        m = [[p.coords[i] for p in points] for i in range(d + 1)]
-        return det(m, field)
-    ints = []
-    scale = Fraction(1)
+    vectors = []
+    scale = 1
     for p in points:
         vec, s = p.primitive
-        ints.append(vec)
+        vectors.append(vec)
         scale *= s
-    m = [[ints[j][i] for j in range(d + 1)] for i in range(d + 1)]
-    if d + 1 <= 4:
-        value = _det_small(m, 0)
-    else:
-        value = _det_bareiss_int(m)
-    return Fraction(value) / scale
+    value = _det_int(vectors)
+    if isinstance(field, PrimeField):
+        return field.from_int(value)
+    return Fraction(value, scale)
+
+
+class BracketTable:
+    """The brackets of one configuration as integers, each computed once.
+
+    minor(cols) takes sorted 1-based column labels and returns the integer
+    determinant of the points' integer representatives: over Q the bracket
+    is that integer divided by the product of the points' scales
+    (``scales``), over Z/p it is already reduced mod p.  A configuration
+    holds one table (``Configuration.bracket_table``), so the
+    general-position test and every bracket equation share it.
+    """
+
+    def __init__(self, config: Configuration):
+        self.config = config
+        self.field = config.field
+        self.modulus = config.field.characteristic
+        reps = [p.primitive for p in config.points]
+        self.vectors = [vec for vec, _ in reps]
+        self.scales = [s for _, s in reps]
+        self._cache: dict = {}
+
+    def _compute(self, cols: tuple[int, ...]) -> int:
+        vectors = self.vectors
+        value = _det_int([vectors[c - 1] for c in cols])
+        return value % self.modulus if self.modulus else value
+
+    def minor(self, cols: tuple[int, ...]) -> int:
+        """Integer bracket of the 1-based sorted column labels."""
+        value = self._cache.get(cols)
+        if value is None:
+            value = self._cache[cols] = self._compute(cols)
+        return value
+
+    def all_nonzero(self) -> bool:
+        """Whether every (d+1)-subset has a nonzero bracket, filling the
+        table up to the first that does not."""
+        cache = self._cache
+        for cols in combinations(range(1, len(self.config) + 1),
+                                 self.config.dim + 1):
+            value = cache.get(cols)
+            if value is None:
+                value = cache[cols] = self._compute(cols)
+            if not value:
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +356,6 @@ def mat_inverse(m: Sequence[Sequence[Scalar]], field: Field) -> list:
     return [row[n:] for row in rows]
 
 
-def solve_linear(m: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar],
-                 field: Field) -> list:
-    """Solve a square nonsingular system exactly."""
-    n = len(m)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(m)]
-    rows, pivots = rref(aug, field)
-    if pivots != list(range(n)):
-        raise DegenerateInputError("system is singular")
-    return [row[n] for row in rows]
-
-
 def hyperplane_intersection(planes: Sequence[Hyperplane]) -> ProjectivePoint:
     """The common point of d hyperplanes of P^d, when it is unique."""
     if not planes:
@@ -375,10 +394,7 @@ def is_general_linear_position(config: Configuration) -> bool:
     d = config.dim
     if n <= d + 1:
         return rank(config) == n
-    for subset in combinations(config.points, d + 1):
-        if not bracket(subset):
-            return False
-    return True
+    return config.bracket_table.all_nonzero()
 
 
 def is_degenerate(config: Configuration) -> bool:
@@ -407,9 +423,10 @@ def config_to_json(config: Configuration) -> dict:
 
 
 def config_from_json(obj: dict) -> Configuration:
-    field = field_from_json(obj["field"])
-    dim = int(obj["dim"])
-    points = tuple(
-        ProjectivePoint(tuple(field.parse(c) for c in row), field)
-        for row in obj["points"])
-    return Configuration(field=field, dim=dim, points=points)
+    with malformed_input("configuration"):
+        field = field_from_json(obj["field"])
+        dim = int(obj["dim"])
+        points = tuple(
+            ProjectivePoint(tuple(field.parse(c) for c in row), field)
+            for row in obj["points"])
+        return Configuration(field=field, dim=dim, points=points)

@@ -34,13 +34,17 @@ from .curve import (
 )
 from .equations import (
     BracketEquation,
-    EquationReport,
     enumerate_equations,
     equation_from_json,
     evaluate_many,
     sample_equations,
 )
-from .errors import CharacteristicError, DegenerateInputError, MismatchError
+from .errors import (
+    CharacteristicError,
+    DegenerateInputError,
+    MismatchError,
+    malformed_input,
+)
 from .fields import (
     QQ,
     Field,
@@ -194,7 +198,8 @@ def verify_instance(inst: VonStaudtInstance,
                     evaluator: Optional[Evaluator] = None) -> Certificate:
     """Certify one instance: general linear position of the vertices, then
     vanishing of every (or every sampled) equation, then optionally the
-    fitted-curve cross-check.
+    fitted-curve cross-check.  The first two read one bracket table of the
+    vertices, so each bracket is computed once.
 
     The evaluator hook lets a caller observe or replace the evaluation of
     the equation reports; it must return them in the order given.
@@ -211,7 +216,7 @@ def verify_instance(inst: VonStaudtInstance,
         reports = evaluate_many(config, eqs)
     else:
         reports = evaluator(config, eqs)
-    failures = tuple(r.equation for r in reports if r.value)
+    failures = tuple(r.equation for r in reports if r.nonzero)
     castelnuovo_ok = castelnuovo_check(inst) if with_castelnuovo else None
     verdict = glp_ok and not failures and castelnuovo_ok is not False
     return Certificate(
@@ -273,24 +278,25 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
     """Load an instance; missing derived fields are rebuilt from the
     parameters, present ones are taken as stored (they may legitimately
     disagree with the construction, e.g. in negative controls)."""
-    field = field_from_json(obj["field"])
-    d = int(obj["d"])
-    seed = obj.get("seed")
-    params = tuple(param_from_json(q, field) for q in obj["params"])
-    inst = build_instance(d, params, field, seed=seed)
-    if "points" in obj:
-        pts = tuple(
-            ProjectivePoint(tuple(field.parse(c) for c in row), field)
-            for row in obj["points"])
-        inst = replace(inst, curve_points=pts)
-    if "planes" in obj:
-        planes = tuple(
-            Hyperplane(tuple(field.parse(c) for c in row), field)
-            for row in obj["planes"])
-        inst = replace(inst, planes=planes)
-    if "vertices" in obj:
-        inst = replace(inst, vertices=config_from_json(obj["vertices"]))
-    return inst
+    with malformed_input("instance"):
+        field = field_from_json(obj["field"])
+        d = int(obj["d"])
+        seed = obj.get("seed")
+        params = tuple(param_from_json(q, field) for q in obj["params"])
+        inst = build_instance(d, params, field, seed=seed)
+        if "points" in obj:
+            pts = tuple(
+                ProjectivePoint(tuple(field.parse(c) for c in row), field)
+                for row in obj["points"])
+            inst = replace(inst, curve_points=pts)
+        if "planes" in obj:
+            planes = tuple(
+                Hyperplane(tuple(field.parse(c) for c in row), field)
+                for row in obj["planes"])
+            inst = replace(inst, planes=planes)
+        if "vertices" in obj:
+            inst = replace(inst, vertices=config_from_json(obj["vertices"]))
+        return inst
 
 
 def certificate_to_json(cert: Certificate) -> dict:

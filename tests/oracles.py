@@ -7,6 +7,7 @@ both sides of an assertion.  sympy is a test dependency only.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -99,3 +100,52 @@ def rand_distinct_fractions(rng, count, height=30):
             seen.add(v)
             out.append(v)
     return out
+
+
+def field_det(rows, field: Field):
+    """Determinant of a square matrix of field scalars by Gaussian
+    elimination, dividing in the field (Fractions or residues)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = field.one
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+@dataclass(frozen=True)
+class VectorReport:
+    m1: object
+    m2: object
+    value: object
+
+
+def evaluate_equation_vectors(field: Field, vectors, eq) -> VectorReport:
+    """Evaluate one equation on raw coordinate vectors, with no
+    canonicalization, no cache and no integer kernel: each bracket is a
+    direct determinant of the vectors as columns in written order."""
+    assert len(vectors) == eq.n_points
+
+    def monomial(cols_list):
+        total = field.one
+        for cols in cols_list:
+            k = len(cols)
+            total = total * field_det(
+                [[field.scalar(vectors[c - 1][i]) for c in cols]
+                 for i in range(k)], field)
+        return total
+
+    first, second = eq.monomial_columns()
+    m1 = monomial(first)
+    m2 = monomial(second)
+    return VectorReport(m1=m1, m2=m2, value=m1 - m2)

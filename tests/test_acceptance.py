@@ -129,13 +129,13 @@ def test_criterion_1(capsys):
             if d <= 4:
                 assert slowest < 1.0, (d, slowest)
             else:
-                assert slowest < 60.0, (d, slowest)
+                assert slowest < 10.0, (d, slowest)
         start = time.perf_counter()
         cert = verify_instance(get_instance(6, 0), sample=2000)
         elapsed = time.perf_counter() - start
         assert cert.verdict
         assert cert.psi_total == 2000
-        assert elapsed < 60.0, elapsed
+        assert elapsed < 10.0, elapsed
 
 
 def test_criterion_2(capsys):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from rncgeom import (
     sample_instance,
 )
 from rncgeom.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -177,6 +180,17 @@ def test_check_psi_point_count_assertion(tmp_path, capsys):
         ["check-psi", "--input", str(path), "--n", "9"], capsys)
     assert code == 2
     assert "--n said 9" in err
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("d3", 0), ("d3-tampered", 1), ("d3-mod101-tampered", 1)])
+def test_check_psi_golden_output(capsys, name, expected):
+    """Byte-identical to the stdout recorded from the per-bracket
+    Fraction/Residue evaluation that the integer bracket table replaced."""
+    code, out, _ = run_cli(
+        ["check-psi", "--input", str(DATA / f"{name}.json")], capsys)
+    assert code == expected
+    assert out == (DATA / f"{name}.check-psi.jsonl").read_text()
 
 
 def test_check_psi_nonmember(tmp_path, capsys):
@@ -384,6 +398,42 @@ def test_input_invalid_json(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--input", str(path)], capsys)
     assert code == 2
     assert "error:" in err
+
+
+def _zero_denominator(obj):
+    obj["params"][0][0] = "1/0"
+    return obj
+
+
+def _points_not_a_list(obj):
+    obj["vertices"]["points"] = 5
+    return obj
+
+
+def _param_without_residue(obj):
+    obj["params"][0][0] = "1/101"
+    return obj
+
+
+def _not_an_object(obj):
+    return 5
+
+
+@pytest.mark.parametrize("field,corrupt", [
+    ("rationals", _zero_denominator),
+    ("rationals", _points_not_a_list),
+    ("prime:101", _param_without_residue),
+    ("rationals", _not_an_object),
+], ids=["param-1-over-0", "points-5", "param-1-over-101-mod-101",
+        "not-an-object"])
+@pytest.mark.parametrize("command", ["verify", "check-psi"])
+def test_malformed_input_exits_two(tmp_path, capsys, command, field, corrupt):
+    path = gen_instance_file(tmp_path, capsys, d=5, extra=("--field", field))
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_module_entry_point(tmp_path):

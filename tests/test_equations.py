@@ -8,17 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rand_distinct_fractions, rand_fraction
+from oracles import (
+    evaluate_equation_vectors,
+    rand_distinct_fractions,
+    rand_fraction,
+)
 from rncgeom.curve import param_point, veronese_coords, veronese_embed
 from rncgeom.equations import (
     BracketEquation,
-    BracketTable,
+    _template,
     count_equations,
     enumerate_equations,
     equation_at,
     equation_from_json,
     evaluate_equation,
-    evaluate_equation_vectors,
     evaluate_many,
     inversion_count,
     lies_on_rnc,
@@ -28,7 +31,9 @@ from rncgeom.equations import (
 )
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ, PrimeField
-from rncgeom.projective import Configuration, ProjectivePoint
+from rncgeom.cli import main
+from rncgeom.projective import BracketTable, Configuration, ProjectivePoint
+from rncgeom.staudt import sample_instance, verify_instance
 
 FP = PrimeField(101)
 
@@ -137,12 +142,76 @@ def test_inversion_count_basics():
     assert inversion_count((3, 2, 1)) == 3
 
 
-def test_signed_bracket_respects_column_order(rng):
-    config = random_config(rng, 2, 6)
-    table = BracketTable(config)
-    cols = (4, 1, 2)
-    assert table.signed(cols) == -table.signed((1, 4, 2))
-    assert table.signed(cols) == table.signed((1, 2, 4))
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_template_parities_match_inversion_count(d):
+    """The compiled template picks each bracket's sorted columns, with no
+    sign: the written column orders of each monomial have even total
+    inversion count."""
+    template = _template(d)
+    assert len(template) == comb(d + 4, 6)
+    support = tuple(range(1, d + 5))
+    odd_brackets = 0
+    for local, getters in template.items():
+        eq = BracketEquation(dim=d, n_points=d + 4, support=support,
+                             sextet=tuple(k + 1 for k in local))
+        for picks, written in zip(getters, eq.monomial_columns()):
+            assert [g(support) for g in picks] == [
+                tuple(sorted(cols)) for cols in written]
+            parities = [inversion_count(cols) % 2 for cols in written]
+            assert sum(parities) % 2 == 0
+            odd_brackets += sum(parities)
+    # single brackets do change sign once a shared label is smaller than a
+    # sextet label, which needs d > 2
+    assert (odd_brackets > 0) == (d > 2)
+
+
+def perturbed(config, label):
+    """The configuration with one coordinate of one point shifted by 1."""
+    points = list(config.points)
+    coords = list(points[label - 1].coords)
+    coords[-1] = coords[-1] + config.field.one
+    points[label - 1] = ProjectivePoint(tuple(coords), config.field)
+    return Configuration(field=config.field, dim=config.dim,
+                         points=tuple(points))
+
+
+def repeated(config):
+    """The configuration with its first point repeated in slot 2, so every
+    bracket holding both columns is zero."""
+    points = list(config.points)
+    points[1] = points[0]
+    return Configuration(field=config.field, dim=config.dim,
+                         points=tuple(points))
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_evaluate_many_matches_vector_oracle(field, d):
+    """The integer-minor path against direct determinants in written column
+    order, on honest, tampered and degenerate configurations."""
+    n = 2 * d + 2
+    honest = sample_instance(d, field, seed=d).vertices
+    if d < 4:
+        eqs = list(enumerate_equations(d, n))
+    else:
+        eqs = sample_equations(d, n, 150, seed=1)
+    for config, kind in ((honest, "honest"),
+                         (perturbed(honest, 3), "tampered"),
+                         (repeated(honest), "degenerate")):
+        vectors = [list(p.coords) for p in config.points]
+        reports = evaluate_many(config, eqs)
+        assert [r.equation for r in reports] == eqs
+        for r, eq in zip(reports, eqs):
+            want = evaluate_equation_vectors(field, vectors, eq)
+            assert (r.m1, r.m2, r.value) == (want.m1, want.m2, want.value)
+            assert r.nonzero == bool(want.value)
+        nonzero = sum(1 for r in reports if r.nonzero)
+        if kind == "honest":
+            assert nonzero == 0
+        elif kind == "tampered":
+            assert nonzero > 0
+        else:
+            assert any(not r.m1 for r in reports)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -286,3 +355,38 @@ def test_prime_field_membership_matches_reduction(rng):
         rp = evaluate_equation(config_p, eq)
         assert FP.scalar(rq.m1) == rp.m1
         assert FP.scalar(rq.value) == rp.value
+
+
+# ---------------------------------------------------------------------------
+# one bracket table per configuration
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The sorted column sets each bracket table computes, in order."""
+    log = []
+    compute = BracketTable._compute
+
+    def logged(self, cols):
+        log.append((id(self), cols))
+        return compute(self, cols)
+
+    monkeypatch.setattr(BracketTable, "_compute", logged)
+    return log
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])
+def test_verify_computes_each_bracket_once(computed, field):
+    cert = verify_instance(sample_instance(3, field, seed=2))
+    assert cert.glp_ok and cert.verdict
+    assert len(computed) == len(set(computed)) == comb(8, 4)
+
+
+def test_lies_on_rnc_and_dual_check_share_one_table(computed, capsys):
+    ts = list(range(1, 9))
+    assert lies_on_rnc(curve_config(3, ts))
+    assert len(computed) == len(set(computed)) == comb(8, 4)
+    computed.clear()
+    assert main(["dual-check", "--d", "3", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(computed) == len(set(computed)) == comb(8, 4)
