@@ -6,8 +6,9 @@ Exit codes: 0 for a true verdict or successful computation, 1 for a false
 verdict, 2 for usage or input errors.
 
 Output is deterministic: identical command, flags and seed produce
-byte-identical JSON.  The symbolic commands' --jobs workers change only
-the speed, as their records come back in enumeration order.
+byte-identical JSON.  sym-factorization's --jobs workers change only the
+speed, as its records come back in enumeration order; every other command
+runs in one process.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import multiprocessing
 import os
 import random
 import sys
-from functools import partial
 from math import ceil
 from typing import Optional
 
@@ -103,25 +103,22 @@ def _load_json(path: str):
 
 
 # ---------------------------------------------------------------------------
-# parallel symbolic checks
+# parallel factorization checks
 
 
-def _check_one(kind: str, item) -> dict:
-    """The record for one subset split (kind "factorization") or one
-    equation identity (kind is the sym-psi method)."""
-    if kind == "factorization":
-        return factorization_record(item, verify_factorization(item))
-    return identity_record(item, verify_equation_identity(item, kind))
+def _check_one(split: SubsetSplit) -> dict:
+    """The record for one subset split."""
+    return factorization_record(split, verify_factorization(split))
 
 
-def _parallel_checks(kind: str, items: list, jobs: int) -> list:
-    """Records in the order of items; each worker gets one contiguous
+def _parallel_checks(splits: list, jobs: int) -> list:
+    """Records in the order of splits; each worker gets one contiguous
     chunk."""
-    check = partial(_check_one, kind)
-    if jobs <= 1 or len(items) <= 1:
-        return [check(item) for item in items]
-    with multiprocessing.Pool(min(jobs, len(items))) as pool:
-        return pool.map(check, items, chunksize=ceil(len(items) / jobs))
+    if jobs <= 1 or len(splits) <= 1:
+        return [_check_one(split) for split in splits]
+    with multiprocessing.Pool(min(jobs, len(splits))) as pool:
+        return pool.map(_check_one, splits,
+                        chunksize=ceil(len(splits) / jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def _cmd_sym_factorization(args) -> int:
         picks = sorted(random.Random(args.seed).sample(
             range(len(splits)), args.sample))
         splits = [splits[i] for i in picks]
-    records = _parallel_checks("factorization", splits, args.jobs)
+    records = _parallel_checks(splits, args.jobs)
     _write_lines(records, args.output)
     bad = sum(1 for r in records if not r["ok"])
     _note(f"subsets={len(records)} failed={bad}")
@@ -232,7 +229,8 @@ def _cmd_sym_psi(args) -> int:
         eqs = sample_equations(d, n, args.sample, args.seed)
     else:
         eqs = list(enumerate_equations(d, n))
-    records = _parallel_checks(args.method, eqs, args.jobs)
+    records = [identity_record(eq, verify_equation_identity(eq, args.method))
+               for eq in eqs]
     _write_lines(records, args.output)
     bad = sum(1 for r in records if not r["ok"])
     _note(f"identities={len(records)} method={args.method} failed={bad}")
@@ -347,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "factors", "expand"),
                    default="auto",
                    help="factor-multiset route or full expansion")
-    _add_common(p, seed=True, sample=True, jobs=True)
+    _add_common(p, seed=True, sample=True)
     p.set_defaults(func=_cmd_sym_psi)
 
     p = subs.add_parser("dual-check",

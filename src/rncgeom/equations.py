@@ -19,6 +19,8 @@ sorting the written columns never changes a monomial's sign; a per-degree
 template holds the sorted sets, and each support turns it into labels.
 Both monomials then are products of plain integers over one common scale:
 every sextet label appears twice and every shared label four times in each.
+monomial_products is the one place the monomials are multiplied; the
+symbolic identities run it over factored or expanded vertex brackets.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import MismatchError
 from .fields import Field, Scalar
@@ -264,17 +266,18 @@ def _check_match(config: Configuration, eq: BracketEquation) -> None:
             f"{len(config)} points in P^{config.dim}")
 
 
-def evaluate_many(config: Configuration,
-                  eqs: Sequence[BracketEquation]) -> list[EquationReport]:
-    """Exact values of the equations on the configuration, in order."""
-    table = config.bracket_table
-    minor = table.minor
-    p = table.modulus
-    template = _template(config.dim)
-    out = []
+def monomial_products(minor: Callable, dim: int,
+                      eqs: Iterable[BracketEquation]) -> Iterator[tuple]:
+    """(eq, n1, n2) for each equation: the products of minor(cols) over
+    the sorted column tuples of its first and second monomial.
+
+    minor is the bracket kernel's table: integer minors for evaluation,
+    factored or expanded symbolic brackets for the identities.  The
+    equations must all be in P^dim.
+    """
+    template = _template(dim)
     support = None
     for eq in eqs:
-        _check_match(config, eq)
         if eq.support != support:
             support = eq.support
             local = {label: k for k, label in enumerate(support)}.__getitem__
@@ -285,6 +288,18 @@ def evaluate_many(config: Configuration,
         a, b, c, e = second
         n2 = (minor(a(support)) * minor(b(support)) * minor(c(support))
               * minor(e(support)))
+        yield eq, n1, n2
+
+
+def evaluate_many(config: Configuration,
+                  eqs: Sequence[BracketEquation]) -> list[EquationReport]:
+    """Exact values of the equations on the configuration, in order."""
+    for eq in eqs:
+        _check_match(config, eq)
+    table = config.bracket_table
+    p = table.modulus
+    out = []
+    for eq, n1, n2 in monomial_products(table.minor, config.dim, eqs):
         if p:
             n1 %= p
             n2 %= p

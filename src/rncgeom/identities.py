@@ -15,21 +15,25 @@ bracket of any d+1 vertices factors completely into 2x2 brackets
 with K1 = K cap T1, K2 = K cap T2 and sign(K) = (-1)^(C(|K1|,2)+C(|K2|,2)).
 verify_factorization checks this by full expansion.  On top of it, each
 curve equation evaluated on the vertices is a difference of two products of
-four such brackets; comparing the two products' factor multisets and signs
-(the factor route) proves the difference is identically zero without
-expanding degree-4d(d+1) products, while full expansion remains available
-as an independent cross-check where it is feasible.
+four such brackets, multiplied by the same kernel that evaluates equations
+numerically (equations.monomial_products).  The factor route feeds it each
+bracket's sign times one distinct prime per 2x2 factor, so two monomials
+agree exactly when their signs and factor multisets do; this proves the
+difference identically zero without expanding degree-4d(d+1) products.
+The expand route feeds it the expanded vertex brackets and serves as a
+cross-check where full expansion is feasible.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations, product
 from math import comb
-from typing import Literal, Sequence
+from typing import Literal
 
 from .curve import linear_product_coeffs
-from .equations import BracketEquation, inversion_count
+from .equations import BracketEquation, inversion_count, monomial_products
 from .errors import MismatchError
 from .polynomials import MultiPoly, poly_det
 
@@ -131,8 +135,6 @@ def factor_pairs(split: SubsetSplit) -> tuple[tuple[int, int], ...]:
     """The 2x2 bracket factors of the vertex bracket, as ordered pairs
     (i, j) with i < j: all pairs inside each present half, plus all cross
     pairs of absentees."""
-    from itertools import combinations, product
-
     pairs = list(combinations(split.group1, 2))
     pairs += list(combinations(split.group2, 2))
     pairs += [(i, j) for i, j in product(split.absent1, split.absent2)]
@@ -162,15 +164,6 @@ def factorization_record(split: SubsetSplit, ok: bool) -> dict:
             "K": list(split.members), "ok": ok}
 
 
-def transposition_parity(triple: Sequence[int], rest: Sequence[int]) -> int:
-    """Parity (0 or 1) of the adjacent transpositions sorting the
-    concatenation triple + rest; rest is expected sorted already."""
-    seq = tuple(triple) + tuple(rest)
-    if len(set(seq)) != len(seq):
-        raise ValueError(f"repeated labels in {seq}")
-    return inversion_count(seq) % 2
-
-
 # ---------------------------------------------------------------------------
 # the equation-level identity
 
@@ -183,24 +176,33 @@ def _require_symbolic(eq: BracketEquation) -> int:
     return d
 
 
-def monomial_summary(eq: BracketEquation, which: int) -> tuple[int, Counter]:
-    """Total sign and multiset of 2x2 factors of one of the equation's two
-    monomials (which = 0 or 1) evaluated on the symbolic vertices.
+def _primes(count: int) -> list[int]:
+    out: list[int] = []
+    k = 2
+    while len(out) < count:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
 
-    Each written bracket contributes its column-permutation parity and its
-    split sign; the factors come from the verified factorization.
-    """
-    d = _require_symbolic(eq)
-    cols_list = eq.monomial_columns()[which]
-    sign = 1
-    factors: Counter = Counter()
-    for cols in cols_list:
-        if inversion_count(cols) % 2:
-            sign = -sign
-        split = SubsetSplit(d, tuple(sorted(cols)))
-        sign *= split_sign(split)
-        factors.update(factor_pairs(split))
-    return sign, factors
+
+@cache
+def _factor_table(d: int) -> dict[tuple[int, ...], int]:
+    """Each sorted (d+1)-subset K of the labels mapped to its factored
+    vertex bracket, encoded as split_sign(K) times one distinct prime per
+    2x2 factor |Q_iQ_j| in factor_pairs(K).  By unique factorization two
+    products of these agree exactly when their signs and factor multisets
+    do."""
+    n = 2 * d + 2
+    prime = dict(zip(combinations(range(1, n + 1), 2), _primes(comb(n, 2))))
+    out = {}
+    for members in combinations(range(1, n + 1), d + 1):
+        split = SubsetSplit(d, members)
+        value = split_sign(split)
+        for pair in factor_pairs(split):
+            value *= prime[pair]
+        out[members] = value
+    return out
 
 
 def verify_equation_identity(
@@ -209,36 +211,28 @@ def verify_equation_identity(
     """Whether the equation, evaluated on the symbolic vertices, is the
     zero polynomial.
 
-    The factor route compares the two monomials' signs and factor
-    multisets; it is sound given the bracket factorization, which
-    verify_factorization establishes by expansion.  The expand route
-    multiplies out both monomials and subtracts; degree 4d(d+1) makes it
-    infeasible much beyond d = 2, where it serves as an independent guard
-    of the factor route itself.
+    Both routes multiply the monomials' sorted brackets with
+    equations.monomial_products; sorting costs no sign, since each
+    monomial's written column orders have even total parity.  The factor
+    route compares the two monomials' signs and factor multisets; it is
+    sound given the bracket factorization, which verify_factorization
+    establishes by expansion.  The expand route multiplies out both
+    monomials and compares; degree 4d(d+1) makes it infeasible much beyond
+    d = 2, where it serves as an independent guard of the factor route
+    itself.
     """
     d = _require_symbolic(eq)
     if method == "auto":
         method = "expand" if d == 2 else "factors"
     if method == "factors":
-        s1, f1 = monomial_summary(eq, 0)
-        s2, f2 = monomial_summary(eq, 1)
-        return s1 == s2 and f1 == f2
-    if method == "expand":
-        n = 2 * d + 2
-
-        def monomial(cols_list):
-            out = MultiPoly.one(n)
-            for cols in cols_list:
-                split = SubsetSplit(d, tuple(sorted(cols)))
-                term = vertex_bracket_poly(d, split)
-                if inversion_count(cols) % 2:
-                    term = -term
-                out = out * term
-            return out
-
-        first, second = eq.monomial_columns()
-        return (monomial(first) - monomial(second)).is_zero
-    raise ValueError(f"unknown method {method!r}")
+        minor = _factor_table(d).__getitem__
+    elif method == "expand":
+        def minor(cols):
+            return vertex_bracket_poly(d, SubsetSplit(d, cols))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    [(_, n1, n2)] = monomial_products(minor, d, [eq])
+    return n1 == n2
 
 
 def identity_record(eq: BracketEquation, ok: bool) -> dict:

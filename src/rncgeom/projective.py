@@ -58,7 +58,7 @@ class ProjectivePoint:
         1 and positive first nonzero entry, and the scale is that entry (the
         canonical first nonzero coordinate is 1).  Over Z/p the
         representative is the residues' least nonnegative values and the
-        scale is 1.  Brackets divide out the scales afterwards.
+        scale is 1.  BracketTable divides out the scales afterwards.
         """
         if isinstance(self.field, PrimeField):
             return tuple(c.value for c in self.coords), 1
@@ -236,16 +236,8 @@ def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
     if len(points) != d + 1:
         raise MismatchError(
             f"bracket in P^{d} needs {d + 1} points, got {len(points)}")
-    vectors = []
-    scale = 1
-    for p in points:
-        vec, s = p.primitive
-        vectors.append(vec)
-        scale *= s
-    value = _det_int(vectors)
-    if isinstance(field, PrimeField):
-        return field.from_int(value)
-    return Fraction(value, scale)
+    # a determinant is unchanged by transposition
+    return det([p.coords for p in points], field)
 
 
 class BracketTable:

@@ -7,12 +7,15 @@ both sides of an assertion.  sympy is a test dependency only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import sympy
 
+from rncgeom import identities
+from rncgeom.equations import inversion_count
 from rncgeom.fields import QQ, Field, Residue
 
 
@@ -149,3 +152,29 @@ def evaluate_equation_vectors(field: Field, vectors, eq) -> VectorReport:
     m1 = monomial(first)
     m2 = monomial(second)
     return VectorReport(m1=m1, m2=m2, value=m1 - m2)
+
+
+def monomial_summary(eq, which: int):
+    """Total sign and multiset of 2x2 factors of one of the equation's two
+    monomials (which = 0 or 1) evaluated on the symbolic vertices, from
+    the brackets in written order: each contributes its column inversion
+    parity and its split sign, and its factors come from the closed-form
+    factorization.
+
+    split_sign and factor_pairs are looked up on the identities module at
+    each call, so a test that patches them reaches this route too.
+    """
+    sign = 1
+    factors: Counter = Counter()
+    for cols in eq.monomial_columns()[which]:
+        if inversion_count(cols) % 2:
+            sign = -sign
+        split = identities.SubsetSplit(eq.dim, tuple(sorted(cols)))
+        sign *= identities.split_sign(split)
+        factors.update(identities.factor_pairs(split))
+    return sign, factors
+
+
+def factor_route_oracle(eq) -> bool:
+    """Whether the two monomials agree in sign and factor multiset."""
+    return monomial_summary(eq, 0) == monomial_summary(eq, 1)

@@ -297,12 +297,27 @@ def test_sym_psi_cubic_sample(capsys):
     assert "method=factors" in err
 
 
+def test_sym_psi_cubic_golden_output(capsys):
+    code, out, _ = run_cli(["sym-psi", "--d", "3"], capsys)
+    assert code == 0
+    assert out == (DATA / "sym-psi-d3.jsonl").read_text()
+
+
 def test_sym_jobs_agree(capsys):
-    for command in ("sym-psi", "sym-factorization"):
-        argv = [command, "--d", "3", "--sample", "6"]
-        _, serial, _ = run_cli([*argv, "--jobs", "1"], capsys)
-        _, parallel, _ = run_cli([*argv, "--jobs", "3"], capsys)
-        assert serial == parallel
+    argv = ["sym-factorization", "--d", "3", "--sample", "6"]
+    _, serial, _ = run_cli([*argv, "--jobs", "1"], capsys)
+    _, parallel, _ = run_cli([*argv, "--jobs", "3"], capsys)
+    assert serial == parallel
+
+
+def test_sym_psi_rejects_jobs(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sym-psi", "--d", "2", "--jobs", "2"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["rncgeom: error: unrecognized arguments: --jobs 2"]
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_inversion_count_basics():
     assert inversion_count((3, 2, 1)) == 3
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_template_parities_match_inversion_count(d):
     """The compiled template picks each bracket's sorted columns, with no
     sign: the written column orders of each monomial have even total

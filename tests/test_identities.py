@@ -6,13 +6,19 @@ from math import comb
 
 import pytest
 
-from oracles import rand_distinct_fractions
+from oracles import (
+    factor_route_oracle,
+    monomial_summary,
+    rand_distinct_fractions,
+)
+from rncgeom import identities
 from rncgeom.curve import param_point, simplex_vertex, vertex_coords
 from rncgeom.equations import (
     BracketEquation,
     enumerate_equations,
     equation_at,
     evaluate_equation,
+    sample_equations,
 )
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ
@@ -25,10 +31,8 @@ from rncgeom.identities import (
     first_group,
     group_of,
     identity_record,
-    monomial_summary,
     second_group,
     split_sign,
-    transposition_parity,
     two_bracket,
     verify_equation_identity,
     verify_factorization,
@@ -224,14 +228,6 @@ def test_factorization_record_shape():
 # parity bookkeeping
 
 
-def test_transposition_parity_examples():
-    assert transposition_parity((4, 5, 6), (7,)) == 0
-    assert transposition_parity((2, 1, 3), ()) == 1
-    assert transposition_parity((3, 1, 2), (4,)) == 0
-    with pytest.raises(ValueError):
-        transposition_parity((1, 1, 2), ())
-
-
 def test_parity_sums_vanish_for_the_cubic_example():
     eq = BracketEquation(dim=3, n_points=8, support=(1, 2, 3, 4, 5, 6, 7),
                          sextet=(1, 2, 3, 4, 5, 6))
@@ -307,6 +303,51 @@ def test_monomial_summaries_agree_for_the_cubic_example():
     assert (s1, f1) == (s2, f2)
     # the factor multiset is exactly the union over the printed lines
     assert sum(f1.values()) == 24
+
+
+@pytest.fixture
+def fresh_factor_tables():
+    """Rebuild the cached factor tables around a test that patches the
+    factorization, so no patched table outlives it."""
+    identities._factor_table.cache_clear()
+    yield
+    identities._factor_table.cache_clear()
+
+
+def rejected_both_ways(eqs):
+    """The equations each factor route rejects: the kernel's prime-encoded
+    table and the original sign and Counter bookkeeping."""
+    new = [eq for eq in eqs if not verify_equation_identity(eq, "factors")]
+    old = [eq for eq in eqs if not factor_route_oracle(eq)]
+    return new, old
+
+
+@pytest.mark.parametrize("d, sample", [(3, None), (4, None), (5, 200)])
+def test_factor_route_matches_oracle(d, sample):
+    n = 2 * d + 2
+    eqs = (list(enumerate_equations(d, n)) if sample is None
+           else sample_equations(d, n, sample, seed=d))
+    assert rejected_both_ways(eqs) == ([], [])
+
+
+# a faulty factorization: (name in identities, original -> replacement)
+MUTATIONS = {
+    "drop-a-factor": ("factor_pairs", lambda pairs: lambda s: pairs(s)[1:]),
+    "flip-a-sign": ("split_sign", lambda sign: lambda s: (
+        -sign(s) if s.members == (1, 2, 3, 4) else sign(s))),
+}
+
+
+@pytest.mark.parametrize("mutation, rejected", [
+    ("drop-a-factor", 56), ("flip-a-sign", 16)])
+def test_factor_route_matches_oracle_under_mutation(
+        mutation, rejected, monkeypatch, fresh_factor_tables):
+    name, replace = MUTATIONS[mutation]
+    monkeypatch.setattr(identities, name,
+                        replace(getattr(identities, name)))
+    new, old = rejected_both_ways(list(enumerate_equations(3, 8)))
+    assert new == old
+    assert len(new) == rejected
 
 
 def test_identity_record_shape():
