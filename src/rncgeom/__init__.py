@@ -16,7 +16,6 @@ from .curve import (
     curve_contains,
     curve_point,
     fit_rnc,
-    model_from_json,
     model_to_json,
     osculating_coeffs,
     osculating_hyperplane,
@@ -75,12 +74,10 @@ from .projective import (
     Hyperplane,
     ProjectivePoint,
     bracket,
-    bracket_vectors,
     config_from_json,
     config_to_json,
     det,
     hyperplane_intersection,
-    is_degenerate,
     is_general_linear_position,
     rank,
 )

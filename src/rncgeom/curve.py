@@ -380,13 +380,3 @@ def model_to_json(model: RNCModel) -> dict:
         "frame_map": [[fmt(c) for c in row] for row in model.frame_map],
         "alphas": [fmt(a) for a in model.alphas],
     }
-
-
-def model_from_json(obj: dict, field: Field) -> RNCModel:
-    return RNCModel(
-        dim=int(obj["dim"]),
-        field=field,
-        frame_map=tuple(
-            tuple(field.parse(c) for c in row) for row in obj["frame_map"]),
-        alphas=tuple(field.parse(a) for a in obj["alphas"]),
-    )

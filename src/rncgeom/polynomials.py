@@ -1,42 +1,75 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate polynomials with packed exponents.
 
 The ring is Q[a_1..a_n, b_1..b_n] for a fixed number n of parameter points;
 variable v < n is a_{v+1} and variable n+i is b_{i+1}.  A polynomial is a
-map from exponent tuples (length 2n) to nonzero Fraction coefficients.
-The symbolic identities this package verifies are huge but extremely
-sparse in these variables, which is the whole case for this representation.
+map from monomials to nonzero coefficients.  Every polynomial the package
+builds has integer coefficients, so coefficients are ints; a Fraction is
+accepted and kept only when its denominator is not 1.
+
+Each monomial is packed into one int of 2n+1 fields of 8 bits (after
+Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  The top field holds the total
+degree, then come a_1..a_n, then b_1..b_n in the lowest fields.  Two
+monomials multiply by adding their ints.  No exponent exceeds the total
+degree, so no field can carry into its neighbour while the total degree
+stays at most MAX_DEGREE = 255; a product that would pass it raises
+OverflowError.  The symbolic identities this package verifies are huge but
+extremely sparse in these variables, which is the whole case for this
+representation.
 
 Printing (and therefore golden-file comparison) uses graded lexicographic
 term order: higher total degree first, then lexicographically larger
-exponent vector first, e.g. "a1*b2 - a2*b1".
+exponent vector first, e.g. "a1*b2 - a2*b1".  With the total degree in the
+top field that is descending int order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
+Coeff = Union[int, Fraction]
+
+FIELD_BITS = 8
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+
+def _coeff(c) -> Coeff:
+    """An int, or a Fraction when c is not integral."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class MultiPoly:
-    """An immutable sparse polynomial; arithmetic never mutates operands."""
+    """An immutable sparse polynomial; arithmetic never mutates operands.
+
+    The constructor takes exponent tuples (a_1..a_n, b_1..b_n) as keys.
+    terms maps each packed monomial to its nonzero coefficient; exponents()
+    gives the same map with exponent tuples as keys.
+    """
 
     __slots__ = ("n_points", "terms")
 
-    def __init__(self, n_points: int,
-                 terms: Mapping[Exponents, Fraction] = ()):
+    def __init__(self, n_points: int, terms: Mapping[Exponents, Coeff] = ()):
         if n_points < 1:
             raise ValueError("need at least one parameter point")
         width = 2 * n_points
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[int, Coeff] = {}
         for exps, coeff in dict(terms).items():
             exps = tuple(exps)
             if len(exps) != width or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
-            coeff = Fraction(coeff)
+            degree = sum(exps)
+            if degree > MAX_DEGREE:
+                raise OverflowError(
+                    f"total degree {degree} exceeds {MAX_DEGREE}")
+            coeff = _coeff(coeff)
             if coeff:
-                clean[exps] = coeff
+                key = degree
+                for e in exps:
+                    key = (key << FIELD_BITS) | e
+                clean[key] = coeff
         object.__setattr__(self, "n_points", n_points)
         object.__setattr__(self, "terms", clean)
 
@@ -58,10 +91,10 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, n_points: int, c) -> "MultiPoly":
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return cls.zero(n_points)
-        return cls._raw(n_points, {(0,) * (2 * n_points): c})
+        return cls._raw(n_points, {0: c})
 
     @classmethod
     def one(cls, n_points: int) -> "MultiPoly":
@@ -81,9 +114,10 @@ class MultiPoly:
     def _var(cls, n_points: int, slot: int, i: int) -> "MultiPoly":
         if not 1 <= i <= n_points:
             raise ValueError(f"variable index {i} outside 1..{n_points}")
-        exps = [0] * (2 * n_points)
-        exps[slot] = 1
-        return cls._raw(n_points, {tuple(exps): Fraction(1)})
+        width = 2 * n_points
+        degree_one = 1 << FIELD_BITS * width
+        return cls._raw(
+            n_points, {degree_one | 1 << FIELD_BITS * (width - 1 - slot): 1})
 
     # -- ring structure
 
@@ -94,12 +128,7 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = out.get(exps, 0) + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+        _add_terms(out, other.terms)
         return MultiPoly._raw(self.n_points, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -113,22 +142,29 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(exps, 0) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return MultiPoly._raw(self.n_points, out)
+        left, right = self.terms, other.terms
+        if not left or not right:
+            return MultiPoly.zero(self.n_points)
+        top = 2 * FIELD_BITS * self.n_points
+        if (max(left) >> top) + (max(right) >> top) > MAX_DEGREE:
+            raise OverflowError(f"product degree exceeds {MAX_DEGREE}")
+        if len(left) < len(right):
+            left, right = right, left
+        items = left.items()
+        out: dict[int, Coeff] = {}
+        get = out.get
+        for e2, c2 in right.items():
+            for e1, c1 in items:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return MultiPoly._raw(
+            self.n_points, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other) -> "MultiPoly":
         return self.scale(other)
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return MultiPoly.zero(self.n_points)
         return MultiPoly._raw(
@@ -156,31 +192,14 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def total_degree(self) -> int:
-        """Largest term degree; the zero polynomial reports 0."""
-        return max((sum(e) for e in self.terms), default=0)
+    def _unpack(self, key: int) -> Exponents:
+        width = 2 * self.n_points
+        return tuple((key >> FIELD_BITS * (width - 1 - slot)) & MAX_DEGREE
+                     for slot in range(width))
 
-    def degree_in_point(self, i: int) -> int:
-        """Joint degree in a_i and b_i, 1-based."""
-        n = self.n_points
-        return max((e[i - 1] + e[n + i - 1] for e in self.terms), default=0)
-
-    def evaluate(self, values: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
-        """Substitute a_i = values[i-1][0], b_i = values[i-1][1]."""
-        if len(values) != self.n_points:
-            raise ValueError(
-                f"need {self.n_points} value pairs, got {len(values)}")
-        flat = [Fraction(a) for a, _ in values] + \
-            [Fraction(b) for _, b in values]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(flat, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+    def exponents(self) -> dict[Exponents, Coeff]:
+        """The terms with exponent tuples (a_1..a_n, b_1..b_n) as keys."""
+        return {self._unpack(key): c for key, c in self.terms.items()}
 
     # -- printing
 
@@ -191,14 +210,11 @@ class MultiPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        ordered = sorted(
-            self.terms,
-            key=lambda e: (-sum(e), tuple(-x for x in e)))
         pieces = []
-        for exps in ordered:
-            coeff = self.terms[exps]
+        for key in sorted(self.terms, reverse=True):
+            coeff = self.terms[key]
             factors = []
-            for slot, e in enumerate(exps):
+            for slot, e in enumerate(self._unpack(key)):
                 if e == 1:
                     factors.append(self._var_name(slot))
                 elif e > 1:
@@ -219,11 +235,23 @@ class MultiPoly:
         return f"<MultiPoly {self}>"
 
 
+def _add_terms(acc: dict, terms: Mapping, sign: int = 1) -> None:
+    """Add sign * terms into the term dict acc in place, dropping zeros."""
+    get = acc.get
+    for e, c in terms.items():
+        s = get(e, 0) + sign * c
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+
+
 def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """Determinant of a square matrix of polynomials.
 
     Expands row by row over column subsets (the usual minor dynamic
     program), which beats permutation expansion as soon as minors repeat.
+    Each minor of the next row accumulates its terms in one dict.
     """
     n = len(rows)
     if n == 0:
@@ -233,7 +261,7 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     ring = rows[0][0].n_points
     minors: dict[int, MultiPoly] = {0: MultiPoly.one(ring)}
     for r in range(n):
-        nxt: dict[int, MultiPoly] = {}
+        nxt: dict[int, dict] = {}
         for mask, minor in minors.items():
             if minor.is_zero:
                 continue
@@ -244,12 +272,10 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
                 entry = rows[r][j]
                 if entry.is_zero:
                     continue
-                term = minor * entry
-                if (r + bin(mask & (bit - 1)).count("1")) % 2:
-                    term = -term
-                new_mask = mask | bit
-                acc = nxt.get(new_mask)
-                nxt[new_mask] = term if acc is None else acc + term
-        minors = nxt
+                sign = -1 if (r + bin(mask & (bit - 1)).count("1")) % 2 else 1
+                _add_terms(nxt.setdefault(mask | bit, {}),
+                          (minor * entry).terms, sign)
+        minors = {mask: MultiPoly._raw(ring, terms)
+                  for mask, terms in nxt.items()}
     full = (1 << n) - 1
     return minors.get(full, MultiPoly.zero(ring))

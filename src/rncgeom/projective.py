@@ -206,22 +206,6 @@ def det(m: Sequence[Sequence[Scalar]], field: Field) -> Scalar:
     return Fraction(_det_int(rows), scale)
 
 
-def bracket_vectors(field: Field, vectors: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of the matrix whose columns are the given coordinate
-    vectors, in the order written.
-
-    This is the raw multilinear bracket; it sees the actual vectors, not
-    projective classes, so rescaling one vector rescales the value.
-    """
-    k = len(vectors)
-    if any(len(v) != k for v in vectors):
-        raise MismatchError(
-            f"need {k} vectors of length {k} for a full bracket")
-    # a determinant is unchanged by transposition, so the column vectors
-    # serve as rows
-    return det([[field.scalar(x) for x in v] for v in vectors], field)
-
-
 def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
     """Bracket of d+1 points of P^d: the determinant of their canonical
     coordinates as columns.  Zero iff the points fail to span.
@@ -387,18 +371,6 @@ def is_general_linear_position(config: Configuration) -> bool:
     if n <= d + 1:
         return rank(config) == n
     return config.bracket_table.all_nonzero()
-
-
-def is_degenerate(config: Configuration) -> bool:
-    """Whether the configuration lies in a hyperplane.
-
-    Only meaningful once there are enough points to span, so n >= d+1 is
-    required.
-    """
-    if len(config) < config.dim + 1:
-        raise MismatchError(
-            f"need at least {config.dim + 1} points to test degeneracy")
-    return rank(config) <= config.dim
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 Everything here goes through sympy or first-principles formulas, never
 through the package's own linear algebra, so a bug cannot cancel out of
 both sides of an assertion.  sympy is a test dependency only.
+
+The last section holds helpers only the tests use: polynomial evaluation
+and degrees over MultiPoly.exponents(), and the raw vector bracket, the
+degeneracy predicate and model decoding, which do call the package's own
+determinant, rank and scalar parsers.
 """
 
 from __future__ import annotations
@@ -15,8 +20,11 @@ from itertools import combinations
 import sympy
 
 from rncgeom import identities
+from rncgeom.curve import RNCModel
 from rncgeom.equations import inversion_count
+from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ, Field, Residue
+from rncgeom.projective import Configuration, det, rank
 
 
 def to_sympy(x):
@@ -82,7 +90,7 @@ def multipoly_to_sympy(p):
     sa = sympy.symbols(f"a1:{n + 1}")
     sb = sympy.symbols(f"b1:{n + 1}")
     expr = sympy.Integer(0)
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.exponents().items():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
         for i in range(n):
             term *= sa[i] ** exps[i] * sb[i] ** exps[n + i]
@@ -178,3 +186,70 @@ def monomial_summary(eq, which: int):
 def factor_route_oracle(eq) -> bool:
     """Whether the two monomials agree in sign and factor multiset."""
     return monomial_summary(eq, 0) == monomial_summary(eq, 1)
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers
+
+
+def evaluate(p, values) -> Fraction:
+    """The MultiPoly p at a_i = values[i-1][0], b_i = values[i-1][1]."""
+    if len(values) != p.n_points:
+        raise ValueError(
+            f"need {p.n_points} value pairs, got {len(values)}")
+    flat = [Fraction(a) for a, _ in values] + \
+        [Fraction(b) for _, b in values]
+    total = Fraction(0)
+    for exps, coeff in p.exponents().items():
+        term = Fraction(coeff)
+        for v, e in zip(flat, exps):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+def total_degree(p) -> int:
+    """Largest term degree of a MultiPoly; the zero polynomial reports 0."""
+    return max((sum(e) for e in p.exponents()), default=0)
+
+
+def degree_in_point(p, i: int) -> int:
+    """Joint degree of a MultiPoly in a_i and b_i, 1-based."""
+    n = p.n_points
+    return max((e[i - 1] + e[n + i - 1] for e in p.exponents()), default=0)
+
+
+def bracket_vectors(field: Field, vectors):
+    """Determinant of the matrix whose columns are the given coordinate
+    vectors, in the order written.
+
+    This is the raw multilinear bracket; it sees the actual vectors, not
+    projective classes, so rescaling one vector rescales the value.
+    """
+    k = len(vectors)
+    if any(len(v) != k for v in vectors):
+        raise MismatchError(
+            f"need {k} vectors of length {k} for a full bracket")
+    # a determinant is unchanged by transposition, so the column vectors
+    # serve as rows
+    return det([[field.scalar(x) for x in v] for v in vectors], field)
+
+
+def is_degenerate(config: Configuration) -> bool:
+    """Whether the configuration lies in a hyperplane; needs n >= d+1."""
+    if len(config) < config.dim + 1:
+        raise MismatchError(
+            f"need at least {config.dim + 1} points to test degeneracy")
+    return rank(config) <= config.dim
+
+
+def model_from_json(obj: dict, field: Field) -> RNCModel:
+    """The inverse of curve.model_to_json."""
+    return RNCModel(
+        dim=int(obj["dim"]),
+        field=field,
+        frame_map=tuple(
+            tuple(field.parse(c) for c in row) for row in obj["frame_map"]),
+        alphas=tuple(field.parse(a) for a in obj["alphas"]),
+    )

@@ -1,11 +1,16 @@
 """End-to-end tests driving the command line through main(argv)."""
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rncgeom import (
     QQ,
@@ -460,3 +465,89 @@ def test_module_entry_point(tmp_path):
     obj = json.loads(result.stdout)
     assert obj["schema"] == "vonstaudt-inst/1"
     assert instance_from_json(obj) == sample_instance(2, QQ, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed instance files
+
+BAD_FRACTIONS = ["1/0", "0/0", "abc", "", " ", "1/", "/2", "1//2", "1/2/3",
+                 "--1", "1e400", "nan", "inf", "0x10", "1/101", "½"]
+BAD_PRIMES = [0, 1, 2, 3, 4, 7, -7, 100, 101, "101", "x", "", 1.5, None,
+              [101], {"p": 101}]
+JUNK = [None, True, False, 0, -1, 3, 2 ** 70, 1.5, float("nan"), "", "x",
+        "3", [], ["1"], [[]], {}, {"kind": "rationals"}]
+
+
+def _paths(obj, prefix=()):
+    """Every path into the document, containers included."""
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _paths(value, prefix + (i,))
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@st.composite
+def fuzzed_instances(draw):
+    obj = json.loads((DATA / "d3.json").read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(obj) if p]
+        kind = draw(st.sampled_from(
+            ["delete", "swap-type", "bad-fraction", "bad-prime"]))
+        if kind == "bad-prime":
+            where = draw(st.sampled_from([("field",), ("vertices", "field")]))
+            value = {"kind": "prime", "p": draw(st.sampled_from(BAD_PRIMES))}
+            try:
+                _set(obj, where, value)
+            except (KeyError, IndexError, TypeError):
+                pass
+            continue
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        if kind == "delete":
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        elif kind == "swap-type":
+            _set(obj, path, draw(st.sampled_from(JUNK)))
+        else:
+            _set(obj, path, draw(st.sampled_from(BAD_FRACTIONS)))
+    return obj
+
+
+@settings(max_examples=80)
+@given(fuzzed_instances(), st.sampled_from(["verify", "check-psi"]))
+def test_fuzzed_instance_exit_contract(obj, command):
+    """Whatever the damage, the CLI answers with exit 0, 1 or 2 and no
+    traceback; exit 1 always comes with a written verdict, and exit 2 with
+    one error line and nothing on stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--input", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    elif command == "verify":
+        cert = json.loads(out)
+        assert cert["schema"] == "vonstaudt-cert/1"
+        assert cert["verdict"] is (code == 0)
+    else:
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert reports
+        assert any(r["value"] != "0" for r in reports) is (code == 1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     binomial_coords,
+    model_from_json,
     product_form_coords,
     rand_distinct_fractions,
     rand_fraction,
@@ -23,7 +24,6 @@ from rncgeom.curve import (
     curve_point,
     fit_rnc,
     linear_form,
-    model_from_json,
     model_to_json,
     osculating_coeffs,
     osculating_hyperplane,

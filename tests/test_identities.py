@@ -1,17 +1,22 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from oracles import (
+    evaluate,
     factor_route_oracle,
     monomial_summary,
     rand_distinct_fractions,
+    total_degree,
 )
 from rncgeom import identities
+from rncgeom.cli import main
 from rncgeom.curve import param_point, simplex_vertex, vertex_coords
 from rncgeom.equations import (
     BracketEquation,
@@ -42,6 +47,7 @@ from rncgeom.identities import (
 from rncgeom.polynomials import MultiPoly
 from rncgeom.projective import Configuration, bracket
 
+DATA = Path(__file__).parent / "data"
 
 def rand_values(rng, n, height=12):
     """Distinct parameter pairs (a_i, b_i) with b_i = 1."""
@@ -111,7 +117,7 @@ def test_vertex_polys_dehomogenized_base_case():
     values = [(Fraction(0), Fraction(1))] * 6
     values[0] = (Fraction(5), Fraction(1))
     values[1] = (Fraction(7), Fraction(1))
-    assert [x.evaluate(values) for x in r] == [35, 12, 1]
+    assert [evaluate(x, values) for x in r] == [35, 12, 1]
 
 
 def test_vertex_polys_validation():
@@ -124,7 +130,7 @@ def test_vertex_polys_validation():
 def test_vertex_polys_are_bihomogeneous():
     for d, omit, side in ((2, 1, 1), (3, 6, 2), (4, 2, 1)):
         for r in vertex_polys(d, omit, side):
-            assert all(sum(e) == d for e in r.terms)
+            assert all(sum(e) == d for e in r.exponents())
 
 
 def test_vertex_polys_specialize_to_numeric_vertices(rng):
@@ -136,7 +142,7 @@ def test_vertex_polys_specialize_to_numeric_vertices(rng):
                 sym = vertex_polys(d, omit, side)
                 numeric = vertex_coords(
                     [qs[i - 1] for i in group if i != omit])
-                assert tuple(p.evaluate(values) for p in sym) == numeric
+                assert tuple(evaluate(p, values) for p in sym) == numeric
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ def test_factor_pairs_shape():
 def test_factored_bracket_degree():
     for d, members in ((2, (1, 2, 4)), (3, (1, 2, 5, 6))):
         p = factored_bracket(d, SubsetSplit(d, members))
-        assert p.total_degree == d * (d + 1)
+        assert total_degree(p) == d * (d + 1)
 
 
 def test_factorization_holds_for_all_conic_splits():
@@ -183,13 +189,63 @@ def test_factorization_spot_check_quartic(rng):
     assert verify_factorization(SubsetSplit(4, members))
 
 
+def test_bracket_printing_golden():
+    """str() of both bracket forms, byte for byte as recorded in the
+    golden file."""
+    for line in (DATA / "vertex-bracket-str.jsonl").read_text().splitlines():
+        case = json.loads(line)
+        split = SubsetSplit(case["d"], tuple(case["K"]))
+        assert str(vertex_bracket_poly(case["d"], split)) == case["str"]
+        assert str(factored_bracket(case["d"], split)) == case["str"]
+
+
+# a faulty factorization of the splits with label 1 among their members
+def affected(split):
+    return 1 in split.members
+
+
+FACTORIZATION_MUTATIONS = {
+    "drop-first-pair": ("factor_pairs", lambda pairs: lambda s: (
+        pairs(s)[1:] if affected(s) else pairs(s))),
+    "flip-sign": ("split_sign", lambda sign: lambda s: (
+        -sign(s) if affected(s) else sign(s))),
+}
+
+
+@pytest.fixture(params=sorted(FACTORIZATION_MUTATIONS))
+def mutated_factorization(request, monkeypatch):
+    name, replace = FACTORIZATION_MUTATIONS[request.param]
+    monkeypatch.setattr(identities, name,
+                        replace(getattr(identities, name)))
+
+
+def test_verify_factorization_rejects_mutations(mutated_factorization):
+    for d in (2, 3, 4):
+        for members in combinations(range(1, 2 * d + 3), d + 1):
+            split = SubsetSplit(d, members)
+            assert verify_factorization(split) is not affected(split), (
+                d, members)
+
+
+def test_sym_factorization_cli_rejects_mutations(mutated_factorization,
+                                                 capsys):
+    # one process, so the patched module is the one that runs
+    assert main(["sym-factorization", "--d", "3", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(records) == comb(8, 4)
+    assert "failed=35" in captured.err
+    for record in records:
+        assert record["ok"] is not (1 in record["K"]), record
+
+
 def test_vertex_bracket_vanishes_on_repeated_parameter(rng):
     # Q_1 = Q_2 collapses two osculating data sets, so the bracket of any
     # split containing vertices from side 1 built on both must vanish
     p = vertex_bracket_poly(2, SubsetSplit(2, (1, 2, 3)))
     values = rand_values(rng, 6)
     values[1] = values[0]
-    assert p.evaluate(values) == 0
+    assert evaluate(p, values) == 0
 
 
 def test_vertex_bracket_matches_numeric_bracket(rng):
@@ -199,7 +255,7 @@ def test_vertex_bracket_matches_numeric_bracket(rng):
         for _ in range(3):
             members = tuple(sorted(rng.sample(range(1, n + 1), d + 1)))
             split = SubsetSplit(d, members)
-            sym = vertex_bracket_poly(d, split).evaluate(values)
+            sym = evaluate(vertex_bracket_poly(d, split), values)
             pts = []
             for k in members:
                 group = first_group(d) if k <= d + 1 else second_group(d)

@@ -6,7 +6,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multipoly_to_sympy, rand_fraction, sympy_det
+from oracles import (
+    degree_in_point,
+    evaluate,
+    multipoly_to_sympy,
+    rand_fraction,
+    sympy_det,
+    total_degree,
+)
 from rncgeom.polynomials import MultiPoly, poly_det
 
 N = 3
@@ -29,13 +36,27 @@ def polys(draw, n=N, max_terms=4, max_exp=2):
     return MultiPoly(n, terms)
 
 
+@st.composite
+def wide_polys(draw, n=N, max_terms=4, max_high=120):
+    """Polynomials whose terms reach far into one exponent field, so a
+    product of two gets within a few degrees of the 255 bound."""
+    count = draw(st.integers(0, max_terms))
+    terms = {}
+    for _ in range(count):
+        exps = [draw(st.integers(0, 1)) for _ in range(2 * n)]
+        exps[draw(st.integers(0, 2 * n - 1))] = draw(
+            st.integers(max_high - 10, max_high))
+        terms[tuple(exps)] = draw(st.integers(-50, 50))
+    return MultiPoly(n, terms)
+
+
 # ---------------------------------------------------------------------------
 # construction and normalization
 
 
 def test_zero_coefficients_are_dropped():
     p = make_poly(1, {(1, 0): 0, (0, 1): 2})
-    assert p.terms == {(0, 1): Fraction(2)}
+    assert p.exponents() == {(0, 1): 2}
     assert MultiPoly.zero(2).is_zero
     assert not MultiPoly.one(2).is_zero
 
@@ -48,11 +69,19 @@ def test_exponent_width_is_validated():
 def test_variable_constructors():
     # slots run a_1..a_n then b_1..b_n
     a2 = MultiPoly.var_a(3, 2)
-    assert a2.terms == {(0, 1, 0, 0, 0, 0): Fraction(1)}
+    assert a2.exponents() == {(0, 1, 0, 0, 0, 0): 1}
     b3 = MultiPoly.var_b(3, 3)
-    assert b3.terms == {(0, 0, 0, 0, 0, 1): Fraction(1)}
+    assert b3.exponents() == {(0, 0, 0, 0, 0, 1): 1}
     with pytest.raises(ValueError):
         MultiPoly.var_a(3, 4)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    p = MultiPoly(1, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
+    assert p.exponents() == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(p.exponents()[(1, 0)]) is int
+    assert type(MultiPoly.constant(1, Fraction(3)).exponents()[(0, 0)]) is int
+    assert p.scale(Fraction(2)) == MultiPoly(1, {(1, 0): 4, (0, 1): 1})
 
 
 def test_immutability():
@@ -118,6 +147,52 @@ def test_scale_matches_constant_multiplication(p, c):
 
 
 # ---------------------------------------------------------------------------
+# the packed exponent layout
+
+
+@given(st.one_of(polys(), wide_polys()), st.one_of(polys(), wide_polys()))
+def test_product_and_sum_match_sympy(p, q):
+    expr_p, _, _ = multipoly_to_sympy(p)
+    expr_q, _, _ = multipoly_to_sympy(q)
+    assert multipoly_to_sympy(p * q)[0] == sympy.expand(expr_p * expr_q)
+    assert multipoly_to_sympy(p + q)[0] == sympy.expand(expr_p + expr_q)
+
+
+@given(wide_polys())
+def test_packed_order_is_graded_lex(p):
+    exps = p.exponents()
+    unpacked = dict(zip(p.terms, exps))
+    assert [unpacked[k] for k in sorted(p.terms, reverse=True)] == sorted(
+        exps, key=lambda e: (-sum(e), tuple(-x for x in e)))
+
+
+def test_exponents_at_the_field_width():
+    a1, b1 = MultiPoly.var_a(2, 1), MultiPoly.var_b(2, 1)
+    b2 = MultiPoly.var_b(2, 2)
+    p = a1 ** 200 * b2 ** 55
+    assert p.exponents() == {(200, 0, 0, 55): 1}
+    assert str(p) == "a1^200*b2^55"
+    q = (a1 + b1) ** 5 * (a1 ** 195 * b2 ** 55)
+    assert total_degree(q) == 255 and degree_in_point(q, 1) == 200
+    assert len(q.terms) == 6
+    assert str(q).startswith("a1^200*b2^55 + 5*a1^199*b1*b2^55")
+    assert str(q).endswith("+ a1^195*b1^5*b2^55")
+
+
+def test_product_past_degree_255_raises():
+    a1, b2 = MultiPoly.var_a(2, 1), MultiPoly.var_b(2, 2)
+    p = a1 ** 200 * b2 ** 55
+    with pytest.raises(OverflowError):
+        p * a1
+    with pytest.raises(OverflowError):
+        (a1 ** 128) * (b2 ** 128)
+    with pytest.raises(OverflowError):
+        MultiPoly(2, {(256, 0, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        MultiPoly(2, {(128, 0, 0, 128): 1})
+
+
+# ---------------------------------------------------------------------------
 # evaluation and degrees
 
 
@@ -126,8 +201,8 @@ def test_product_evaluates_pointwise(p, q):
     rng = random.Random(7)
     values = [(rand_fraction(rng, 5), rand_fraction(rng, 5))
               for _ in range(N)]
-    assert (p * q).evaluate(values) == p.evaluate(values) * q.evaluate(values)
-    assert (p + q).evaluate(values) == p.evaluate(values) + q.evaluate(values)
+    assert evaluate(p * q, values) == evaluate(p, values) * evaluate(q, values)
+    assert evaluate(p + q, values) == evaluate(p, values) + evaluate(q, values)
 
 
 @given(polys())
@@ -141,7 +216,7 @@ def test_evaluation_matches_sympy(p):
         subs[sa[i]] = sympy.Rational(values[i][0])
         subs[sb[i]] = sympy.Rational(values[i][1])
     expected = expr.subs(subs)
-    got = p.evaluate(values)
+    got = evaluate(p, values)
     assert sympy.Rational(got) == expected
 
 
@@ -149,10 +224,10 @@ def test_degrees():
     a1 = MultiPoly.var_a(2, 1)
     b2 = MultiPoly.var_b(2, 2)
     p = a1 ** 3 * b2 + a1 * b2
-    assert p.total_degree == 4
-    assert p.degree_in_point(1) == 3
-    assert p.degree_in_point(2) == 1
-    assert MultiPoly.zero(2).total_degree == 0
+    assert total_degree(p) == 4
+    assert degree_in_point(p, 1) == 3
+    assert degree_in_point(p, 2) == 1
+    assert total_degree(MultiPoly.zero(2)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +287,9 @@ def test_poly_det_matches_evaluation(rng):
         dp = poly_det(entries)
         values = [(rand_fraction(rng, 5), rand_fraction(rng, 5))
                   for _ in range(2)]
-        numeric = [[entries[i][j].evaluate(values) for j in range(n)]
+        numeric = [[evaluate(entries[i][j], values) for j in range(n)]
                    for i in range(n)]
-        assert dp.evaluate(values) == sympy_det(numeric)
+        assert evaluate(dp, values) == sympy_det(numeric)
 
 
 def test_poly_det_alternating():

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rand_fraction, sympy_det, sympy_rank, vandermonde
+from oracles import (
+    bracket_vectors,
+    is_degenerate,
+    rand_fraction,
+    sympy_det,
+    sympy_rank,
+    vandermonde,
+)
 from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, PrimeField
 from rncgeom.projective import (
@@ -13,13 +20,11 @@ from rncgeom.projective import (
     Hyperplane,
     ProjectivePoint,
     bracket,
-    bracket_vectors,
     canonical_coords,
     config_from_json,
     config_to_json,
     det,
     hyperplane_intersection,
-    is_degenerate,
     is_general_linear_position,
     mat_inverse,
     mat_vec,

@@ -42,7 +42,7 @@ from rncgeom.errors import (
 )
 from rncgeom.projective import mat_inverse, mat_vec
 
-from oracles import rand_distinct_fractions
+from oracles import evaluate, rand_distinct_fractions
 
 
 def small_instance(d, seed=0):
@@ -172,7 +172,7 @@ def test_vertices_match_symbolic_specialization():
     for k in range(1, 9):
         side = 1 if k <= 4 else 2
         sym = vertex_polys(3, k, side)
-        coords = tuple(p.evaluate(values) for p in sym)
+        coords = tuple(evaluate(p, values) for p in sym)
         assert ProjectivePoint(coords, QQ) == inst.vertices.points[k - 1]
 
 
