@@ -6,20 +6,15 @@ Exit codes: 0 for a true verdict or successful computation, 1 for a false
 verdict, 2 for usage or input errors.
 
 Output is deterministic: identical command, flags and seed produce
-byte-identical JSON.  sym-factorization's --jobs workers change only the
-speed, as its records come back in enumeration order; every other command
-runs in one process.
+byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import random
 import sys
-from math import ceil
 from typing import Optional
 
 from .curve import curve_contains, fit_rnc, model_to_json
@@ -100,25 +95,6 @@ def _note(message: str) -> None:
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-# ---------------------------------------------------------------------------
-# parallel factorization checks
-
-
-def _check_one(split: SubsetSplit) -> dict:
-    """The record for one subset split."""
-    return factorization_record(split, verify_factorization(split))
-
-
-def _parallel_checks(splits: list, jobs: int) -> list:
-    """Records in the order of splits; each worker gets one contiguous
-    chunk."""
-    if jobs <= 1 or len(splits) <= 1:
-        return [_check_one(split) for split in splits]
-    with multiprocessing.Pool(min(jobs, len(splits))) as pool:
-        return pool.map(_check_one, splits,
-                        chunksize=ceil(len(splits) / jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +191,8 @@ def _cmd_sym_factorization(args) -> int:
         picks = sorted(random.Random(args.seed).sample(
             range(len(splits)), args.sample))
         splits = [splits[i] for i in picks]
-    records = _parallel_checks(splits, args.jobs)
+    records = [factorization_record(split, verify_factorization(split))
+               for split in splits]
     _write_lines(records, args.output)
     bad = sum(1 for r in records if not r["ok"])
     _note(f"subsets={len(records)} failed={bad}")
@@ -270,7 +247,7 @@ def _cmd_dual_check(args) -> int:
 
 
 def _add_common(sub, *, seed=False, field=False, height=False, sample=False,
-                jobs=False, inp=False, out=True):
+                inp=False, out=True):
     if seed:
         sub.add_argument("--seed", type=int, default=0,
                          help="random seed (default 0)")
@@ -284,10 +261,6 @@ def _add_common(sub, *, seed=False, field=False, height=False, sample=False,
         sub.add_argument("--sample", type=_at_least_one, default=None,
                          help="evaluate a seeded sample of this size "
                               "instead of everything")
-    if jobs:
-        sub.add_argument("--jobs", type=int,
-                         default=os.cpu_count() or 1,
-                         help="parallel workers (default: all cores)")
     if inp:
         sub.add_argument("--input", required=True, help="input JSON file")
     if out:
@@ -335,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="expand the symbolic vertex brackets and "
                              "check their factorizations")
     p.add_argument("--d", type=int, required=True, help="curve degree")
-    _add_common(p, seed=True, sample=True, jobs=True)
+    _add_common(p, seed=True, sample=True)
     p.set_defaults(func=_cmd_sym_factorization)
 
     p = subs.add_parser("sym-psi",

@@ -96,6 +96,7 @@ def two_bracket(n_points: int, i: int, j: int) -> MultiPoly:
     return ai * bj - aj * bi
 
 
+@cache
 def vertex_polys(d: int, omit: int, side: int) -> tuple[MultiPoly, ...]:
     """Symbolic coordinates of the vertex R_omit.
 
@@ -116,13 +117,13 @@ def vertex_polys(d: int, omit: int, side: int) -> tuple[MultiPoly, ...]:
 
 
 def vertex_bracket_poly(d: int, split: SubsetSplit) -> MultiPoly:
-    """The bracket of the d+1 vertices R_k, k in the split, fully expanded:
-    the determinant with the symbolic vertex coordinates as columns."""
+    """The bracket of the d+1 vertices R_k, k in the split, fully expanded
+    along the group-1 vertex rows (first, as members are sorted), which
+    share no variables with the group-2 rows."""
     if split.d != d:
         raise MismatchError("split does not match the degree")
-    cols = [vertex_polys(d, k, group_of(d, k)) for k in split.members]
-    rows = [[cols[j][r] for j in range(d + 1)] for r in range(d + 1)]
-    return poly_det(rows)
+    rows = [vertex_polys(d, k, group_of(d, k)) for k in split.members]
+    return poly_det(rows, split=len(split.group1))
 
 
 def split_sign(split: SubsetSplit) -> int:
@@ -219,9 +220,12 @@ def verify_equation_identity(
     establishes by expansion.  The expand route multiplies out both
     monomials and compares; degree 4d(d+1) makes it infeasible much beyond
     d = 2, where it serves as an independent guard of the factor route
-    itself.
+    itself.  All of d = 3 takes about a minute; d >= 4 is refused, as one
+    d = 4 identity ran past 10 minutes and 3.4 GB.
     """
     d = _require_symbolic(eq)
+    if method == "expand" and d >= 4:
+        raise ValueError(f"the expand route is limited to d <= 3, got {d}")
     if method == "auto":
         method = "expand" if d == 2 else "factors"
     if method == "factors":

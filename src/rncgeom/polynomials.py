@@ -26,6 +26,7 @@ top field that is descending int order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -246,21 +247,13 @@ def _add_terms(acc: dict, terms: Mapping, sign: int = 1) -> None:
             del acc[e]
 
 
-def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square matrix of polynomials.
-
-    Expands row by row over column subsets (the usual minor dynamic
-    program), which beats permutation expansion as soon as minors repeat.
-    Each minor of the next row accumulates its terms in one dict.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    ring = rows[0][0].n_points
+def _block_minors(rows: Sequence[Sequence[MultiPoly]], n: int,
+                  ring: int) -> dict[int, MultiPoly]:
+    """Every maximal minor of a block of rows of width n, keyed by its
+    column mask, by the row-by-row minor dynamic program; each minor of
+    the next row accumulates its terms in one dict."""
     minors: dict[int, MultiPoly] = {0: MultiPoly.one(ring)}
-    for r in range(n):
+    for r, row in enumerate(rows):
         nxt: dict[int, dict] = {}
         for mask, minor in minors.items():
             if minor.is_zero:
@@ -269,13 +262,40 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
                 bit = 1 << j
                 if mask & bit:
                     continue
-                entry = rows[r][j]
+                entry = row[j]
                 if entry.is_zero:
                     continue
                 sign = -1 if (r + bin(mask & (bit - 1)).count("1")) % 2 else 1
                 _add_terms(nxt.setdefault(mask | bit, {}),
-                          (minor * entry).terms, sign)
+                           (minor * entry).terms, sign)
         minors = {mask: MultiPoly._raw(ring, terms)
                   for mask, terms in nxt.items()}
+    return minors
+
+
+def poly_det(rows: Sequence[Sequence[MultiPoly]], split: int = 0) -> MultiPoly:
+    """Determinant of a square matrix of polynomials.
+
+    Laplace expansion along the first k = split rows: the minor of
+    rows[:k] on the columns S times the minor of rows[k:] on the other
+    columns, with sign (-1)^(sum of S + k(k-1)/2) for 0-based columns.  A
+    split pays when the two blocks share no variables; at split = 0 this
+    is the minor dynamic program over all rows.
+    """
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    if not 0 <= split <= n:
+        raise ValueError(f"split {split} outside 0..{n}")
+    ring = rows[0][0].n_points
     full = (1 << n) - 1
-    return minors.get(full, MultiPoly.zero(ring))
+    bottom = _block_minors(rows[split:], n, ring)
+    out: dict[int, Coeff] = {}
+    for mask, top in _block_minors(rows[:split], n, ring).items():
+        if (full ^ mask) in bottom:
+            e = sum(j for j in range(n) if mask >> j & 1) + comb(split, 2)
+            _add_terms(out, (top * bottom[full ^ mask]).terms,
+                       -1 if e % 2 else 1)
+    return MultiPoly._raw(ring, out)

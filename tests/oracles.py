@@ -5,9 +5,10 @@ through the package's own linear algebra, so a bug cannot cancel out of
 both sides of an assertion.  sympy is a test dependency only.
 
 The last section holds helpers only the tests use: polynomial evaluation
-and degrees over MultiPoly.exponents(), and the raw vector bracket, the
-degeneracy predicate and model decoding, which do call the package's own
-determinant, rank and scalar parsers.
+and degrees over MultiPoly.exponents(), the vertex bracket by the plain
+row DP, and the raw vector bracket, the degeneracy predicate and model
+decoding, which do call the package's own determinants, rank and scalar
+parsers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from rncgeom.curve import RNCModel
 from rncgeom.equations import inversion_count
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ, Field, Residue
+from rncgeom.polynomials import poly_det
 from rncgeom.projective import Configuration, det, rank
 
 
@@ -218,6 +220,15 @@ def degree_in_point(p, i: int) -> int:
     """Joint degree of a MultiPoly in a_i and b_i, 1-based."""
     n = p.n_points
     return max((e[i - 1] + e[n + i - 1] for e in p.exponents()), default=0)
+
+
+def transposed_vertex_bracket(d: int, split):
+    """The vertex bracket by the plain row DP, with the symbolic vertex
+    coordinates as columns and no block split: the route the expansion
+    along the group-1 vertex rows replaced."""
+    cols = [identities.vertex_polys(d, k, identities.group_of(d, k))
+            for k in split.members]
+    return poly_det([[col[r] for col in cols] for r in range(d + 1)])
 
 
 def bracket_vectors(field: Field, vectors):

@@ -308,21 +308,17 @@ def test_sym_psi_cubic_golden_output(capsys):
     assert out == (DATA / "sym-psi-d3.jsonl").read_text()
 
 
-def test_sym_jobs_agree(capsys):
-    argv = ["sym-factorization", "--d", "3", "--sample", "6"]
-    _, serial, _ = run_cli([*argv, "--jobs", "1"], capsys)
-    _, parallel, _ = run_cli([*argv, "--jobs", "3"], capsys)
-    assert serial == parallel
-
-
-def test_sym_psi_rejects_jobs(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["sym-psi", "--d", "2", "--jobs", "2"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert errors == ["rncgeom: error: unrecognized arguments: --jobs 2"]
+def test_sym_psi_refuses_expand_beyond_d3():
+    # one d = 4 identity by expansion runs for many minutes: the timeout
+    # fails the test rather than waiting for it
+    result = subprocess.run(
+        [sys.executable, "-m", "rncgeom.cli",
+         "sym-psi", "--d", "4", "--method", "expand"],
+        capture_output=True, text=True, timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: the expand route is limited to d <= 3, got 4"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +368,22 @@ def test_unknown_field_flag_exits_two(capsys):
     assert "rationals" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["verify", "check-psi"])
+@pytest.mark.parametrize("command", [
+    "verify", "check-psi", "sym-factorization", "sym-psi"])
 def test_numeric_commands_reject_jobs(command, tmp_path, capsys):
-    path = gen_instance_file(tmp_path, capsys, d=2, seed=1)
+    """Every command runs in one process and has no --jobs option."""
+    if command.startswith("sym-"):
+        argv = [command, "--d", "2"]
+    else:
+        argv = [command, "--input",
+                str(gen_instance_file(tmp_path, capsys, d=2, seed=1))]
     with pytest.raises(SystemExit) as info:
-        main([command, "--input", str(path), "--jobs", "2"])
+        main([*argv, "--jobs", "2"])
     assert info.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["rncgeom: error: unrecognized arguments: --jobs 2"]
 
 
 @pytest.mark.parametrize("command", [

@@ -14,6 +14,7 @@ from oracles import (
     monomial_summary,
     rand_distinct_fractions,
     total_degree,
+    transposed_vertex_bracket,
 )
 from rncgeom import identities
 from rncgeom.cli import main
@@ -199,6 +200,16 @@ def test_bracket_printing_golden():
         assert str(factored_bracket(case["d"], split)) == case["str"]
 
 
+def test_vertex_bracket_matches_transposed_row_dp():
+    """The expansion along the group-1 rows against the plain row DP on
+    the transposed matrix, on every split at d = 2..4."""
+    for d in (2, 3, 4):
+        for members in combinations(range(1, 2 * d + 3), d + 1):
+            split = SubsetSplit(d, members)
+            assert vertex_bracket_poly(d, split) == \
+                transposed_vertex_bracket(d, split), (d, members)
+
+
 # a faulty factorization of the splits with label 1 among their members
 def affected(split):
     return 1 in split.members
@@ -229,8 +240,7 @@ def test_verify_factorization_rejects_mutations(mutated_factorization):
 
 def test_sym_factorization_cli_rejects_mutations(mutated_factorization,
                                                  capsys):
-    # one process, so the patched module is the one that runs
-    assert main(["sym-factorization", "--d", "3", "--jobs", "1"]) == 1
+    assert main(["sym-factorization", "--d", "3"]) == 1
     captured = capsys.readouterr()
     records = [json.loads(line) for line in captured.out.splitlines()]
     assert len(records) == comb(8, 4)
@@ -337,6 +347,17 @@ def test_identity_for_the_conic_both_ways():
     assert verify_equation_identity(eq, "expand")
     assert verify_equation_identity(eq, "factors")
     assert verify_equation_identity(eq, "auto")
+
+
+def test_expand_route_is_refused_beyond_d3(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(identities, "vertex_bracket_poly", no_expansion)
+    eq = equation_at(4, 10, 0)
+    with pytest.raises(ValueError, match="expand route"):
+        verify_equation_identity(eq, "expand")
+    assert verify_equation_identity(eq, "factors")
 
 
 @pytest.mark.parametrize("index", [0, 13, 55])

@@ -1,0 +1,36 @@
+"""Whole-package guards: the standard library only, and no worker
+processes or threads."""
+
+import ast
+import sys
+from pathlib import Path
+
+import rncgeom
+
+SOURCES = sorted(Path(rncgeom.__file__).parent.glob("*.py"))
+CONCURRENCY = {"multiprocessing", "concurrent", "threading"}
+
+
+def imported_top_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one source file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_package_imports_only_the_standard_library():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py"}
+    for path in SOURCES:
+        outside = {name for name in imported_top_modules(path)
+                   if name not in sys.stdlib_module_names
+                   and name != "rncgeom"}
+        assert not outside, (path.name, outside)
+
+
+def test_package_starts_no_processes_or_threads():
+    for path in SOURCES:
+        assert not imported_top_modules(path) & CONCURRENCY, path.name

@@ -267,12 +267,13 @@ def test_poly_det_constant_matrix_matches_numeric(rng):
         m = [[rand_fraction(rng, 6) for _ in range(n)] for _ in range(n)]
         sym = [[MultiPoly.constant(1, x) for x in row] for row in m]
         expected = sympy_det(m)
-        got = poly_det(sym)
-        assert got == MultiPoly.constant(1, expected)
+        for split in range(n + 1):
+            got = poly_det(sym, split)
+            assert got == MultiPoly.constant(1, expected), split
 
 
 def test_poly_det_matches_evaluation(rng):
-    for n in (2, 3):
+    for n in (2, 3, 4):
         entries = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -290,6 +291,9 @@ def test_poly_det_matches_evaluation(rng):
         numeric = [[evaluate(entries[i][j], values) for j in range(n)]
                    for i in range(n)]
         assert evaluate(dp, values) == sympy_det(numeric)
+        # every Laplace split gives the same polynomial as the row DP
+        for split in range(1, n + 1):
+            assert poly_det(entries, split) == dp, split
 
 
 def test_poly_det_alternating():
@@ -297,3 +301,11 @@ def test_poly_det_alternating():
     b1 = MultiPoly.var_b(2, 1)
     rows = [[a1, b1], [a1, b1]]
     assert poly_det(rows).is_zero
+    assert poly_det(rows, 1).is_zero
+
+
+def test_poly_det_rejects_bad_split():
+    rows = [[MultiPoly.one(1)]]
+    for split in (-1, 2):
+        with pytest.raises(ValueError):
+            poly_det(rows, split)
