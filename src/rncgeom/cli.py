@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from math import comb
 from typing import Optional
 
 from .curve import curve_contains, fit_rnc, model_to_json
 from .equations import (
-    count_equations,
-    enumerate_equations,
+    _unrank_combination,
     evaluate_many,
     report_to_json,
     sample_equations,
+    sample_ranks,
 )
 from .errors import DegenerateInputError
 from .fields import QQ, Field, PrimeField, field_to_json
@@ -135,11 +135,7 @@ def _cmd_check_psi(args) -> int:
     if args.n is not None and len(config) != args.n:
         raise ValueError(
             f"configuration has {len(config)} points, --n said {args.n}")
-    d, n = config.dim, len(config)
-    if args.sample is None:
-        eqs = list(enumerate_equations(d, n))
-    else:
-        eqs = sample_equations(d, n, args.sample, args.seed)
+    eqs = sample_equations(config.dim, len(config), args.sample, args.seed)
     reports = evaluate_many(config, eqs)
     _write_lines(
         (report_to_json(r, config.field) for r in reports), args.output)
@@ -178,19 +174,11 @@ def _cmd_fit_curve(args) -> int:
     return 0 if all(contained) else 1
 
 
-def _all_splits(d: int) -> list[SubsetSplit]:
-    from itertools import combinations
-
-    return [SubsetSplit(d, members)
-            for members in combinations(range(1, 2 * d + 3), d + 1)]
-
-
 def _cmd_sym_factorization(args) -> int:
-    splits = _all_splits(args.d)
-    if args.sample is not None and args.sample < len(splits):
-        picks = sorted(random.Random(args.seed).sample(
-            range(len(splits)), args.sample))
-        splits = [splits[i] for i in picks]
+    d = args.d
+    n = 2 * d + 2
+    splits = [SubsetSplit(d, _unrank_combination(n, d + 1, r))
+              for r in sample_ranks(comb(n, d + 1), args.sample, args.seed)]
     records = [factorization_record(split, verify_factorization(split))
                for split in splits]
     _write_lines(records, args.output)
@@ -200,12 +188,7 @@ def _cmd_sym_factorization(args) -> int:
 
 
 def _cmd_sym_psi(args) -> int:
-    d = args.d
-    n = 2 * d + 2
-    if args.sample is not None and args.sample < count_equations(d, n):
-        eqs = sample_equations(d, n, args.sample, args.seed)
-    else:
-        eqs = list(enumerate_equations(d, n))
+    eqs = sample_equations(args.d, 2 * args.d + 2, args.sample, args.seed)
     records = [identity_record(eq, verify_equation_identity(eq, args.method))
                for eq in eqs]
     _write_lines(records, args.output)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DegenerateInputError, MismatchError
 from .fields import Field, Scalar, require_characteristic_over
@@ -169,99 +169,6 @@ def simplex_vertex(qs: Sequence[ParamPoint]) -> ProjectivePoint:
     require_characteristic_over(field, d)
     _require_distinct(qs)
     return ProjectivePoint(vertex_coords(qs), field)
-
-
-# ---------------------------------------------------------------------------
-# apolarity
-
-
-@dataclass(frozen=True)
-class BinaryForm:
-    """A binary form of degree len(coeffs)-1; coeffs[i] multiplies
-    x0^(deg-i) x1^i.  The zero form is allowed.
-
-    The same coefficients also describe a constant-coefficient operator,
-    coeffs[i] multiplying D0^(deg-i) D1^i where Dk differentiates in x_k;
-    apolarity_apply reads its first argument that way.
-    """
-
-    coeffs: tuple
-    field: Field
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(self.field.scalar(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise ValueError("a form needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        return BinaryForm(
-            _convolve(self.coeffs, other.coeffs, self.field), self.field)
-
-    def power(self, k: int) -> "BinaryForm":
-        out = BinaryForm((self.field.one,), self.field)
-        for _ in range(k):
-            out = out * self
-        return out
-
-
-def _convolve(c1: tuple, c2: tuple, field: Field) -> tuple:
-    out = [field.zero] * (len(c1) + len(c2) - 1)
-    for i, a in enumerate(c1):
-        if a:
-            for j, b in enumerate(c2):
-                out[i + j] = out[i + j] + a * b
-    return tuple(out)
-
-
-def linear_form(q: ParamPoint) -> BinaryForm:
-    """The linear form a x0 + b x1 attached to [a:b]."""
-    return BinaryForm((q.a, q.b), q.field)
-
-
-def apolar_operator(q: ParamPoint) -> BinaryForm:
-    """The operator b D0 - a D1, which annihilates (a x0 + b x1)^n."""
-    return BinaryForm((q.b, -q.a), q.field)
-
-
-def _falling(field: Field, n: int, k: int) -> Scalar:
-    out = field.one
-    for t in range(k):
-        out = out * field.from_int(n - t)
-    return out
-
-
-def apolarity_apply(op: BinaryForm, f: BinaryForm) -> Union[Scalar, BinaryForm]:
-    """Apply op, read as a differential operator, to the form f by formal
-    differentiation.
-
-    Returns a form of degree f.degree - op.degree, collapsed to a bare
-    scalar when the degrees are equal (the apolarity pairing).
-    """
-    if op.field != f.field:
-        raise MismatchError("operator and form from different fields")
-    k, n = op.degree, f.degree
-    if k > n:
-        raise MismatchError(
-            f"cannot apply a degree-{k} operator to a degree-{n} form")
-    field = f.field
-    out = [field.zero] * (n - k + 1)
-    for r in range(n - k + 1):
-        acc = field.zero
-        for i in range(k + 1):
-            j = r + i
-            c = op.coeffs[i] * f.coeffs[j]
-            if c:
-                acc = acc + c * _falling(field, n - j, k - i) \
-                    * _falling(field, j, i)
-        out[r] = acc
-    if k == n:
-        return out[0]
-    return BinaryForm(tuple(out), field)
 
 
 # ---------------------------------------------------------------------------

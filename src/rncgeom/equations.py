@@ -26,6 +26,7 @@ symbolic identities run it over factored or expanded vertex brackets.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -155,16 +156,29 @@ def equation_at(dim: int, n: int, index: int) -> BracketEquation:
     return _equation(dim, n, support, sextet)
 
 
-def sample_equations(dim: int, n: int, k: int,
-                     seed: int = 0) -> list[BracketEquation]:
-    """A seeded uniform sample of k equations, in enumeration order.
+def sample_ranks(total: int, k: Optional[int] = None,
+                 seed: int = 0) -> Sequence[int]:
+    """The ranks 0..total-1 to check: all of them, as a range, when k is
+    None or not below total; otherwise a seeded uniform sample of k, in
+    increasing order.  The one place any command decides between
+    everything and a sample; ranks follow combinations order, so sorted
+    picks come out in enumeration order."""
+    if k is None or k >= total:
+        return range(total)
+    if total > sys.maxsize:
+        raise ValueError(f"cannot sample from {total} items; "
+                         f"at most {sys.maxsize} are supported")
+    return sorted(random.Random(seed).sample(range(total), k))
 
-    Falls back to the full list when k is not smaller than the total.
-    """
-    total = count_equations(dim, n)
-    if k >= total:
+
+def sample_equations(dim: int, n: int, k: Optional[int] = None,
+                     seed: int = 0) -> list[BracketEquation]:
+    """Every equation when k is None or not below the total; otherwise a
+    seeded uniform sample of k equations, in enumeration order."""
+    ranks = sample_ranks(count_equations(dim, n), k, seed)
+    if isinstance(ranks, range):
+        # one pass of the generator beats unranking each equation
         return list(enumerate_equations(dim, n))
-    ranks = sorted(random.Random(seed).sample(range(total), k))
     return [equation_at(dim, n, r) for r in ranks]
 
 
@@ -307,12 +321,6 @@ def evaluate_many(config: Configuration,
     return out
 
 
-def evaluate_equation(config: Configuration,
-                      eq: BracketEquation) -> EquationReport:
-    """Exact value of one equation on the configuration."""
-    return evaluate_many(config, [eq])[0]
-
-
 # ---------------------------------------------------------------------------
 # membership
 
@@ -333,11 +341,7 @@ def membership(config: Configuration, sample: Optional[int] = None,
     d, n = config.dim, len(config)
     if n < d + 4:
         raise MismatchError(f"membership needs at least {d + 4} points")
-    if sample is None:
-        eqs = list(enumerate_equations(d, n))
-    else:
-        eqs = sample_equations(d, n, sample, seed)
-    reports = evaluate_many(config, eqs)
+    reports = evaluate_many(config, sample_equations(d, n, sample, seed))
     member = not any(r.nonzero for r in reports)
     return MembershipResult(member=member, reports=tuple(reports))
 

@@ -61,6 +61,8 @@ class SubsetSplit:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("the construction needs degree at least 2")
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
         if len(members) != self.d + 1 or list(members) != sorted(set(members)):
@@ -187,23 +189,33 @@ def _primes(count: int) -> list[int]:
     return out
 
 
-@cache
-def _factor_table(d: int) -> dict[tuple[int, ...], int]:
+class _FactorCodes(dict):
     """Each sorted (d+1)-subset K of the labels mapped to its factored
     vertex bracket, encoded as split_sign(K) times one distinct prime per
     2x2 factor |Q_iQ_j| in factor_pairs(K).  By unique factorization two
     products of these agree exactly when their signs and factor multisets
-    do."""
-    n = 2 * d + 2
-    prime = dict(zip(combinations(range(1, n + 1), 2), _primes(comb(n, 2))))
-    out = {}
-    for members in combinations(range(1, n + 1), d + 1):
-        split = SubsetSplit(d, members)
+    do.  Codes are filled on first lookup, so a sample reads only the
+    subsets its equations touch."""
+
+    def __init__(self, d: int):
+        super().__init__()
+        n = 2 * d + 2
+        self.d = d
+        self.prime = dict(zip(combinations(range(1, n + 1), 2),
+                              _primes(comb(n, 2))))
+
+    def __missing__(self, members: tuple[int, ...]) -> int:
+        split = SubsetSplit(self.d, members)
         value = split_sign(split)
         for pair in factor_pairs(split):
-            value *= prime[pair]
-        out[members] = value
-    return out
+            value *= self.prime[pair]
+        self[members] = value
+        return value
+
+
+@cache
+def _factor_table(d: int) -> _FactorCodes:
+    return _FactorCodes(d)
 
 
 def verify_equation_identity(

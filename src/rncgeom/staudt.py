@@ -18,12 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .curve import (
     ParamPoint,
-    cross_value,
+    _require_distinct,
     curve_contains,
     fit_rnc,
     osculating_hyperplane,
@@ -34,7 +33,6 @@ from .curve import (
 )
 from .equations import (
     BracketEquation,
-    enumerate_equations,
     equation_from_json,
     evaluate_many,
     sample_equations,
@@ -117,9 +115,7 @@ def build_instance(d: int, params: Sequence[ParamPoint],
         if q.field != field:
             raise MismatchError("parameter points from different fields")
     require_characteristic_over(field, d)
-    for q1, q2 in combinations(params, 2):
-        if not cross_value(q1, q2):
-            raise DegenerateInputError(f"repeated parameter point {q1}")
+    _require_distinct(params)
     curve_points = tuple(veronese_embed(q, d) for q in params)
     planes = tuple(osculating_hyperplane(q, d) for q in params)
     vertices = []
@@ -205,13 +201,9 @@ def verify_instance(inst: VonStaudtInstance,
     the equation reports; it must return them in the order given.
     """
     d = inst.d
-    n = 2 * d + 2
     config = inst.vertices
     glp_ok = is_general_linear_position(config)
-    if sample is None:
-        eqs = list(enumerate_equations(d, n))
-    else:
-        eqs = sample_equations(d, n, sample, sample_seed)
+    eqs = sample_equations(d, 2 * d + 2, sample, sample_seed)
     if evaluator is None:
         reports = evaluate_many(config, eqs)
     else:

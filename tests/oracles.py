@@ -4,11 +4,12 @@ Everything here goes through sympy or first-principles formulas, never
 through the package's own linear algebra, so a bug cannot cancel out of
 both sides of an assertion.  sympy is a test dependency only.
 
-The last section holds helpers only the tests use: polynomial evaluation
+The last sections hold helpers only the tests use: polynomial evaluation
 and degrees over MultiPoly.exponents(), the vertex bracket by the plain
 row DP, and the raw vector bracket, the degeneracy predicate and model
 decoding, which do call the package's own determinants, rank and scalar
-parsers.
+parsers; then the apolarity pairing of binary forms, which the package
+itself never needs.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Union
 
 import sympy
 
 from rncgeom import identities
-from rncgeom.curve import RNCModel
+from rncgeom.curve import ParamPoint, RNCModel
 from rncgeom.equations import inversion_count
 from rncgeom.errors import MismatchError
-from rncgeom.fields import QQ, Field, Residue
+from rncgeom.fields import QQ, Field, Residue, Scalar
 from rncgeom.polynomials import poly_det
 from rncgeom.projective import Configuration, det, rank
 
@@ -264,3 +266,96 @@ def model_from_json(obj: dict, field: Field) -> RNCModel:
             tuple(field.parse(c) for c in row) for row in obj["frame_map"]),
         alphas=tuple(field.parse(a) for a in obj["alphas"]),
     )
+
+
+# ---------------------------------------------------------------------------
+# apolarity
+
+
+@dataclass(frozen=True)
+class BinaryForm:
+    """A binary form of degree len(coeffs)-1; coeffs[i] multiplies
+    x0^(deg-i) x1^i.  The zero form is allowed.
+
+    The same coefficients also describe a constant-coefficient operator,
+    coeffs[i] multiplying D0^(deg-i) D1^i where Dk differentiates in x_k;
+    apolarity_apply reads its first argument that way.
+    """
+
+    coeffs: tuple
+    field: Field
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "coeffs", tuple(self.field.scalar(c) for c in self.coeffs))
+        if not self.coeffs:
+            raise ValueError("a form needs at least one coefficient")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
+        return BinaryForm(
+            _convolve(self.coeffs, other.coeffs, self.field), self.field)
+
+    def power(self, k: int) -> "BinaryForm":
+        out = BinaryForm((self.field.one,), self.field)
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+def _convolve(c1: tuple, c2: tuple, field: Field) -> tuple:
+    out = [field.zero] * (len(c1) + len(c2) - 1)
+    for i, a in enumerate(c1):
+        if a:
+            for j, b in enumerate(c2):
+                out[i + j] = out[i + j] + a * b
+    return tuple(out)
+
+
+def linear_form(q: ParamPoint) -> BinaryForm:
+    """The linear form a x0 + b x1 attached to [a:b]."""
+    return BinaryForm((q.a, q.b), q.field)
+
+
+def apolar_operator(q: ParamPoint) -> BinaryForm:
+    """The operator b D0 - a D1, which annihilates (a x0 + b x1)^n."""
+    return BinaryForm((q.b, -q.a), q.field)
+
+
+def _falling(field: Field, n: int, k: int) -> Scalar:
+    out = field.one
+    for t in range(k):
+        out = out * field.from_int(n - t)
+    return out
+
+
+def apolarity_apply(op: BinaryForm, f: BinaryForm) -> Union[Scalar, BinaryForm]:
+    """Apply op, read as a differential operator, to the form f by formal
+    differentiation.
+
+    Returns a form of degree f.degree - op.degree, collapsed to a bare
+    scalar when the degrees are equal (the apolarity pairing).
+    """
+    if op.field != f.field:
+        raise MismatchError("operator and form from different fields")
+    k, n = op.degree, f.degree
+    if k > n:
+        raise MismatchError(
+            f"cannot apply a degree-{k} operator to a degree-{n} form")
+    field = f.field
+    out = [field.zero] * (n - k + 1)
+    for r in range(n - k + 1):
+        acc = field.zero
+        for i in range(k + 1):
+            j = r + i
+            c = op.coeffs[i] * f.coeffs[j]
+            if c:
+                acc = acc + c * _falling(field, n - j, k - i) \
+                    * _falling(field, j, i)
+        out[r] = acc
+    if k == n:
+        return out[0]
+    return BinaryForm(tuple(out), field)

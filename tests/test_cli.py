@@ -12,15 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncgeom import (
-    QQ,
-    PrimeField,
-    config_to_json,
-    field_to_json,
-    instance_from_json,
-    sample_instance,
-)
+from rncgeom import QQ, PrimeField, instance_from_json, sample_instance
 from rncgeom.cli import main
+from rncgeom.fields import field_to_json
+from rncgeom.projective import config_to_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -282,6 +277,18 @@ def test_sym_factorization_sample(capsys):
     assert sampled == again
 
 
+def test_sym_factorization_sample_picks(capsys):
+    """The picks are pinned, not just deterministic: seeded ranks
+    unranked in combinations order."""
+    code, out, _ = run_cli(
+        ["sym-factorization", "--d", "4", "--sample", "6", "--seed", "5"],
+        capsys)
+    assert code == 0
+    assert [json.loads(line)["K"] for line in out.splitlines()] == [
+        [1, 3, 4, 7, 8], [1, 4, 5, 6, 7], [2, 3, 7, 9, 10],
+        [2, 4, 6, 9, 10], [2, 5, 7, 9, 10], [3, 4, 5, 8, 9]]
+
+
 def test_sym_psi_conic(capsys):
     code, out, _ = run_cli(["sym-psi", "--d", "2"], capsys)
     assert code == 0
@@ -400,6 +407,32 @@ def test_sample_zero_exits_two(command, tmp_path, capsys):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert errors == [f"rncgeom {command}: error: argument --sample: "
                       "must be at least 1, got 0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-instance", "--d", "1"],
+     "the construction needs degree at least 2"),
+    (["dual-check", "--d", "1"], "the construction needs degree at least 2"),
+    (["sym-psi", "--d", "1"], "no equations for dim 1 with 4 points"),
+    (["sym-factorization", "--d", "-1"],
+     "the construction needs degree at least 2"),
+    (["sym-factorization", "--d", "0"],
+     "the construction needs degree at least 2"),
+    (["sym-factorization", "--d", "1"],
+     "the construction needs degree at least 2"),
+    (["sym-psi", "--d", "24", "--sample", "5"],
+     "cannot sample from 33435605402785404000 items; "
+     f"at most {sys.maxsize} are supported"),
+], ids=["gen-instance-d1", "dual-check-d1", "sym-psi-d1",
+        "sym-factorization-d-1", "sym-factorization-d0",
+        "sym-factorization-d1", "sym-psi-d24-sampled"])
+def test_degree_and_sample_range_exit_two(argv, message, capsys):
+    """Degrees below 2, and samples from more items than random.sample
+    can index, are input errors with one line."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_missing_input_file(capsys):

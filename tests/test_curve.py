@@ -7,23 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    BinaryForm,
+    apolar_operator,
+    apolarity_apply,
     binomial_coords,
+    linear_form,
     model_from_json,
     product_form_coords,
     rand_distinct_fractions,
     rand_fraction,
 )
 from rncgeom.curve import (
-    BinaryForm,
     ParamPoint,
     RNCModel,
-    apolar_operator,
-    apolarity_apply,
     cross_value,
     curve_contains,
     curve_point,
     fit_rnc,
-    linear_form,
     model_to_json,
     osculating_coeffs,
     osculating_hyperplane,

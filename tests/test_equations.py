@@ -21,7 +21,6 @@ from rncgeom.equations import (
     enumerate_equations,
     equation_at,
     equation_from_json,
-    evaluate_equation,
     evaluate_many,
     inversion_count,
     lies_on_rnc,
@@ -246,7 +245,7 @@ def test_cached_and_raw_paths_agree(rng):
         config = random_config(rng, d, n)
         vectors = [list(p.coords) for p in config.points]
         for eq in enumerate_equations(d, n):
-            cached = evaluate_equation(config, eq)
+            cached = evaluate_many(config, [eq])[0]
             raw = evaluate_equation_vectors(QQ, vectors, eq)
             assert cached.value == raw.value
             assert cached.m1 == raw.m1
@@ -294,12 +293,12 @@ def test_evaluation_validates_shape(rng):
     config = random_config(rng, 2, 6)
     eq = equation_at(3, 8, 0)
     with pytest.raises(MismatchError):
-        evaluate_equation(config, eq)
+        evaluate_many(config, [eq])
 
 
 def test_report_json_fields(rng):
     config = random_config(rng, 2, 6)
-    report = evaluate_equation(config, equation_at(2, 6, 0))
+    report = evaluate_many(config, [equation_at(2, 6, 0)])[0]
     obj = report_to_json(report, QQ)
     assert list(obj) == ["J", "I", "m1", "m2", "value"]
     assert obj["J"] == [1, 2, 3, 4, 5, 6]
@@ -351,8 +350,8 @@ def test_prime_field_membership_matches_reduction(rng):
     config_q = curve_config(3, ts)
     config_p = curve_config(3, ts, field=FP)
     for eq in enumerate_equations(3, 8):
-        rq = evaluate_equation(config_q, eq)
-        rp = evaluate_equation(config_p, eq)
+        rq = evaluate_many(config_q, [eq])[0]
+        rp = evaluate_many(config_p, [eq])[0]
         assert FP.scalar(rq.m1) == rp.m1
         assert FP.scalar(rq.value) == rp.value
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -21,10 +22,12 @@ from rncgeom.cli import main
 from rncgeom.curve import param_point, simplex_vertex, vertex_coords
 from rncgeom.equations import (
     BracketEquation,
+    _unrank_combination,
     enumerate_equations,
     equation_at,
-    evaluate_equation,
+    evaluate_many,
     sample_equations,
+    sample_ranks,
 )
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ
@@ -89,6 +92,27 @@ def test_subset_split_validation():
         SubsetSplit(3, (1, 2, 3, 9))
     with pytest.raises(ValueError):
         SubsetSplit(3, (2, 1, 3, 7))
+    with pytest.raises(ValueError, match="degree at least 2"):
+        SubsetSplit(1, (1, 2))
+
+
+def test_sampled_splits_are_unranked_not_enumerated():
+    """Picking 3 of the C(26, 13) = 10400600 subsets at d = 12 unranks
+    the seeded ranks; nothing walks the combinations before them."""
+    total = comb(26, 13)
+    start = time.perf_counter()
+    ranks = sample_ranks(total, 3, seed=5)
+    splits = [SubsetSplit(12, _unrank_combination(26, 13, r))
+              for r in ranks]
+    assert time.perf_counter() - start < 0.5
+    assert len(ranks) == 3 and ranks == sorted(ranks)
+    for r, split in zip(ranks, splits):
+        # the lexicographic rank of the subset, from its members
+        rank, prev = 0, 0
+        for slot, x in enumerate(split.members):
+            rank += sum(comb(26 - y, 12 - slot) for y in range(prev + 1, x))
+            prev = x
+        assert rank == r
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +415,14 @@ def fresh_factor_tables():
     identities._factor_table.cache_clear()
 
 
+def test_sampled_sym_psi_fills_only_the_factor_codes_it_reads(
+        fresh_factor_tables, capsys):
+    assert main(["sym-psi", "--d", "12", "--sample", "20"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
+    # 8 vertex brackets per equation, against C(26, 13) subsets in all
+    assert len(identities._factor_table(12)) <= 160
+
+
 def rejected_both_ways(eqs):
     """The equations each factor route rejects: the kernel's prime-encoded
     table and the original sign and Counter bookkeeping."""
@@ -402,8 +434,7 @@ def rejected_both_ways(eqs):
 @pytest.mark.parametrize("d, sample", [(3, None), (4, None), (5, 200)])
 def test_factor_route_matches_oracle(d, sample):
     n = 2 * d + 2
-    eqs = (list(enumerate_equations(d, n)) if sample is None
-           else sample_equations(d, n, sample, seed=d))
+    eqs = sample_equations(d, n, sample, seed=d)
     assert rejected_both_ways(eqs) == ([], [])
 
 
@@ -448,4 +479,4 @@ def test_factor_route_agrees_with_numeric_evaluation(rng):
     for index in (0, 20, 40):
         eq = equation_at(d, n, index)
         assert verify_equation_identity(eq, "factors")
-        assert evaluate_equation(config, eq).value == 0
+        assert evaluate_many(config, [eq])[0].value == 0

@@ -1,8 +1,9 @@
-"""Whole-package guards: the standard library only, and no worker
-processes or threads."""
+"""Whole-package guards: the standard library only, no worker processes
+or threads, and an explicit public API."""
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import rncgeom
@@ -34,3 +35,18 @@ def test_package_imports_only_the_standard_library():
 def test_package_starts_no_processes_or_threads():
     for path in SOURCES:
         assert not imported_top_modules(path) & CONCURRENCY, path.name
+
+
+def test_public_api_is_an_explicit_list():
+    """__all__ is written out name by name, exports no submodule, and
+    every name in it resolves."""
+    tree = ast.parse(Path(rncgeom.__file__).read_text(encoding="utf-8"))
+    [value] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["__all__"]]
+    assert isinstance(value, ast.List)
+    assert all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+               for e in value.elts)
+    assert [e.value for e in value.elts] == rncgeom.__all__
+    for name in rncgeom.__all__:
+        assert not isinstance(getattr(rncgeom, name), types.ModuleType), name

@@ -8,39 +8,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncgeom import (
-    QQ,
+from rncgeom.curve import curve_contains, fit_rnc, param_point
+from rncgeom.equations import evaluate_many, lies_on_rnc
+from rncgeom.fields import QQ, PrimeField
+from rncgeom.identities import first_group, second_group, vertex_polys
+from rncgeom.projective import (
     Configuration,
-    PrimeField,
     ProjectivePoint,
+    det,
+    hyperplane_intersection,
+    mat_inverse,
+    mat_vec,
+    rank,
+)
+from rncgeom.staudt import (
     build_instance,
     castelnuovo_check,
     certificate_from_json,
     certificate_to_json,
-    curve_contains,
-    det,
     dual_configuration,
-    evaluate_many,
-    first_group,
-    fit_rnc,
-    hyperplane_intersection,
     instance_from_json,
     instance_to_json,
-    lies_on_rnc,
-    param_point,
-    rank,
     reduce_instance_mod,
     sample_instance,
-    second_group,
     verify_instance,
-    vertex_polys,
 )
 from rncgeom.errors import (
     CharacteristicError,
     DegenerateInputError,
     MismatchError,
 )
-from rncgeom.projective import mat_inverse, mat_vec
 
 from oracles import evaluate, rand_distinct_fractions
 
