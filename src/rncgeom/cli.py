@@ -31,6 +31,7 @@ from .identities import (
     SubsetSplit,
     factorization_record,
     identity_record,
+    require_degree,
     verify_equation_identity,
     verify_factorization,
 )
@@ -176,6 +177,7 @@ def _cmd_fit_curve(args) -> int:
 
 def _cmd_sym_factorization(args) -> int:
     d = args.d
+    require_degree(d)
     n = 2 * d + 2
     splits = [SubsetSplit(d, _unrank_combination(n, d + 1, r))
               for r in sample_ranks(comb(n, d + 1), args.sample, args.seed)]

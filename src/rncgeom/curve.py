@@ -10,7 +10,9 @@ hyperplane at [a0 : b0] take the closed form
     b0^d X_0 - a0 b0^(d-1) X_1 + ... + (-1)^d a0^d X_d = 0,
 
 i.e. coefficient (-1)^i a0^i b0^(d-i) on X_i.  Everything downstream
-(simplex vertices, fitted curves) assumes this normalization.
+(simplex vertices, fitted curves) assumes this normalization.  Parameters
+are ProjectivePoints of P^1, and an osculating hyperplane is the point of
+the dual P^d given by its coefficient vector.
 
 Fitting recovers a curve through d+3 points in general position by moving
 the first d+2 of them to the standard frame; the failure modes of that
@@ -28,79 +30,44 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import DegenerateInputError, MismatchError
-from .fields import Field, Scalar, require_characteristic_over
+from .fields import Field, require_characteristic_over
 from .projective import (
     Configuration,
-    Hyperplane,
     ProjectivePoint,
     bracket,
-    canonical_coords,
     is_general_linear_position,
     mat_inverse,
     mat_vec,
 )
 
 
-@dataclass(frozen=True)
-class ParamPoint:
-    """A point [a : b] of the parameter line, canonicalized."""
-
-    a: Scalar
-    b: Scalar
-    field: Field
-
-    def __post_init__(self):
-        a, b = canonical_coords((self.a, self.b), self.field)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __repr__(self) -> str:
-        return f"[{self.a}:{self.b}]"
+def param_point(field: Field, a, b=1) -> ProjectivePoint:
+    """The point [a : b] of the parameter line P^1, coercing plain numbers
+    or strings."""
+    return ProjectivePoint((field.scalar(a), field.scalar(b)), field)
 
 
-def param_point(field: Field, a, b=1) -> ParamPoint:
-    """Convenience constructor coercing plain numbers or strings."""
-    return ParamPoint(field.scalar(a), field.scalar(b), field)
-
-
-def cross_value(q1: ParamPoint, q2: ParamPoint) -> Scalar:
-    """The 2x2 bracket a1 b2 - a2 b1 on canonical representatives.
-
-    Zero iff the two parameter points coincide.
-    """
-    if q1.field != q2.field:
-        raise MismatchError("parameter points from different fields")
-    return q1.a * q2.b - q2.a * q1.b
-
-
-def _require_distinct(qs: Sequence[ParamPoint]) -> None:
+def _require_distinct(qs: Sequence[ProjectivePoint]) -> None:
+    # canonical coordinates make equality exact
     for q1, q2 in combinations(qs, 2):
-        if not cross_value(q1, q2):
+        if q1 == q2:
             raise DegenerateInputError(f"repeated parameter point {q1}")
-
-
-def param_to_json(q: ParamPoint) -> list:
-    return [q.field.format(q.a), q.field.format(q.b)]
-
-
-def param_from_json(obj: Sequence[str], field: Field) -> ParamPoint:
-    a, b = obj
-    return ParamPoint(field.parse(a), field.parse(b), field)
 
 
 # ---------------------------------------------------------------------------
 # embedding, osculating hyperplanes, vertices
 
 
-def veronese_coords(q: ParamPoint, d: int) -> tuple:
+def veronese_coords(q: ProjectivePoint, d: int) -> tuple:
     """Raw curve coordinates C(d,i) a^(d-i) b^i, not canonicalized."""
     field = q.field
+    a, b = q.coords
     return tuple(
-        field.from_int(comb(d, i)) * q.a ** (d - i) * q.b ** i
+        field.from_int(comb(d, i)) * a ** (d - i) * b ** i
         for i in range(d + 1))
 
 
-def veronese_embed(q: ParamPoint, d: int) -> ProjectivePoint:
+def veronese_embed(q: ProjectivePoint, d: int) -> ProjectivePoint:
     """The point of the standard degree-d curve at parameter q."""
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -108,18 +75,19 @@ def veronese_embed(q: ParamPoint, d: int) -> ProjectivePoint:
     return ProjectivePoint(veronese_coords(q, d), q.field)
 
 
-def osculating_coeffs(q: ParamPoint, d: int) -> tuple:
+def osculating_coeffs(q: ProjectivePoint, d: int) -> tuple:
     """Raw hyperplane coefficients ((-1)^i a^i b^(d-i))_{i=0..d}."""
-    field = q.field
+    a, b = q.coords
     out = []
     for i in range(d + 1):
-        c = q.a ** i * q.b ** (d - i)
+        c = a ** i * b ** (d - i)
         out.append(-c if i % 2 else c)
     return tuple(out)
 
 
-def osculating_hyperplane(q: ParamPoint, d: int) -> Hyperplane:
-    """The hyperplane with contact of order d with the curve at q.
+def osculating_hyperplane(q: ProjectivePoint, d: int) -> ProjectivePoint:
+    """The hyperplane with contact of order d with the curve at q, as the
+    point of the dual P^d given by its canonical coefficient vector.
 
     Its form evaluates on veronese_embed([a:b]) to (a b0 - b a0)^d, so it
     meets the curve set-theoretically only at q.
@@ -127,7 +95,7 @@ def osculating_hyperplane(q: ParamPoint, d: int) -> Hyperplane:
     if d < 1:
         raise ValueError("degree must be at least 1")
     require_characteristic_over(q.field, d)
-    return Hyperplane(osculating_coeffs(q, d), q.field)
+    return ProjectivePoint(osculating_coeffs(q, d), q.field)
 
 
 def linear_product_coeffs(pairs: Sequence[tuple], one, zero) -> tuple:
@@ -147,16 +115,16 @@ def linear_product_coeffs(pairs: Sequence[tuple], one, zero) -> tuple:
     return tuple(coeffs)
 
 
-def vertex_coords(qs: Sequence[ParamPoint]) -> tuple:
+def vertex_coords(qs: Sequence[ProjectivePoint]) -> tuple:
     """Raw coordinates r_k = sum over (d-k)-subsets S' of a_{S'} b_{rest},
     for d = len(qs); equivalently the coefficients of prod (a_i x + b_i y).
     """
     field = qs[0].field
     return linear_product_coeffs(
-        [(q.a, q.b) for q in qs], field.one, field.zero)
+        [q.coords for q in qs], field.one, field.zero)
 
 
-def simplex_vertex(qs: Sequence[ParamPoint]) -> ProjectivePoint:
+def simplex_vertex(qs: Sequence[ProjectivePoint]) -> ProjectivePoint:
     """The common point of the d osculating hyperplanes at d distinct
     parameters, for d = len(qs)."""
     d = len(qs)
@@ -231,11 +199,11 @@ def fit_rnc(config: Configuration) -> RNCModel:
                     frame_map=tuple(tuple(r) for r in a), alphas=alphas)
 
 
-def curve_point(model: RNCModel, t: ParamPoint) -> ProjectivePoint:
+def curve_point(model: RNCModel, t: ProjectivePoint) -> ProjectivePoint:
     """Evaluate the fitted parametrization at t = [u:v]."""
     if t.field != model.field:
         raise MismatchError("parameter from a different field")
-    u, v = t.a, t.b
+    u, v = t.coords
     xs = []
     for i in range(model.dim + 1):
         prod = model.field.one
@@ -247,7 +215,8 @@ def curve_point(model: RNCModel, t: ParamPoint) -> ProjectivePoint:
     return ProjectivePoint(tuple(coords), model.field)
 
 
-def curve_contains(model: RNCModel, p: ProjectivePoint) -> Optional[ParamPoint]:
+def curve_contains(model: RNCModel,
+                   p: ProjectivePoint) -> Optional[ProjectivePoint]:
     """The parameter mapping to p under the model's curve, or None.
 
     In frame coordinates x = frame_map . p, a curve point has either no
@@ -264,15 +233,15 @@ def curve_contains(model: RNCModel, p: ProjectivePoint) -> Optional[ParamPoint]:
     nonzero = [i for i, xi in enumerate(x) if xi]
     if len(nonzero) == 1:
         i = nonzero[0]
-        candidate = ParamPoint(model.alphas[i], field.one, field)
+        candidate = ProjectivePoint((model.alphas[i], field.one), field)
     elif len(nonzero) == model.dim + 1:
         j = next((k for k in range(1, model.dim + 1) if x[k] != x[0]), None)
         if j is None:
-            candidate = ParamPoint(field.one, field.zero, field)
+            candidate = ProjectivePoint((field.one, field.zero), field)
         else:
-            candidate = ParamPoint(
-                model.alphas[0] * x[0] - model.alphas[j] * x[j],
-                x[0] - x[j], field)
+            candidate = ProjectivePoint(
+                (model.alphas[0] * x[0] - model.alphas[j] * x[j],
+                 x[0] - x[j]), field)
     else:
         return None
     if curve_point(model, candidate) == p:

@@ -192,24 +192,33 @@ def inversion_count(seq: Sequence[int]) -> int:
                if seq[i] > seq[j])
 
 
-@cache
-def _template(dim: int) -> dict:
+class _Template(dict):
     """For each sextet I of the local positions 0..dim+3 of a support, per
     monomial, getters that pick each bracket's sorted column labels out of
-    the support tuple.
+    the support tuple.  Getters are built on first lookup, so a sample
+    compiles only the sextets its equations use.
 
     Sorting needs no sign: the triples are written in increasing order, and
     a sextet label crosses a smaller shared label in two brackets of each
     monomial, so each monomial's written orders have even total parity.
     """
-    out = {}
-    for sextet in combinations(range(dim + 4), 6):
-        shared = tuple(k for k in range(dim + 4) if k not in sextet)
-        out[sextet] = tuple(
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, sextet: tuple[int, ...]) -> tuple:
+        shared = tuple(k for k in range(self.dim + 4) if k not in sextet)
+        value = self[sextet] = tuple(
             tuple(itemgetter(*sorted(tuple(sextet[p] for p in t) + shared))
                   for t in triples)
             for triples in (_TRIPLES_FIRST, _TRIPLES_SECOND))
-    return out
+        return value
+
+
+@cache
+def _template(dim: int) -> _Template:
+    return _Template(dim)
 
 
 @dataclass(slots=True)

@@ -38,6 +38,11 @@ from .errors import MismatchError
 from .polynomials import MultiPoly, poly_det
 
 
+def require_degree(d: int) -> None:
+    if d < 2:
+        raise ValueError("the construction needs degree at least 2")
+
+
 def first_group(d: int) -> tuple[int, ...]:
     return tuple(range(1, d + 2))
 
@@ -61,8 +66,7 @@ class SubsetSplit:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("the construction needs degree at least 2")
+        require_degree(self.d)
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
         if len(members) != self.d + 1 or list(members) != sorted(set(members)):

@@ -1,16 +1,19 @@
-"""Projective points, hyperplanes, configurations and exact linear algebra.
+"""Projective points, configurations and exact linear algebra.
 
 Homogeneous coordinates are stored canonically: scaled so the first nonzero
 coordinate is 1.  Equality and hashing act on canonical tuples, so two points
-given by proportional coordinate vectors compare equal.
+given by proportional coordinate vectors compare equal.  The one point type
+serves every projective space in the package: parameters are points of P^1,
+and a hyperplane of P^d is the point of the dual P^d given by its
+coefficient vector.
 
 Determinants are exact and have one integer kernel for both fields: each
 point caches an integer representative (over Q its primitive vector, over
-Z/p its residues), a bracket is the integer determinant of those (unrolled
-up to size 4, fraction-free Bareiss elimination above) divided by the
-points' scales over Q or reduced mod p.  A configuration keeps a table of
-these integer brackets, so each is computed once however often the
-general-position test and the bracket equations read it.
+Z/p its residues), a bracket is the integer determinant of those
+(fraction-free Bareiss elimination) divided by the points' scales over Q or
+reduced mod p.  A configuration keeps a table of these integer brackets,
+so each is computed once however often the general-position test and the
+bracket equations read it.
 """
 
 from __future__ import annotations
@@ -73,38 +76,6 @@ class ProjectivePoint:
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """A hyperplane of projective d-space, canonical coefficient vector."""
-
-    coeffs: tuple
-    field: Field
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", canonical_coords(self.coeffs, self.field))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs) - 1
-
-    def pairing(self, point: ProjectivePoint) -> Scalar:
-        """The value of this hyperplane's form on the point, zero iff incident."""
-        if point.field != self.field or point.dim != self.dim:
-            raise MismatchError("hyperplane and point do not match")
-        total = self.field.zero
-        for c, x in zip(self.coeffs, point.coords):
-            total = total + c * x
-        return total
-
-    def contains(self, point: ProjectivePoint) -> bool:
-        return not self.pairing(point)
-
-    def __repr__(self) -> str:
-        inner = ":".join(str(c) for c in self.coeffs)
-        return f"Hyperplane[{inner}]"
-
-
-@dataclass(frozen=True)
 class Configuration:
     """An ordered tuple of points sharing one field and ambient dimension."""
 
@@ -138,32 +109,8 @@ class Configuration:
 
 
 def _det_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (rows may be tuples)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        a, b, c = m
-        return (a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    if n == 4:
-        # Laplace expansion along the first two rows: 2x2 minors of the top
-        # pair against the complementary 2x2 minors of the bottom pair
-        a, b, c, e = m
-        return ((a[0] * b[1] - a[1] * b[0]) * (c[2] * e[3] - c[3] * e[2])
-                - (a[0] * b[2] - a[2] * b[0]) * (c[1] * e[3] - c[3] * e[1])
-                + (a[0] * b[3] - a[3] * b[0]) * (c[1] * e[2] - c[2] * e[1])
-                + (a[1] * b[2] - a[2] * b[1]) * (c[0] * e[3] - c[3] * e[0])
-                - (a[1] * b[3] - a[3] * b[1]) * (c[0] * e[2] - c[2] * e[0])
-                + (a[2] * b[3] - a[3] * b[2]) * (c[0] * e[1] - c[1] * e[0]))
-    return _det_bareiss_int(m)
-
-
-def _det_bareiss_int(m: Sequence[Sequence[int]]) -> int:
-    """Fraction-free elimination; exact for integer matrices of any size."""
+    """Exact determinant of a square integer matrix (rows may be tuples) by
+    fraction-free Bareiss elimination."""
     n = len(m)
     m = [list(row) for row in m]
     sign = 1
@@ -332,29 +279,6 @@ def mat_inverse(m: Sequence[Sequence[Scalar]], field: Field) -> list:
     return [row[n:] for row in rows]
 
 
-def hyperplane_intersection(planes: Sequence[Hyperplane]) -> ProjectivePoint:
-    """The common point of d hyperplanes of P^d, when it is unique."""
-    if not planes:
-        raise ValueError("no hyperplanes")
-    field = planes[0].field
-    d = planes[0].dim
-    for h in planes:
-        if h.field != field or h.dim != d:
-            raise MismatchError("hyperplanes mix fields or dimensions")
-    m = [list(h.coeffs) for h in planes]
-    rows, pivots = rref(m, field)
-    free = [c for c in range(d + 1) if c not in pivots]
-    if len(free) != 1:
-        raise DegenerateInputError(
-            f"intersection has dimension {d - len(pivots)}, not a point")
-    f = free[0]
-    coords = [field.zero] * (d + 1)
-    coords[f] = field.one
-    for r, c in enumerate(pivots):
-        coords[c] = -rows[r][f]
-    return ProjectivePoint(tuple(coords), field)
-
-
 # ---------------------------------------------------------------------------
 # position predicates
 
@@ -377,12 +301,22 @@ def is_general_linear_position(config: Configuration) -> bool:
 # serialization
 
 
+def points_to_json(points: Sequence[ProjectivePoint]) -> list:
+    """Rows of canonical coordinate strings, one per point."""
+    return [[p.field.format(c) for c in p.coords] for p in points]
+
+
+def points_from_json(rows, field: Field) -> tuple[ProjectivePoint, ...]:
+    """The points written by points_to_json, in any dimension."""
+    return tuple(ProjectivePoint(tuple(field.parse(c) for c in row), field)
+                 for row in rows)
+
+
 def config_to_json(config: Configuration) -> dict:
-    fmt = config.field.format
     return {
         "field": field_to_json(config.field),
         "dim": config.dim,
-        "points": [[fmt(c) for c in p.coords] for p in config.points],
+        "points": points_to_json(config.points),
     }
 
 
@@ -390,7 +324,5 @@ def config_from_json(obj: dict) -> Configuration:
     with malformed_input("configuration"):
         field = field_from_json(obj["field"])
         dim = int(obj["dim"])
-        points = tuple(
-            ProjectivePoint(tuple(field.parse(c) for c in row), field)
-            for row in obj["points"])
+        points = points_from_json(obj["points"], field)
         return Configuration(field=field, dim=dim, points=points)

@@ -21,13 +21,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .curve import (
-    ParamPoint,
     _require_distinct,
     curve_contains,
     fit_rnc,
     osculating_hyperplane,
-    param_from_json,
-    param_to_json,
     simplex_vertex,
     veronese_embed,
 )
@@ -51,14 +48,15 @@ from .fields import (
     field_to_json,
     require_characteristic_over,
 )
-from .identities import first_group, second_group
+from .identities import first_group, require_degree, second_group
 from .projective import (
     Configuration,
-    Hyperplane,
     ProjectivePoint,
     config_from_json,
     config_to_json,
     is_general_linear_position,
+    points_from_json,
+    points_to_json,
 )
 
 CERT_SCHEMA = "vonstaudt-cert/1"
@@ -67,8 +65,9 @@ INSTANCE_SCHEMA = "vonstaudt-inst/1"
 
 @dataclass(frozen=True)
 class VonStaudtInstance:
-    """One run of the construction: parameters, their curve points and
-    osculating hyperplanes, and the 2d+2 derived vertices.
+    """One run of the construction: parameters (points of P^1), their curve
+    points and osculating hyperplanes (points of the dual P^d), and the
+    2d+2 derived vertices.
 
     The dataclass itself records whatever its builder derived; only
     build_instance guarantees the geometric relations between the fields.
@@ -76,9 +75,9 @@ class VonStaudtInstance:
 
     d: int
     field: Field
-    params: tuple[ParamPoint, ...]
+    params: tuple[ProjectivePoint, ...]
     curve_points: tuple[ProjectivePoint, ...]
-    planes: tuple[Hyperplane, ...]
+    planes: tuple[ProjectivePoint, ...]
     vertices: Configuration
     seed: Optional[int] = None
 
@@ -99,12 +98,12 @@ class Certificate:
     verdict: bool
 
 
-def build_instance(d: int, params: Sequence[ParamPoint],
+def build_instance(d: int, params: Sequence[ProjectivePoint],
                    field: Optional[Field] = None,
                    seed: Optional[int] = None) -> VonStaudtInstance:
-    """Derive the full instance from 2d+2 pairwise-distinct parameters."""
-    if d < 2:
-        raise ValueError("the construction needs degree at least 2")
+    """Derive the full instance from 2d+2 pairwise-distinct parameters,
+    points of P^1."""
+    require_degree(d)
     params = tuple(params)
     if len(params) != 2 * d + 2:
         raise MismatchError(
@@ -114,6 +113,8 @@ def build_instance(d: int, params: Sequence[ParamPoint],
     for q in params:
         if q.field != field:
             raise MismatchError("parameter points from different fields")
+        if q.dim != 1:
+            raise MismatchError(f"parameter point {q} is not in P^1")
     require_characteristic_over(field, d)
     _require_distinct(params)
     curve_points = tuple(veronese_embed(q, d) for q in params)
@@ -166,7 +167,7 @@ def sample_instance(d: int, field: Field = QQ, seed: int = 0,
             continue
         seen.add(value)
         values.append(value)
-    params = tuple(ParamPoint(v, field.one, field) for v in values)
+    params = tuple(ProjectivePoint((v, field.one), field) for v in values)
     return build_instance(d, params, field, seed=seed)
 
 
@@ -219,20 +220,18 @@ def verify_instance(inst: VonStaudtInstance,
 
 
 def dual_configuration(inst: VonStaudtInstance) -> Configuration:
-    """The osculating hyperplane coefficient vectors as points of the dual
-    space.  They lie on a rational normal curve of their own."""
-    points = tuple(
-        ProjectivePoint(h.coeffs, inst.field) for h in inst.planes)
-    return Configuration(field=inst.field, dim=inst.d, points=points)
+    """The osculating hyperplanes as a configuration of the dual space.
+    They lie on a rational normal curve of their own."""
+    return Configuration(field=inst.field, dim=inst.d, points=inst.planes)
 
 
-def _reduce_param(q: ParamPoint, field: PrimeField) -> ParamPoint:
+def _reduce_param(q: ProjectivePoint, field: PrimeField) -> ProjectivePoint:
     # clear denominators to a primitive integer pair before reducing, so a
     # parameter like 1/p lands on the point at infinity instead of failing
-    a, b = Fraction(q.a), Fraction(q.b)
+    a, b = q.coords
     scale = a.denominator * b.denominator
-    return ParamPoint(field.from_int(int(a * scale)),
-                      field.from_int(int(b * scale)), field)
+    return ProjectivePoint((field.from_int(int(a * scale)),
+                            field.from_int(int(b * scale))), field)
 
 
 def reduce_instance_mod(inst: VonStaudtInstance, p: int) -> VonStaudtInstance:
@@ -253,15 +252,14 @@ def reduce_instance_mod(inst: VonStaudtInstance, p: int) -> VonStaudtInstance:
 
 
 def instance_to_json(inst: VonStaudtInstance) -> dict:
-    fmt = inst.field.format
     return {
         "schema": INSTANCE_SCHEMA,
         "d": inst.d,
         "field": field_to_json(inst.field),
         "seed": inst.seed,
-        "params": [param_to_json(q) for q in inst.params],
-        "points": [[fmt(c) for c in p.coords] for p in inst.curve_points],
-        "planes": [[fmt(c) for c in h.coeffs] for h in inst.planes],
+        "params": points_to_json(inst.params),
+        "points": points_to_json(inst.curve_points),
+        "planes": points_to_json(inst.planes),
         "vertices": config_to_json(inst.vertices),
     }
 
@@ -274,18 +272,13 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
         field = field_from_json(obj["field"])
         d = int(obj["d"])
         seed = obj.get("seed")
-        params = tuple(param_from_json(q, field) for q in obj["params"])
+        params = points_from_json(obj["params"], field)
         inst = build_instance(d, params, field, seed=seed)
         if "points" in obj:
-            pts = tuple(
-                ProjectivePoint(tuple(field.parse(c) for c in row), field)
-                for row in obj["points"])
-            inst = replace(inst, curve_points=pts)
+            inst = replace(inst, curve_points=points_from_json(
+                obj["points"], field))
         if "planes" in obj:
-            planes = tuple(
-                Hyperplane(tuple(field.parse(c) for c in row), field)
-                for row in obj["planes"])
-            inst = replace(inst, planes=planes)
+            inst = replace(inst, planes=points_from_json(obj["planes"], field))
         if "vertices" in obj:
             inst = replace(inst, vertices=config_from_json(obj["vertices"]))
         return inst

@@ -8,8 +8,9 @@ The last sections hold helpers only the tests use: polynomial evaluation
 and degrees over MultiPoly.exponents(), the vertex bracket by the plain
 row DP, and the raw vector bracket, the degeneracy predicate and model
 decoding, which do call the package's own determinants, rank and scalar
-parsers; then the apolarity pairing of binary forms, which the package
-itself never needs.
+parsers; then the incidence of hyperplanes, given as points of the dual
+space, and the apolarity pairing of binary forms, which the package itself
+never needs.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from typing import Union
 import sympy
 
 from rncgeom import identities
-from rncgeom.curve import ParamPoint, RNCModel
+from rncgeom.curve import RNCModel
 from rncgeom.equations import inversion_count
-from rncgeom.errors import MismatchError
+from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, Field, Residue, Scalar
 from rncgeom.polynomials import poly_det
-from rncgeom.projective import Configuration, det, rank
+from rncgeom.projective import Configuration, ProjectivePoint, det, rank, rref
 
 
 def to_sympy(x):
@@ -269,6 +270,47 @@ def model_from_json(obj: dict, field: Field) -> RNCModel:
 
 
 # ---------------------------------------------------------------------------
+# hyperplanes as points of the dual space
+
+
+def pairing(plane: ProjectivePoint, point: ProjectivePoint) -> Scalar:
+    """The value of the plane's linear form on the point, zero iff the
+    point lies on the plane."""
+    if point.field != plane.field or point.dim != plane.dim:
+        raise MismatchError("hyperplane and point do not match")
+    total = plane.field.zero
+    for c, x in zip(plane.coords, point.coords):
+        total = total + c * x
+    return total
+
+
+def contains(plane: ProjectivePoint, point: ProjectivePoint) -> bool:
+    return not pairing(plane, point)
+
+
+def hyperplane_intersection(planes) -> ProjectivePoint:
+    """The common point of d hyperplanes of P^d, when it is unique."""
+    if not planes:
+        raise ValueError("no hyperplanes")
+    field = planes[0].field
+    d = planes[0].dim
+    for h in planes:
+        if h.field != field or h.dim != d:
+            raise MismatchError("hyperplanes mix fields or dimensions")
+    rows, pivots = rref([list(h.coords) for h in planes], field)
+    free = [c for c in range(d + 1) if c not in pivots]
+    if len(free) != 1:
+        raise DegenerateInputError(
+            f"intersection has dimension {d - len(pivots)}, not a point")
+    f = free[0]
+    coords = [field.zero] * (d + 1)
+    coords[f] = field.one
+    for r, c in enumerate(pivots):
+        coords[c] = -rows[r][f]
+    return ProjectivePoint(tuple(coords), field)
+
+
+# ---------------------------------------------------------------------------
 # apolarity
 
 
@@ -315,14 +357,15 @@ def _convolve(c1: tuple, c2: tuple, field: Field) -> tuple:
     return tuple(out)
 
 
-def linear_form(q: ParamPoint) -> BinaryForm:
-    """The linear form a x0 + b x1 attached to [a:b]."""
-    return BinaryForm((q.a, q.b), q.field)
+def linear_form(q: ProjectivePoint) -> BinaryForm:
+    """The linear form a x0 + b x1 attached to the point [a:b] of P^1."""
+    return BinaryForm(q.coords, q.field)
 
 
-def apolar_operator(q: ParamPoint) -> BinaryForm:
+def apolar_operator(q: ProjectivePoint) -> BinaryForm:
     """The operator b D0 - a D1, which annihilates (a x0 + b x1)^n."""
-    return BinaryForm((q.b, -q.a), q.field)
+    a, b = q.coords
+    return BinaryForm((b, -a), q.field)
 
 
 def _falling(field: Field, n: int, k: int) -> Scalar:

@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line through main(argv)."""
 
+import copy
 import io
 import json
 import subprocess
@@ -191,6 +192,23 @@ def test_check_psi_golden_output(capsys, name, expected):
         ["check-psi", "--input", str(DATA / f"{name}.json")], capsys)
     assert code == expected
     assert out == (DATA / f"{name}.check-psi.jsonl").read_text()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["gen-instance", "--d", "3", "--seed", "11"],
+     "gen-instance-d3-seed11.json"),
+    (["gen-instance", "--d", "4", "--seed", "3", "--field", "prime:101"],
+     "gen-instance-d4-seed3-prime101.json"),
+    (["fit-curve", "--input", str(DATA / "d3.json")], "d3.fit-curve.json"),
+    (["dual-check", "--input", str(DATA / "d3.json")], "d3.dual-check.json"),
+], ids=["gen-instance-d3", "gen-instance-d4-mod101", "fit-curve",
+        "dual-check"])
+def test_serialization_golden_output(capsys, argv, name):
+    """Parameters, curve points, planes, vertices and fitted models are
+    written byte for byte as recorded in the data files."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (DATA / name).read_text()
 
 
 def test_check_psi_nonmember(tmp_path, capsys):
@@ -420,12 +438,15 @@ def test_sample_zero_exits_two(command, tmp_path, capsys):
      "the construction needs degree at least 2"),
     (["sym-factorization", "--d", "1"],
      "the construction needs degree at least 2"),
+    (["sym-factorization", "--d", "-2"],
+     "the construction needs degree at least 2"),
     (["sym-psi", "--d", "24", "--sample", "5"],
      "cannot sample from 33435605402785404000 items; "
      f"at most {sys.maxsize} are supported"),
 ], ids=["gen-instance-d1", "dual-check-d1", "sym-psi-d1",
         "sym-factorization-d-1", "sym-factorization-d0",
-        "sym-factorization-d1", "sym-psi-d24-sampled"])
+        "sym-factorization-d1", "sym-factorization-d-2",
+        "sym-psi-d24-sampled"])
 def test_degree_and_sample_range_exit_two(argv, message, capsys):
     """Degrees below 2, and samples from more items than random.sample
     can index, are input errors with one line."""
@@ -477,13 +498,19 @@ def _not_an_object(obj):
     return 5
 
 
+def _param_in_p2(obj):
+    obj["params"][0].append("1")
+    return obj
+
+
 @pytest.mark.parametrize("field,corrupt", [
     ("rationals", _zero_denominator),
     ("rationals", _points_not_a_list),
     ("prime:101", _param_without_residue),
     ("rationals", _not_an_object),
+    ("rationals", _param_in_p2),
 ], ids=["param-1-over-0", "points-5", "param-1-over-101-mod-101",
-        "not-an-object"])
+        "not-an-object", "param-in-p2"])
 @pytest.mark.parametrize("command", ["verify", "check-psi"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, field, corrupt):
     path = gen_instance_file(tmp_path, capsys, d=5, extra=("--field", field))
@@ -542,7 +569,8 @@ def fuzzed_instances(draw):
             ["delete", "swap-type", "bad-fraction", "bad-prime"]))
         if kind == "bad-prime":
             where = draw(st.sampled_from([("field",), ("vertices", "field")]))
-            value = {"kind": "prime", "p": draw(st.sampled_from(BAD_PRIMES))}
+            value = {"kind": "prime",
+                     "p": copy.deepcopy(draw(st.sampled_from(BAD_PRIMES)))}
             try:
                 _set(obj, where, value)
             except (KeyError, IndexError, TypeError):
@@ -557,7 +585,7 @@ def fuzzed_instances(draw):
                 parent = parent[key]
             del parent[path[-1]]
         elif kind == "swap-type":
-            _set(obj, path, draw(st.sampled_from(JUNK)))
+            _set(obj, path, copy.deepcopy(draw(st.sampled_from(JUNK))))
         else:
             _set(obj, path, draw(st.sampled_from(BAD_FRACTIONS)))
     return obj

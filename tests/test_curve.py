@@ -11,6 +11,8 @@ from oracles import (
     apolar_operator,
     apolarity_apply,
     binomial_coords,
+    contains,
+    hyperplane_intersection,
     linear_form,
     model_from_json,
     product_form_coords,
@@ -18,18 +20,14 @@ from oracles import (
     rand_fraction,
 )
 from rncgeom.curve import (
-    ParamPoint,
     RNCModel,
-    cross_value,
     curve_contains,
     curve_point,
     fit_rnc,
     model_to_json,
     osculating_coeffs,
     osculating_hyperplane,
-    param_from_json,
     param_point,
-    param_to_json,
     simplex_vertex,
     veronese_coords,
     veronese_embed,
@@ -42,7 +40,8 @@ from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
     bracket,
-    hyperplane_intersection,
+    points_from_json,
+    points_to_json,
 )
 
 FP = PrimeField(101)
@@ -68,22 +67,24 @@ def test_param_canonicalization_and_equality():
     assert qq_param(2, 4) == qq_param(1, 2)
     assert qq_param(0, 5) == qq_param(0, 1)
     with pytest.raises(ValueError):
-        ParamPoint(QQ.zero, QQ.zero, QQ)
+        param_point(QQ, 0, 0)
 
 
 @given(param_values, param_values)
 def test_cross_value_zero_iff_equal(ab1, ab2):
+    """The 2x2 bracket a1 b2 - a2 b1 of two parameter points, the cross
+    value, vanishes exactly when they coincide, and is antisymmetric."""
     q1 = qq_param(*ab1)
     q2 = qq_param(*ab2)
-    assert (cross_value(q1, q2) == 0) == (q1 == q2)
-    assert cross_value(q1, q2) == -cross_value(q2, q1)
+    assert (bracket([q1, q2]) == 0) == (q1 == q2)
+    assert bracket([q1, q2]) == -bracket([q2, q1])
 
 
 def test_param_json_round_trip():
-    q = qq_param(Fraction(-3, 7), 2)
-    assert param_from_json(param_to_json(q), QQ) == q
-    r = param_point(FP, 5, 3)
-    assert param_from_json(param_to_json(r), FP) == r
+    qs = (qq_param(Fraction(-3, 7), 2), qq_param(1, 0))
+    assert points_from_json(points_to_json(qs), QQ) == qs
+    rs = (param_point(FP, 5, 3), param_point(FP, 0, 1))
+    assert points_from_json(points_to_json(rs), FP) == rs
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ def test_veronese_known_points():
 @given(param_values, st.integers(1, 6))
 def test_veronese_matches_binomial_expansion(ab, d):
     q = qq_param(*ab)
-    assert veronese_coords(q, d) == binomial_coords(q.a, q.b, d)
+    assert veronese_coords(q, d) == binomial_coords(*q.coords, d)
 
 
 def test_veronese_rejects_small_characteristic():
@@ -115,12 +116,12 @@ def test_veronese_rejects_small_characteristic():
 
 
 def test_osculating_known_coefficients():
-    assert osculating_hyperplane(qq_param(0, 1), 3).coeffs == \
+    assert osculating_hyperplane(qq_param(0, 1), 3).coords == \
         (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     # canonicalization flips the overall sign of (0,0,0,-1)
-    assert osculating_hyperplane(qq_param(1, 0), 3).coeffs == \
+    assert osculating_hyperplane(qq_param(1, 0), 3).coords == \
         (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    assert osculating_hyperplane(qq_param(1, 1), 2).coeffs == \
+    assert osculating_hyperplane(qq_param(1, 1), 2).coords == \
         (Fraction(1), Fraction(-1), Fraction(1))
 
 
@@ -133,7 +134,8 @@ def test_osculating_pairing_closed_form(ab0, ab, d):
     h = osculating_coeffs(q0, d)
     v = veronese_coords(q, d)
     pair = sum((hc * vc for hc, vc in zip(h, v)), Fraction(0))
-    assert pair == (q.a * q0.b - q.b * q0.a) ** d
+    (a, b), (a0, b0) = q.coords, q0.coords
+    assert pair == (a * b0 - b * a0) ** d
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -156,7 +158,7 @@ def test_osculating_pairing_identity_symbolic(d):
 @given(param_values, st.integers(1, 4))
 def test_curve_point_lies_on_its_osculating_hyperplane(ab, d):
     q = qq_param(*ab)
-    assert osculating_hyperplane(q, d).contains(veronese_embed(q, d))
+    assert contains(osculating_hyperplane(q, d), veronese_embed(q, d))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +170,7 @@ def test_vertex_coordinates_match_product_expansion(rng):
         d = rng.randint(1, 5)
         ts = rand_distinct_fractions(rng, d)
         qs = [qq_param(t) for t in ts]
-        coeffs = product_form_coords([(q.a, q.b) for q in qs])
+        coeffs = product_form_coords([q.coords for q in qs])
         # r_k is the coefficient of x^(d-k) y^k, which the oracle lists at k
         assert vertex_coords(qs) == coeffs
 
@@ -186,7 +188,7 @@ def test_vertex_is_the_intersection_of_its_planes(rng):
         v = simplex_vertex(qs)
         assert hyperplane_intersection(planes) == v
         for h in planes:
-            assert h.contains(v)
+            assert contains(h, v)
 
 
 def test_vertex_avoids_other_osculating_planes(rng):
@@ -195,7 +197,7 @@ def test_vertex_avoids_other_osculating_planes(rng):
         qs = [qq_param(t) for t in ts[:d]]
         other = qq_param(ts[d])
         v = simplex_vertex(qs)
-        assert not osculating_hyperplane(other, d).contains(v)
+        assert not contains(osculating_hyperplane(other, d), v)
 
 
 def test_vertex_rejects_repeats():
@@ -225,7 +227,8 @@ def test_apolarity_pairing_on_distinct_points():
     q2 = qq_param(3, 1)
     op = apolar_operator(q1).power(d)
     f = linear_form(q2).power(d)
-    cross = q1.b * q2.a - q1.a * q2.b
+    (a1, b1), (a2, b2) = q1.coords, q2.coords
+    cross = b1 * a2 - a1 * b2
     assert apolarity_apply(op, f) == factorial(d) * cross ** d
 
 
@@ -325,9 +328,9 @@ def test_curve_contains_frame_points(rng):
     ts = rand_distinct_fractions(rng, 5)
     model = fit_rnc(standard_config(2, ts))
     # frame points have a single nonzero frame coordinate
-    e1 = curve_point(model, ParamPoint(model.alphas[1], QQ.one, QQ))
+    e1 = curve_point(model, qq_param(model.alphas[1]))
     t = curve_contains(model, e1)
-    assert t == ParamPoint(model.alphas[1], QQ.one, QQ)
+    assert t == qq_param(model.alphas[1])
     assert curve_contains(model, curve_point(model, qq_param(1, 0))) == \
         qq_param(1, 0)
 

@@ -147,10 +147,10 @@ def test_template_parities_match_inversion_count(d):
     sign: the written column orders of each monomial have even total
     inversion count."""
     template = _template(d)
-    assert len(template) == comb(d + 4, 6)
     support = tuple(range(1, d + 5))
     odd_brackets = 0
-    for local, getters in template.items():
+    for local in combinations(range(d + 4), 6):
+        getters = template[local]
         eq = BracketEquation(dim=d, n_points=d + 4, support=support,
                              sextet=tuple(k + 1 for k in local))
         for picks, written in zip(getters, eq.monomial_columns()):
@@ -159,6 +159,7 @@ def test_template_parities_match_inversion_count(d):
             parities = [inversion_count(cols) % 2 for cols in written]
             assert sum(parities) % 2 == 0
             odd_brackets += sum(parities)
+    assert len(template) == comb(d + 4, 6)
     # single brackets do change sign once a shared label is smaller than a
     # sextet label, which needs d > 2
     assert (odd_brackets > 0) == (d > 2)

