@@ -17,7 +17,7 @@ import sys
 from math import comb
 from typing import Optional
 
-from .curve import curve_contains, fit_rnc, model_to_json
+from .curve import fit_and_test, model_to_json
 from .equations import (
     _unrank_combination,
     evaluate_many,
@@ -148,21 +148,13 @@ def _cmd_check_psi(args) -> int:
 
 def _cmd_fit_curve(args) -> int:
     config = _load_configuration(args.input)
-    d = config.dim
-    if len(config) < d + 3:
-        raise ValueError(
-            f"fitting in P^{d} needs at least {d + 3} points")
-    head = Configuration(field=config.field, dim=d,
-                         points=config.points[:d + 3])
     try:
-        model = fit_rnc(head)
+        model, contained = fit_and_test(config)
     except DegenerateInputError as exc:
         _write_json({"kind": "fit-curve", "ok": False, "error": str(exc)},
                     args.output)
         _note(f"fit failed: {exc}")
         return 1
-    contained = [curve_contains(model, p) is not None
-                 for p in config.points[d + 3:]]
     _write_json({
         "kind": "fit-curve",
         "ok": True,
@@ -170,6 +162,7 @@ def _cmd_fit_curve(args) -> int:
         "model": model_to_json(model),
         "contained": contained,
     }, args.output)
+    d = config.dim
     _note(f"fitted degree-{d} curve through {d + 3} points; "
           f"{sum(contained)}/{len(contained)} extra points contained")
     return 0 if all(contained) else 1

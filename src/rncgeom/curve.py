@@ -14,19 +14,19 @@ i.e. coefficient (-1)^i a0^i b0^(d-i) on X_i.  Everything downstream
 are ProjectivePoints of P^1, and an osculating hyperplane is the point of
 the dual P^d given by its coefficient vector.
 
-Fitting recovers a curve through d+3 points in general position by moving
-the first d+2 of them to the standard frame; the failure modes of that
-normalization (singular frame, zero or coincident cross ratios) correspond
-exactly to general-position violations, so no other degeneracy detection is
-needed.
+Fitting moves the first d+2 of d+3 points in general position to the
+standard frame by ratios of brackets; the failure modes of that
+normalization (zero or coincident ratios) are exactly general-position
+violations, so no other degeneracy detection is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DegenerateInputError, MismatchError
@@ -36,7 +36,6 @@ from .projective import (
     ProjectivePoint,
     bracket,
     is_general_linear_position,
-    mat_inverse,
     mat_vec,
 )
 
@@ -145,21 +144,16 @@ def simplex_vertex(qs: Sequence[ProjectivePoint]) -> ProjectivePoint:
 
 @dataclass(frozen=True)
 class RNCModel:
-    """A rational normal curve through a frame of fitted points.
-
-    frame_map sends the fitted points to the standard frame; the curve is
-    t = [u:v]  ->  frame_map^(-1) . ( prod_{j != i} (u - alphas[j] v) )_i.
+    """A rational normal curve through a frame of fitted points: frame_map
+    sends them to the standard frame, frame_inverse back, and the curve is
+    t = [u:v]  ->  frame_inverse . ( prod_{j != i} (u - alphas[j] v) )_i.
     """
 
     dim: int
     field: Field
     frame_map: tuple[tuple, ...]
     alphas: tuple
-
-    @cached_property
-    def frame_inverse(self) -> tuple[tuple, ...]:
-        inv = mat_inverse([list(r) for r in self.frame_map], self.field)
-        return tuple(tuple(r) for r in inv)
+    frame_inverse: tuple[tuple, ...]
 
 
 def fit_rnc(config: Configuration) -> RNCModel:
@@ -168,7 +162,11 @@ def fit_rnc(config: Configuration) -> RNCModel:
 
     The first d+2 points are sent to the standard frame e_0..e_d, [1:...:1];
     the image [q_0:...:q_d] of the last point then has all q_i nonzero and
-    pairwise distinct, and the curve is pinned by alphas_i = -1/q_i.
+    pairwise distinct, and the curve is pinned by alphas_i = -1/q_i.  By
+    Cramer's rule, with [v@i] the bracket of the frame F = p_0..p_d with
+    p_i replaced by v: frame_map[i][j] = [e_j@i] / [p_{d+1}@i],
+    q_i = [p_{d+2}@i] / [p_{d+1}@i], and frame_inverse = F diag(lam) with
+    lam_i = [p_{d+1}@i] / [F].
     """
     d = config.dim
     field = config.field
@@ -178,25 +176,31 @@ def fit_rnc(config: Configuration) -> RNCModel:
     if not is_general_linear_position(config):
         raise DegenerateInputError("points are not in general linear position")
     points = config.points
-    cols = [p.coords for p in points]
-    frame = [[cols[j][i] for j in range(d + 1)] for i in range(d + 1)]
-    # Cramer's rule: the unit point is sum_i lam_i p_i with lam_i the frame
-    # bracket with p_i replaced by the unit point, over the frame bracket
-    base = bracket(points[:d + 1])
-    lam = [bracket(points[:i] + points[d + 1:d + 2] + points[i + 1:d + 1])
-           / base for i in range(d + 1)]
-    if not all(lam):
+    frame = points[:d + 1]
+
+    def at(v: ProjectivePoint, i: int):
+        return bracket(frame[:i] + (v,) + frame[i + 1:])
+
+    unit = [at(points[d + 1], i) for i in range(d + 1)]
+    if not all(unit):
         raise DegenerateInputError("unit point degenerates against the frame")
-    inv = mat_inverse(frame, field)
-    a = [[inv[i][j] / lam[i] for j in range(d + 1)] for i in range(d + 1)]
-    q = mat_vec(a, list(cols[d + 2]))
+    axes = [ProjectivePoint(tuple(field.from_int(int(k == j))
+                                  for k in range(d + 1)), field)
+            for j in range(d + 1)]
+    frame_map = tuple(tuple(at(e, i) / unit[i] for e in axes)
+                      for i in range(d + 1))
+    q = [at(points[d + 2], i) / unit[i] for i in range(d + 1)]
     if not all(q):
         raise DegenerateInputError("last point lies on a frame hyperplane")
     if len(set(q)) != d + 1:
         raise DegenerateInputError("last point has coincident frame ratios")
     alphas = tuple(-(field.one / qi) for qi in q)
-    return RNCModel(dim=d, field=field,
-                    frame_map=tuple(tuple(r) for r in a), alphas=alphas)
+    base = bracket(frame)
+    frame_inverse = tuple(
+        tuple(frame[i].coords[r] * unit[i] / base for i in range(d + 1))
+        for r in range(d + 1))
+    return RNCModel(dim=d, field=field, frame_map=frame_map, alphas=alphas,
+                    frame_inverse=frame_inverse)
 
 
 def curve_point(model: RNCModel, t: ProjectivePoint) -> ProjectivePoint:
@@ -204,14 +208,10 @@ def curve_point(model: RNCModel, t: ProjectivePoint) -> ProjectivePoint:
     if t.field != model.field:
         raise MismatchError("parameter from a different field")
     u, v = t.coords
-    xs = []
-    for i in range(model.dim + 1):
-        prod = model.field.one
-        for j, alpha in enumerate(model.alphas):
-            if j != i:
-                prod = prod * (u - alpha * v)
-        xs.append(prod)
-    coords = mat_vec([list(r) for r in model.frame_inverse], xs)
+    factors = [u - alpha * v for alpha in model.alphas]
+    xs = [reduce(mul, factors[:i] + factors[i + 1:], model.field.one)
+          for i in range(model.dim + 1)]
+    coords = mat_vec(model.frame_inverse, xs)
     return ProjectivePoint(tuple(coords), model.field)
 
 
@@ -229,7 +229,7 @@ def curve_contains(model: RNCModel,
     if p.field != model.field or p.dim != model.dim:
         raise MismatchError("point does not match the model")
     field = model.field
-    x = mat_vec([list(r) for r in model.frame_map], list(p.coords))
+    x = mat_vec(model.frame_map, p.coords)
     nonzero = [i for i, xi in enumerate(x) if xi]
     if len(nonzero) == 1:
         i = nonzero[0]
@@ -247,6 +247,18 @@ def curve_contains(model: RNCModel,
     if curve_point(model, candidate) == p:
         return candidate
     return None
+
+
+def fit_and_test(config: Configuration) -> tuple[RNCModel, list[bool]]:
+    """Fit the curve through the first d+3 points (DegenerateInputError
+    unless they are in general position) and test each remaining point."""
+    d = config.dim
+    if len(config) < d + 3:
+        raise MismatchError(f"fitting in P^{d} needs at least {d + 3} points")
+    model = fit_rnc(Configuration(field=config.field, dim=d,
+                                  points=config.points[:d + 3]))
+    return model, [curve_contains(model, p) is not None
+                   for p in config.points[d + 3:]]
 
 
 def model_to_json(model: RNCModel) -> dict:

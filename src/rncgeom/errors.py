@@ -25,3 +25,11 @@ def malformed_input(what: str):
         yield
     except (TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed {what}: {exc}") from None
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer, refusing the bool, float or string that int() would
+    quietly convert."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be a JSON integer, got {value!r}")
+    return value

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import CharacteristicError, json_int
+
 
 class Residue:
     """An element of Z/p for a prime p, stored as its least nonnegative
@@ -211,8 +213,6 @@ QQ = Rationals()
 
 def require_characteristic_over(field: Field, d: int) -> None:
     """Raise unless the field has characteristic 0 or greater than d."""
-    from .errors import CharacteristicError
-
     if field.characteristic != 0 and field.characteristic <= d:
         raise CharacteristicError(
             f"characteristic {field.characteristic} must exceed degree {d}")
@@ -229,5 +229,5 @@ def field_from_json(obj: dict) -> Field:
     if kind == "rationals":
         return QQ
     if kind == "prime":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(json_int(obj["p"], "p"))
     raise ValueError(f"unknown field kind {kind!r}")

@@ -7,11 +7,12 @@ serves every projective space in the package: parameters are points of P^1,
 and a hyperplane of P^d is the point of the dual P^d given by its
 coefficient vector.
 
-Determinants are exact and have one integer kernel for both fields: each
+Linear algebra is exact and has one integer kernel for both fields: each
 point caches an integer representative (over Q its primitive vector, over
 Z/p its residues), a bracket is the integer determinant of those
 (fraction-free Bareiss elimination) divided by the points' scales over Q or
-reduced mod p.  A configuration keeps a table of these integer brackets,
+reduced mod p, and a rank is taken by division-free elimination of the
+same vectors.  A configuration keeps a table of these integer brackets,
 so each is computed once however often the general-position test and the
 bracket equations read it.
 """
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import add
 from typing import Sequence
 
-from .errors import DegenerateInputError, MismatchError, malformed_input
+from .errors import MismatchError, json_int, malformed_input
 from .fields import Field, PrimeField, Scalar, field_from_json, field_to_json
 
 
@@ -105,7 +107,7 @@ class Configuration:
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# determinants and rank
 
 
 def _det_int(m: Sequence[Sequence[int]]) -> int:
@@ -135,27 +137,32 @@ def _det_int(m: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det(m: Sequence[Sequence[Scalar]], field: Field) -> Scalar:
-    """Exact determinant of a square matrix of field scalars."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return field.one
-    if isinstance(field, PrimeField):
-        return field.from_int(_det_int([[c.value for c in row] for row in m]))
-    scale = 1
-    rows = []
-    for row in m:
-        dens = lcm(*(c.denominator for c in row))
-        scale *= dens
-        rows.append([int(c * dens) for c in row])
-    return Fraction(_det_int(rows), scale)
+def _rank_int(rows: Sequence[Sequence[int]], modulus: int) -> int:
+    """Rank of an integer matrix over Q (modulus 0) or over Z/p by
+    division-free elimination, each new row reduced mod p or divided by its
+    content over Q."""
+    rows = [[x % modulus for x in r] if modulus else list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            head = rows[i][c]
+            if head:
+                row = [top[c] * x - head * y for x, y in zip(rows[i], top)]
+                g = gcd(*row) or 1
+                rows[i] = [x % modulus if modulus else x // g for x in row]
+        rank += 1
+    return rank
 
 
 def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
     """Bracket of d+1 points of P^d: the determinant of their canonical
-    coordinates as columns.  Zero iff the points fail to span.
+    coordinates as columns.  Zero iff the points fail to span.  Computed
+    from the points' integer representatives, as in BracketTable.
     """
     if not points:
         raise ValueError("bracket of no points")
@@ -168,7 +175,11 @@ def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
         raise MismatchError(
             f"bracket in P^{d} needs {d + 1} points, got {len(points)}")
     # a determinant is unchanged by transposition
-    return det([p.coords for p in points], field)
+    reps = [p.primitive for p in points]
+    value = _det_int([vec for vec, _ in reps])
+    if field.characteristic:
+        return field.from_int(value)
+    return Fraction(value, prod(scale for _, scale in reps))
 
 
 class BracketTable:
@@ -217,66 +228,8 @@ class BracketTable:
         return True
 
 
-# ---------------------------------------------------------------------------
-# elimination
-
-
-def rref(m: Sequence[Sequence[Scalar]], field: Field):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in m]
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [a / pivot for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rank(config: Configuration) -> int:
-    """Rank of the (d+1) x n matrix of coordinate columns."""
-    if len(config) == 0:
-        return 0
-    m = [[p.coords[i] for p in config.points] for i in range(config.dim + 1)]
-    _, pivots = rref(m, config.field)
-    return len(pivots)
-
-
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list:
-    out = []
-    for row in m:
-        acc = row[0] * v[0]
-        for a, x in zip(row[1:], v[1:]):
-            acc = acc + a * x
-        out.append(acc)
-    return out
-
-
-def mat_inverse(m: Sequence[Sequence[Scalar]], field: Field) -> list:
-    """Exact inverse of a square matrix; raises on singular input."""
-    n = len(m)
-    aug = [list(row) + [field.one if i == j else field.zero
-                        for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots = rref(aug, field)
-    if pivots != list(range(n)):
-        raise DegenerateInputError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [reduce(add, (a * x for a, x in zip(row, v))) for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +246,8 @@ def is_general_linear_position(config: Configuration) -> bool:
     n = len(config)
     d = config.dim
     if n <= d + 1:
-        return rank(config) == n
+        vectors = [p.primitive[0] for p in config.points]
+        return _rank_int(vectors, config.field.characteristic) == n
     return config.bracket_table.all_nonzero()
 
 
@@ -308,6 +262,8 @@ def points_to_json(points: Sequence[ProjectivePoint]) -> list:
 
 def points_from_json(rows, field: Field) -> tuple[ProjectivePoint, ...]:
     """The points written by points_to_json, in any dimension."""
+    if not (isinstance(rows, list) and all(type(r) is list for r in rows)):
+        raise TypeError("points must be a JSON list of coordinate lists")
     return tuple(ProjectivePoint(tuple(field.parse(c) for c in row), field)
                  for row in rows)
 
@@ -323,6 +279,6 @@ def config_to_json(config: Configuration) -> dict:
 def config_from_json(obj: dict) -> Configuration:
     with malformed_input("configuration"):
         field = field_from_json(obj["field"])
-        dim = int(obj["dim"])
+        dim = json_int(obj["dim"], "dim")
         points = points_from_json(obj["points"], field)
         return Configuration(field=field, dim=dim, points=points)

@@ -22,8 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .curve import (
     _require_distinct,
-    curve_contains,
-    fit_rnc,
+    fit_and_test,
     osculating_hyperplane,
     simplex_vertex,
     veronese_embed,
@@ -38,6 +37,7 @@ from .errors import (
     CharacteristicError,
     DegenerateInputError,
     MismatchError,
+    json_int,
     malformed_input,
 )
 from .fields import (
@@ -59,7 +59,7 @@ from .projective import (
     points_to_json,
 )
 
-CERT_SCHEMA = "vonstaudt-cert/1"
+CERT_SCHEMA = "vonstaudt-cert/2"
 INSTANCE_SCHEMA = "vonstaudt-inst/1"
 
 
@@ -89,12 +89,14 @@ class Certificate:
     d: int
     field: Field
     seed: Optional[int]
+    construction_ok: Optional[bool]
     glp_ok: bool
     psi_total: int
     psi_zero: int
     psi_failures: tuple[BracketEquation, ...]
     castelnuovo_ok: Optional[bool]
     sample: Optional[int]
+    sample_seed: Optional[int]
     verdict: bool
 
 
@@ -177,15 +179,10 @@ Evaluator = Callable[[Configuration, list], list]
 def castelnuovo_check(inst: VonStaudtInstance) -> bool:
     """Fit a curve through the first d+3 vertices and test the remaining
     d-1 for containment; False on any general-position failure."""
-    config = inst.vertices
-    head = Configuration(field=inst.field, dim=inst.d,
-                         points=config.points[:inst.d + 3])
     try:
-        model = fit_rnc(head)
+        return all(fit_and_test(inst.vertices)[1])
     except DegenerateInputError:
         return False
-    return all(curve_contains(model, p) is not None
-               for p in config.points[inst.d + 3:])
 
 
 def verify_instance(inst: VonStaudtInstance,
@@ -193,16 +190,20 @@ def verify_instance(inst: VonStaudtInstance,
                     sample: Optional[int] = None,
                     sample_seed: int = 0,
                     evaluator: Optional[Evaluator] = None) -> Certificate:
-    """Certify one instance: general linear position of the vertices, then
-    vanishing of every (or every sampled) equation, then optionally the
-    fitted-curve cross-check.  The first two read one bracket table of the
-    vertices, so each bracket is computed once.
+    """Certify one instance: the stored data rebuilt from its parameters,
+    general linear position of the vertices, then vanishing of every (or
+    every sampled) equation, then optionally the fitted-curve cross-check.
+    The middle two read one bracket table of the vertices, so each bracket
+    is computed once.  A sampled run records its sample seed.
 
     The evaluator hook lets a caller observe or replace the evaluation of
     the equation reports; it must return them in the order given.
     """
     d = inst.d
     config = inst.vertices
+    # the stored points, planes and vertices are what the parameters build
+    construction_ok = inst == build_instance(d, inst.params, inst.field,
+                                             inst.seed)
     glp_ok = is_general_linear_position(config)
     eqs = sample_equations(d, 2 * d + 2, sample, sample_seed)
     if evaluator is None:
@@ -211,12 +212,15 @@ def verify_instance(inst: VonStaudtInstance,
         reports = evaluator(config, eqs)
     failures = tuple(r.equation for r in reports if r.nonzero)
     castelnuovo_ok = castelnuovo_check(inst) if with_castelnuovo else None
-    verdict = glp_ok and not failures and castelnuovo_ok is not False
+    verdict = (construction_ok and glp_ok and not failures
+               and castelnuovo_ok is not False)
     return Certificate(
-        d=d, field=inst.field, seed=inst.seed, glp_ok=glp_ok,
+        d=d, field=inst.field, seed=inst.seed,
+        construction_ok=construction_ok, glp_ok=glp_ok,
         psi_total=len(reports), psi_zero=len(reports) - len(failures),
         psi_failures=failures, castelnuovo_ok=castelnuovo_ok,
-        sample=sample, verdict=verdict)
+        sample=sample, sample_seed=None if sample is None else sample_seed,
+        verdict=verdict)
 
 
 def dual_configuration(inst: VonStaudtInstance) -> Configuration:
@@ -270,7 +274,7 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
     disagree with the construction, e.g. in negative controls)."""
     with malformed_input("instance"):
         field = field_from_json(obj["field"])
-        d = int(obj["d"])
+        d = json_int(obj["d"], "d")
         seed = obj.get("seed")
         params = points_from_json(obj["params"], field)
         inst = build_instance(d, params, field, seed=seed)
@@ -291,6 +295,8 @@ def certificate_to_json(cert: Certificate) -> dict:
         "field": field_to_json(cert.field),
         "seed": cert.seed,
         "sample": cert.sample,
+        "sample_seed": cert.sample_seed,
+        "construction_ok": cert.construction_ok,
         "glp_ok": cert.glp_ok,
         "psi_total": cert.psi_total,
         "psi_zero": cert.psi_zero,
@@ -301,7 +307,9 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> Certificate:
-    if obj.get("schema") != CERT_SCHEMA:
+    """Load a certificate; a vonstaudt-cert/1 one predates the
+    construction check and the sample seed, and reads them as null."""
+    if obj.get("schema") not in ("vonstaudt-cert/1", CERT_SCHEMA):
         raise ValueError(f"unknown certificate schema {obj.get('schema')!r}")
     d = int(obj["d"])
     n = 2 * d + 2
@@ -309,6 +317,7 @@ def certificate_from_json(obj: dict) -> Certificate:
         d=d,
         field=field_from_json(obj["field"]),
         seed=obj.get("seed"),
+        construction_ok=obj.get("construction_ok"),
         glp_ok=bool(obj["glp_ok"]),
         psi_total=int(obj["psi_total"]),
         psi_zero=int(obj["psi_zero"]),
@@ -316,5 +325,6 @@ def certificate_from_json(obj: dict) -> Certificate:
             equation_from_json(x, d, n) for x in obj["psi_failures"]),
         castelnuovo_ok=obj.get("castelnuovo_ok"),
         sample=obj.get("sample"),
+        sample_seed=obj.get("sample_seed"),
         verdict=bool(obj["verdict"]),
     )

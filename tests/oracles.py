@@ -6,11 +6,10 @@ both sides of an assertion.  sympy is a test dependency only.
 
 The last sections hold helpers only the tests use: polynomial evaluation
 and degrees over MultiPoly.exponents(), the vertex bracket by the plain
-row DP, and the raw vector bracket, the degeneracy predicate and model
-decoding, which do call the package's own determinants, rank and scalar
-parsers; then the incidence of hyperplanes, given as points of the dual
-space, and the apolarity pairing of binary forms, which the package itself
-never needs.
+row DP, the raw vector bracket, the degeneracy predicate and model
+decoding (which calls the package's scalar parsers); then the incidence of
+hyperplanes, given as points of the dual space, and the apolarity pairing
+of binary forms, which the package itself never needs.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from itertools import combinations
 from typing import Union
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from rncgeom import identities
 from rncgeom.curve import RNCModel
@@ -29,7 +29,7 @@ from rncgeom.equations import inversion_count
 from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, Field, Residue, Scalar
 from rncgeom.polynomials import poly_det
-from rncgeom.projective import Configuration, ProjectivePoint, det, rank, rref
+from rncgeom.projective import Configuration, ProjectivePoint
 
 
 def to_sympy(x):
@@ -47,8 +47,28 @@ def sympy_det(rows, field: Field = QQ):
     return Fraction(int(d.p), int(d.q))
 
 
-def sympy_rank(rows) -> int:
-    return sympy.Matrix([[to_sympy(x) for x in row] for row in rows]).rank()
+def domain_matrix(rows, field: Field = QQ) -> DomainMatrix:
+    """A matrix of field scalars over sympy's QQ or GF(p), so that rank,
+    null space and inverse are taken in the field itself."""
+    if field.kind == "prime":
+        dom = sympy.GF(field.p)
+        vals = [[dom(x.value) for x in row] for row in rows]
+    else:
+        dom = sympy.QQ
+        vals = [[dom(x.numerator, x.denominator) for x in row]
+                for row in rows]
+    return DomainMatrix(vals, (len(rows), len(rows[0])), dom)
+
+
+def from_domain(row, field: Field = QQ) -> tuple:
+    """Entries of a DomainMatrix row as field scalars."""
+    if field.kind == "prime":
+        return tuple(field.from_int(int(x)) for x in row)
+    return tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row)
+
+
+def sympy_rank(rows, field: Field = QQ) -> int:
+    return domain_matrix(rows, field).rank()
 
 
 def vandermonde(ts):
@@ -247,7 +267,7 @@ def bracket_vectors(field: Field, vectors):
             f"need {k} vectors of length {k} for a full bracket")
     # a determinant is unchanged by transposition, so the column vectors
     # serve as rows
-    return det([[field.scalar(x) for x in v] for v in vectors], field)
+    return field_det([[field.scalar(x) for x in v] for v in vectors], field)
 
 
 def is_degenerate(config: Configuration) -> bool:
@@ -255,17 +275,22 @@ def is_degenerate(config: Configuration) -> bool:
     if len(config) < config.dim + 1:
         raise MismatchError(
             f"need at least {config.dim + 1} points to test degeneracy")
-    return rank(config) <= config.dim
+    return sympy_rank([p.coords for p in config.points],
+                      config.field) <= config.dim
 
 
 def model_from_json(obj: dict, field: Field) -> RNCModel:
-    """The inverse of curve.model_to_json."""
+    """The inverse of curve.model_to_json; the inverse frame map, which
+    the JSON leaves out, is recomputed by sympy."""
+    frame_map = tuple(
+        tuple(field.parse(c) for c in row) for row in obj["frame_map"])
+    inverse = domain_matrix(frame_map, field).inv().to_list()
     return RNCModel(
         dim=int(obj["dim"]),
         field=field,
-        frame_map=tuple(
-            tuple(field.parse(c) for c in row) for row in obj["frame_map"]),
+        frame_map=frame_map,
         alphas=tuple(field.parse(a) for a in obj["alphas"]),
+        frame_inverse=tuple(from_domain(row, field) for row in inverse),
     )
 
 
@@ -297,17 +322,11 @@ def hyperplane_intersection(planes) -> ProjectivePoint:
     for h in planes:
         if h.field != field or h.dim != d:
             raise MismatchError("hyperplanes mix fields or dimensions")
-    rows, pivots = rref([list(h.coords) for h in planes], field)
-    free = [c for c in range(d + 1) if c not in pivots]
-    if len(free) != 1:
+    null = domain_matrix([h.coords for h in planes], field).nullspace()
+    if null.shape[0] != 1:
         raise DegenerateInputError(
-            f"intersection has dimension {d - len(pivots)}, not a point")
-    f = free[0]
-    coords = [field.zero] * (d + 1)
-    coords[f] = field.one
-    for r, c in enumerate(pivots):
-        coords[c] = -rows[r][f]
-    return ProjectivePoint(tuple(coords), field)
+            f"intersection has dimension {null.shape[0] - 1}, not a point")
+    return ProjectivePoint(from_domain(null.to_list()[0], field), field)
 
 
 # ---------------------------------------------------------------------------

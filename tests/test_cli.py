@@ -101,7 +101,9 @@ def test_verify_instance_file(tmp_path, capsys):
     code, out, err = run_cli(["verify", "--input", str(path)], capsys)
     assert code == 0
     cert = json.loads(out)
-    assert cert["schema"] == "vonstaudt-cert/1"
+    assert cert["schema"] == "vonstaudt-cert/2"
+    assert cert["construction_ok"] is True
+    assert cert["sample_seed"] is None
     assert cert["verdict"] is True
     assert cert["psi_total"] == 56
     assert cert["psi_zero"] == 56
@@ -137,6 +139,34 @@ def test_verify_tampered_instance(tmp_path, capsys):
     cert = json.loads(out)
     assert cert["verdict"] is False
     assert cert["psi_zero"] < cert["psi_total"] or not cert["glp_ok"]
+
+
+@pytest.mark.parametrize("key", ["vertices", "planes", "points"])
+def test_verify_rejects_data_from_another_seed(tmp_path, capsys, key):
+    """Stored data that the parameters do not build fails the construction
+    check, even when its vertices satisfy every equation."""
+    own = json.loads(gen_instance_file(tmp_path, capsys, 3, 11).read_text())
+    other = json.loads(gen_instance_file(tmp_path, capsys, 3, 12).read_text())
+    own[key] = other[key]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(own))
+    code, out, _ = run_cli(["verify", "--input", str(path)], capsys)
+    cert = json.loads(out)
+    assert code == 1
+    assert cert["construction_ok"] is False and cert["verdict"] is False
+
+
+def test_verify_records_sample_seed(tmp_path, capsys):
+    path = gen_instance_file(tmp_path, capsys, d=6, extra=(
+        "--field", "prime:101"))
+    outs = []
+    for seed in ("3", "4"):
+        code, out, _ = run_cli(["verify", "--input", str(path), "--sample",
+                                "5", "--seed", seed], capsys)
+        assert code == 0
+        assert json.loads(out)["sample_seed"] == int(seed)
+        outs.append(out)
+    assert outs[0] != outs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +230,13 @@ def test_check_psi_golden_output(capsys, name, expected):
     (["gen-instance", "--d", "4", "--seed", "3", "--field", "prime:101"],
      "gen-instance-d4-seed3-prime101.json"),
     (["fit-curve", "--input", str(DATA / "d3.json")], "d3.fit-curve.json"),
+    (["fit-curve", "--input", str(DATA / "d5.json")], "d5.fit-curve.json"),
+    (["fit-curve", "--input",
+      str(DATA / "gen-instance-d4-seed3-prime101.json")],
+     "gen-instance-d4-seed3-prime101.fit-curve.json"),
     (["dual-check", "--input", str(DATA / "d3.json")], "d3.dual-check.json"),
 ], ids=["gen-instance-d3", "gen-instance-d4-mod101", "fit-curve",
-        "dual-check"])
+        "fit-curve-d5", "fit-curve-d4-mod101", "dual-check"])
 def test_serialization_golden_output(capsys, argv, name):
     """Parameters, curve points, planes, vertices and fitted models are
     written byte for byte as recorded in the data files."""
@@ -503,14 +537,46 @@ def _param_in_p2(obj):
     return obj
 
 
+def _param_row_string(obj):
+    # read character by character, "15" would be the parameter [1:5]
+    obj["params"][0] = "15"
+    return obj
+
+
+def _degree_string(obj):
+    obj["d"] = str(obj["d"])
+    return obj
+
+
+def _degree_float(obj):
+    obj["d"] += 0.7
+    return obj
+
+
+def _dim_float(obj):
+    obj["vertices"]["dim"] += 0.2
+    return obj
+
+
+def _prime_string(obj):
+    obj["field"]["p"] = str(obj["field"]["p"])
+    return obj
+
+
 @pytest.mark.parametrize("field,corrupt", [
     ("rationals", _zero_denominator),
     ("rationals", _points_not_a_list),
     ("prime:101", _param_without_residue),
     ("rationals", _not_an_object),
     ("rationals", _param_in_p2),
+    ("rationals", _param_row_string),
+    ("rationals", _degree_string),
+    ("rationals", _degree_float),
+    ("rationals", _dim_float),
+    ("prime:101", _prime_string),
 ], ids=["param-1-over-0", "points-5", "param-1-over-101-mod-101",
-        "not-an-object", "param-in-p2"])
+        "not-an-object", "param-in-p2", "param-row-string", "d-string",
+        "d-float", "dim-float", "p-string"])
 @pytest.mark.parametrize("command", ["verify", "check-psi"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, field, corrupt):
     path = gen_instance_file(tmp_path, capsys, d=5, extra=("--field", field))
@@ -611,7 +677,7 @@ def test_fuzzed_instance_exit_contract(obj, command):
         assert err.startswith("error: ") and err.count("\n") == 1
     elif command == "verify":
         cert = json.loads(out)
-        assert cert["schema"] == "vonstaudt-cert/1"
+        assert cert["schema"] == "vonstaudt-cert/2"
         assert cert["verdict"] is (code == 0)
     else:
         reports = [json.loads(line) for line in out.splitlines()]

@@ -18,6 +18,7 @@ from oracles import (
     product_form_coords,
     rand_distinct_fractions,
     rand_fraction,
+    sympy_det,
 )
 from rncgeom.curve import (
     RNCModel,
@@ -352,8 +353,7 @@ def test_fit_transformed_frame(rng):
     d = 2
     while True:
         m = [[rand_fraction(rng) for _ in range(d + 1)] for _ in range(d + 1)]
-        from rncgeom.projective import det
-        if det(m, QQ):
+        if sympy_det(m):
             break
     ts = rand_distinct_fractions(rng, d + 4)
     pts = []

@@ -1,5 +1,6 @@
 """Whole-package guards: the standard library only, no worker processes
-or threads, and an explicit public API."""
+or threads, one integer kernel for exact linear algebra, and an explicit
+public API."""
 
 import ast
 import sys
@@ -35,6 +36,15 @@ def test_package_imports_only_the_standard_library():
 def test_package_starts_no_processes_or_threads():
     for path in SOURCES:
         assert not imported_top_modules(path) & CONCURRENCY, path.name
+
+
+def test_no_linear_algebra_over_field_scalars():
+    """Determinants and ranks run on integer representatives only; the
+    Gauss-Jordan stack over Fraction/Residue scalars stays out."""
+    import rncgeom.projective
+
+    for name in ("det", "rref", "rank", "mat_inverse"):
+        assert not hasattr(rncgeom.projective, name), name
 
 
 def test_public_api_is_an_explicit_list():

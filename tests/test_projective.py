@@ -23,14 +23,10 @@ from rncgeom.projective import (
     ProjectivePoint,
     bracket,
     canonical_coords,
+    _rank_int,
     config_from_json,
     config_to_json,
-    det,
     is_general_linear_position,
-    mat_inverse,
-    mat_vec,
-    rank,
-    rref,
 )
 
 FP = PrimeField(101)
@@ -102,27 +98,49 @@ def test_det_vandermonde_example():
     assert bracket(points) == vandermonde([2, 3, 5])
 
 
+def random_points(rng, n, field):
+    """n random points of P^(n-1), now and then repeating the last one."""
+    points = []
+    while len(points) < n:
+        if points and rng.random() < 0.1:
+            points.append(points[-1])
+            continue
+        if field == QQ:
+            row = [rand_fraction(rng) for _ in range(n)]
+        else:
+            row = [field.from_int(rng.randint(0, field.p - 1))
+                   for _ in range(n)]
+        if any(row):
+            points.append(ProjectivePoint(tuple(row), field))
+    return points
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_matches_sympy(rng, n):
     for _ in range(8):
-        m = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-        assert det(m, QQ) == sympy_det(m)
+        points = random_points(rng, n, QQ)
+        assert bracket(points) == sympy_det([p.coords for p in points])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_matches_sympy_mod_p(rng, n):
     for _ in range(8):
-        m = [[FP.from_int(rng.randint(0, 100)) for _ in range(n)]
-             for _ in range(n)]
-        assert det(m, FP) == sympy_det(m, FP)
+        points = random_points(rng, n, FP)
+        assert bracket(points) == sympy_det([p.coords for p in points], FP)
 
 
 def test_det_prime_agrees_with_rational_reduction(rng):
+    # entries in [-50, 50] keep every leading coordinate nonzero mod 101,
+    # so both fields scale the rows alike
     for n in (2, 3, 4, 5):
-        m = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-        d_q = det([[Fraction(x) for x in row] for row in m], QQ)
-        d_p = det([[FP.from_int(x) for x in row] for row in m], FP)
-        assert FP.scalar(d_q) == d_p
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        if not all(any(row) for row in rows):
+            continue
+        b_q = bracket([ProjectivePoint(tuple(map(Fraction, row)), QQ)
+                       for row in rows])
+        b_p = bracket([ProjectivePoint(tuple(map(FP.from_int, row)), FP)
+                       for row in rows])
+        assert FP.scalar(b_q) == b_p
 
 
 @given(st.integers(2, 4), st.data())
@@ -161,59 +179,28 @@ def test_bracket_validates_shape():
 
 
 # ---------------------------------------------------------------------------
-# ranks, solving, intersections
+# ranks, intersections
 
 
 def test_rank_matches_sympy(rng):
-    for _ in range(10):
-        n = rng.randint(2, 6)
-        d = rng.randint(1, 4)
-        rows = []
-        # random points, some of them deliberate duplicates
-        while len(rows) < n:
-            if rows and rng.random() < 0.3:
-                rows.append(rows[rng.randrange(len(rows))])
-            else:
-                row = [rand_fraction(rng) for _ in range(d + 1)]
-                if any(row):
-                    rows.append(row)
-        config = config_of(*rows)
-        assert rank(config) == sympy_rank(
-            [list(p.coords) for p in config.points])
-
-
-def test_rref_reduces_to_pivot_identity():
-    m = [[Fraction(1), Fraction(2), Fraction(3)],
-         [Fraction(2), Fraction(4), Fraction(7)]]
-    rows, pivots = rref(m, QQ)
-    assert pivots == [0, 2]
-    for r, c in enumerate(pivots):
-        assert rows[r][c] == 1
-        for r2 in range(len(rows)):
-            if r2 != r:
-                assert rows[r2][c] == 0
-
-
-def test_mat_inverse_and_solve(rng):
-    for n in (1, 2, 3, 4, 5):
-        while True:
-            m = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-            if det(m, QQ):
-                break
-        inv = mat_inverse(m, QQ)
-        prod = [[sum((inv[i][k] * m[k][j] for k in range(n)), Fraction(0))
-                 for j in range(n)] for i in range(n)]
-        assert prod == [[Fraction(int(i == j)) for j in range(n)]
-                        for i in range(n)]
-        rhs = [rand_fraction(rng) for _ in range(n)]
-        x = mat_vec(inv, rhs)
-        assert mat_vec(m, x) == rhs
-
-
-def test_mat_inverse_rejects_singular():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(DegenerateInputError):
-        mat_inverse(m, QQ)
+    """The integer rank equals sympy's rank taken in the field itself: over
+    Q, and mod small primes, where it can differ from the rank of the
+    integer lifts."""
+    for p in (0, 2, 3, 5, 101):
+        field = PrimeField(p) if p else QQ
+        for _ in range(60):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            rows = []
+            while len(rows) < n:
+                if rows and rng.random() < 0.3:
+                    # a combination of earlier rows
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    k = rng.randint(-3, 3)
+                    rows.append([x + k * y for x, y in zip(a, b)])
+                else:
+                    rows.append([rng.randint(-6, 6) for _ in range(m)])
+            scalars = [[field.from_int(x) for x in row] for row in rows]
+            assert _rank_int(rows, p) == sympy_rank(scalars, field)
 
 
 def test_hyperplane_intersection_coordinate_planes():
@@ -251,6 +238,31 @@ def test_glp_fails_on_collinear_triple():
 def test_glp_small_configs_use_rank():
     assert is_general_linear_position(config_of((1, 0, 0), (0, 1, 0)))
     assert not is_general_linear_position(config_of((1, 0, 0), (1, 0, 0)))
+
+
+def test_glp_small_configs_match_sympy(rng):
+    """With at most d+1 points, general position is full rank in the field:
+    the integer lifts of (1,0,60), (0,1,60), (1,1,19) are independent, but
+    mod 101 the third is the sum of the other two."""
+    rows = ((1, 0, 60), (0, 1, 60), (1, 1, 19))
+    lifted = config_of(*rows)
+    reduced = Configuration(field=FP, dim=2, points=tuple(
+        ProjectivePoint(tuple(map(FP.from_int, row)), FP) for row in rows))
+    assert is_general_linear_position(lifted)
+    assert not is_general_linear_position(reduced)
+    for field in (QQ, FP):
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            n = rng.randint(1, d + 1)
+            points = []
+            while len(points) < n:
+                row = [field.from_int(rng.randint(-2, 2))
+                       for _ in range(d + 1)]
+                if any(row):
+                    points.append(ProjectivePoint(tuple(row), field))
+            config = Configuration(field=field, dim=d, points=tuple(points))
+            full = sympy_rank([p.coords for p in points], field) == n
+            assert is_general_linear_position(config) == full
 
 
 def test_degenerate_requires_enough_points():

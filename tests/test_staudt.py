@@ -15,10 +15,7 @@ from rncgeom.identities import first_group, second_group, vertex_polys
 from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
-    det,
-    mat_inverse,
     mat_vec,
-    rank,
 )
 from rncgeom.staudt import (
     build_instance,
@@ -40,10 +37,14 @@ from rncgeom.errors import (
 
 from oracles import (
     contains,
+    domain_matrix,
     evaluate,
+    from_domain,
     hyperplane_intersection,
     pairing,
     rand_distinct_fractions,
+    sympy_det,
+    sympy_rank,
 )
 
 
@@ -161,7 +162,7 @@ def test_group_vertices_span():
             sub = Configuration(
                 field=QQ, dim=d,
                 points=tuple(inst.vertices.points[k - 1] for k in group))
-            assert rank(sub) == d + 1
+            assert sympy_rank([p.coords for p in sub.points]) == d + 1
 
 
 def test_hexagon_vertices():
@@ -366,14 +367,16 @@ def test_verdict_invariant_under_group_permutations():
         assert vertex_set == reference
 
 
-def test_verdict_invariant_under_projective_transformation(rng):
+def test_bracket_checks_invariant_under_projective_transformation(rng):
     inst = small_instance(2, seed=11)
     while True:
         matrix = [[Fraction(rng.randint(-5, 5)) for _ in range(3)]
                   for _ in range(3)]
-        if det(matrix, QQ) != 0:
+        if sympy_det(matrix) != 0:
             break
-    inverse_t = [list(row) for row in zip(*mat_inverse(matrix, QQ))]
+    inverse = [from_domain(row)
+               for row in domain_matrix(matrix).inv().to_list()]
+    inverse_t = [list(row) for row in zip(*inverse)]
     points = tuple(
         ProjectivePoint(tuple(mat_vec(matrix, p.coords)), QQ)
         for p in inst.vertices.points)
@@ -386,14 +389,19 @@ def test_verdict_invariant_under_projective_transformation(rng):
     moved = dataclasses.replace(
         inst, curve_points=curve_points, planes=planes,
         vertices=Configuration(field=QQ, dim=2, points=points))
-    # incidences survive the transformation, and so does the verdict
+    # incidences survive the transformation, and so does every check made
+    # on the vertices; the moved data is no longer the standard
+    # construction of its parameters, so the verdict is false
     for k in range(1, 7):
         vertex = moved.vertices.points[k - 1]
         for j in group_of_label(2, k):
             assert contains(moved.planes[j - 1], vertex) == (j != k)
     cert = verify_instance(moved, with_castelnuovo=True)
-    assert cert.verdict
+    assert cert.glp_ok
+    assert cert.psi_zero == cert.psi_total and not cert.psi_failures
     assert cert.castelnuovo_ok is True
+    assert cert.construction_ok is False
+    assert not cert.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +508,20 @@ def test_instance_json_prime_round_trip():
 def test_certificate_json_round_trip():
     cert = verify_instance(small_instance(2, seed=1), with_castelnuovo=True)
     obj = certificate_to_json(cert)
-    assert obj["schema"] == "vonstaudt-cert/1"
+    assert obj["schema"] == "vonstaudt-cert/2"
     assert certificate_from_json(obj) == cert
+
+
+def test_certificate_json_reads_schema_one():
+    """A certificate written before the construction check and the sample
+    seed still loads, with both read as null."""
+    cert = verify_instance(small_instance(2, seed=1), sample=1,
+                           sample_seed=7)
+    obj = certificate_to_json(cert)
+    obj["schema"] = "vonstaudt-cert/1"
+    del obj["construction_ok"], obj["sample_seed"]
+    assert certificate_from_json(obj) == dataclasses.replace(
+        cert, construction_ok=None, sample_seed=None)
 
 
 def test_certificate_json_keeps_failures():
