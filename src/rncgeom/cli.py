@@ -14,14 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from math import comb
 from typing import Optional
 
 from .curve import fit_and_test, model_to_json
 from .equations import (
     _unrank_combination,
-    evaluate_many,
-    report_to_json,
+    equation_products,
+    report_line,
     sample_equations,
     sample_ranks,
 )
@@ -73,12 +74,19 @@ def _field_label(field: Field) -> str:
     return "rationals" if field == QQ else f"prime:{field.p}"
 
 
-def _write_text(text: str, output: Optional[str]) -> None:
+@contextmanager
+def _output_stream(output: Optional[str]):
+    """Standard output, or the named file opened for writing."""
     if output is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(text: str, output: Optional[str]) -> None:
+    with _output_stream(output) as fh:
+        fh.write(text)
 
 
 def _write_json(obj, output: Optional[str]) -> None:
@@ -119,8 +127,9 @@ def _cmd_verify(args) -> int:
         sample_seed=args.seed)
     _write_json(certificate_to_json(cert), args.output)
     cast = "skipped" if cert.castelnuovo_ok is None else cert.castelnuovo_ok
-    _note(f"verdict={cert.verdict} glp={cert.glp_ok} "
-          f"psi={cert.psi_zero}/{cert.psi_total} castelnuovo={cast}")
+    _note(f"verdict={cert.verdict} construction={cert.construction_ok} "
+          f"glp={cert.glp_ok} psi={cert.psi_zero}/{cert.psi_total} "
+          f"castelnuovo={cast}")
     return 0 if cert.verdict else 1
 
 
@@ -136,13 +145,16 @@ def _cmd_check_psi(args) -> int:
     if args.n is not None and len(config) != args.n:
         raise ValueError(
             f"configuration has {len(config)} points, --n said {args.n}")
-    eqs = sample_equations(config.dim, len(config), args.sample, args.seed)
-    reports = evaluate_many(config, eqs)
-    _write_lines(
-        (report_to_json(r, config.field) for r in reports), args.output)
-    nonzero = sum(1 for r in reports if r.nonzero)
-    _note(f"equations={len(reports)} nonzero={nonzero} "
-          f"member={nonzero == 0}")
+    products = equation_products(config, args.sample, args.seed)
+    table = config.bracket_table
+    total = nonzero = 0
+    with _output_stream(args.output) as fh:
+        write = fh.write
+        for support, sextet, n1, n2 in products:
+            total += 1
+            nonzero += n1 != n2
+            write(report_line(table, support, sextet, n1, n2))
+    _note(f"equations={total} nonzero={nonzero} member={nonzero == 0}")
     return 0 if nonzero == 0 else 1
 
 

@@ -16,7 +16,10 @@ Evaluation reads the configuration's integer bracket table, so each sorted
 column set is computed once however many equations share it.  Which sorted
 column sets an equation needs depends only on where I sits inside J, and
 sorting the written columns never changes a monomial's sign; a per-degree
-template holds the sorted sets, and each support turns it into labels.
+template holds, for each sextet position, the indices of its eight sorted
+sets among the C(d+4, d+1) column sets of a support.  A full check walks
+the supports once each, reads each support's minors into one list and
+multiplies along the template, building no per-equation objects.
 Both monomials then are products of plain integers over one common scale:
 every sextet label appears twice and every shared label four times in each.
 monomial_products is the one place the monomials are multiplied; the
@@ -29,9 +32,9 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -193,10 +196,15 @@ def inversion_count(seq: Sequence[int]) -> int:
 
 
 class _Template(dict):
-    """For each sextet I of the local positions 0..dim+3 of a support, per
-    monomial, getters that pick each bracket's sorted column labels out of
-    the support tuple.  Getters are built on first lookup, so a sample
-    compiles only the sextets its equations use.
+    """Where each equation's eight brackets sit among its support's.
+
+    ``columns`` picks each sorted (dim+1)-subset of the support's local
+    positions 0..dim+3 out of a support tuple, in combinations order.  For
+    each sextet I of local positions the template holds a picker for I's
+    labels and, per monomial, the indices into ``columns`` of its four
+    brackets.  Entries are built on first lookup, so a sample compiles only
+    the sextets its equations use; ``every`` holds all of them, in
+    enumeration order, for a walk over whole supports.
 
     Sorting needs no sign: the triples are written in increasing order, and
     a sextet label crosses a smaller shared label in two brackets of each
@@ -206,19 +214,39 @@ class _Template(dict):
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
+        local = list(combinations(range(dim + 4), dim + 1))
+        self.columns = [itemgetter(*cols) for cols in local]
+        self._index = {cols: i for i, cols in enumerate(local)}
 
     def __missing__(self, sextet: tuple[int, ...]) -> tuple:
         shared = tuple(k for k in range(self.dim + 4) if k not in sextet)
-        value = self[sextet] = tuple(
-            tuple(itemgetter(*sorted(tuple(sextet[p] for p in t) + shared))
-                  for t in triples)
+        value = self[sextet] = (itemgetter(*sextet),) + tuple(
+            tuple(self._index[tuple(sorted(
+                tuple(sextet[p] for p in t) + shared))] for t in triples)
             for triples in (_TRIPLES_FIRST, _TRIPLES_SECOND))
         return value
+
+    @cached_property
+    def every(self) -> list[tuple]:
+        return [self[s] for s in combinations(range(self.dim + 4), 6)]
 
 
 @cache
 def _template(dim: int) -> _Template:
     return _Template(dim)
+
+
+def equation_scale(scales: Sequence[int], support: Sequence[int],
+                   sextet: Sequence[int]) -> int:
+    """The common denominator of both monomials over Q: each bracket is its
+    integer over the product of its columns' scales, and in each monomial
+    every sextet label appears twice and every shared label four times."""
+    whole = inner = 1
+    for k in support:
+        whole *= scales[k - 1]
+    for k in sextet:
+        inner *= scales[k - 1]
+    return (whole * whole // inner) ** 2
 
 
 @dataclass(slots=True)
@@ -247,16 +275,8 @@ class EquationReport:
         if not n:
             return Fraction(0)
         if self._scale is None:
-            # over Q each bracket is its integer over the product of its
-            # columns' scales: sextet labels appear twice in a monomial,
-            # shared labels four times
-            scales = table.scales
-            support = sextet = 1
-            for k in self.equation.support:
-                support *= scales[k - 1]
-            for k in self.equation.sextet:
-                sextet *= scales[k - 1]
-            self._scale = (support * support // sextet) ** 2
+            eq = self.equation
+            self._scale = equation_scale(table.scales, eq.support, eq.sextet)
         return Fraction(n, self._scale)
 
     @property
@@ -282,47 +302,109 @@ def report_to_json(report: EquationReport, field: Field) -> dict:
     }
 
 
-def _check_match(config: Configuration, eq: BracketEquation) -> None:
-    if config.dim != eq.dim or len(config) != eq.n_points:
+def format_ratio(n: int, scale: int) -> str:
+    """str(Fraction(n, scale)) for a positive scale, by one gcd."""
+    if not n:
+        return "0"
+    g = gcd(n, scale)
+    if g == scale:
+        return str(n // g)
+    return f"{n // g}/{scale // g}"
+
+
+def report_line(table: BracketTable, support: Sequence[int],
+                sextet: Sequence[int], n1: int, n2: int) -> str:
+    """The JSON line json.dumps(report_to_json(...)) gives for the equation
+    (support, sextet) with products n1, n2 on the table, with its newline,
+    formed straight from the integers."""
+    p = table.modulus
+    if p:
+        m1, m2, value = n1, n2, (n1 - n2) % p
+    else:
+        scale = (equation_scale(table.scales, support, sextet)
+                 if n1 or n2 else 1)
+        m1 = format_ratio(n1, scale)
+        m2 = m1 if n1 == n2 else format_ratio(n2, scale)
+        value = format_ratio(n1 - n2, scale)
+    return (f'{{"J": {list(support)}, "I": {list(sextet)}, '
+            f'"m1": "{m1}", "m2": "{m2}", "value": "{value}"}}\n')
+
+
+def check_match(config: Configuration, dim: int, n_points: int) -> None:
+    """Refuse a configuration that is not n_points points in P^dim."""
+    if config.dim != dim or len(config) != n_points:
         raise MismatchError(
-            f"equation for {eq.n_points} points in P^{eq.dim} does not match "
+            f"equation for {n_points} points in P^{dim} does not match "
             f"{len(config)} points in P^{config.dim}")
 
 
 def monomial_products(minor: Callable, dim: int,
-                      eqs: Iterable[BracketEquation]) -> Iterator[tuple]:
-    """(eq, n1, n2) for each equation: the products of minor(cols) over
-    the sorted column tuples of its first and second monomial.
+                      picks: Iterable[tuple]) -> Iterator[tuple]:
+    """(support, sextet, n1, n2) for each equation picked: the products of
+    minor(cols) over the sorted column tuples of its first and second
+    monomial.
 
-    minor is the bracket kernel's table: integer minors for evaluation,
-    factored or expanded symbolic brackets for the identities.  The
-    equations must all be in P^dim.
+    Each pick is a support and one sextet of it, or the support and None
+    for all its sextets in enumeration order.  A whole support reads each
+    of its C(dim+4, dim+1) minors once into a local list; one sextet reads
+    only its eight.  minor is the bracket kernel's table: integer minors
+    for evaluation, factored or expanded symbolic brackets for the
+    identities.
     """
     template = _template(dim)
-    support = None
-    for eq in eqs:
-        if eq.support != support:
-            support = eq.support
-            local = {label: k for k, label in enumerate(support)}.__getitem__
-        first, second = template[tuple(map(local, eq.sextet))]
-        a, b, c, e = first
-        n1 = (minor(a(support)) * minor(b(support)) * minor(c(support))
-              * minor(e(support)))
-        a, b, c, e = second
-        n2 = (minor(a(support)) * minor(b(support)) * minor(c(support))
-              * minor(e(support)))
-        yield eq, n1, n2
+    columns = template.columns
+    for support, sextet in picks:
+        if sextet is None:
+            m = [minor(cols(support)) for cols in columns]
+            entries = template.every
+        else:
+            entry = template[tuple(map(support.index, sextet))]
+            m = {i: minor(columns[i](support)) for i in entry[1] + entry[2]}
+            entries = (entry,)
+        for pick, (a, b, c, e), (f, g, h, k) in entries:
+            yield (support, pick(support), m[a] * m[b] * m[c] * m[e],
+                   m[f] * m[g] * m[h] * m[k])
+
+
+def equation_products(config: Configuration, sample: Optional[int] = None,
+                      seed: int = 0) -> Iterator[tuple]:
+    """(support, sextet, n1, n2) for every equation on the configuration,
+    or for a seeded sample of them (as sample_equations picks), in
+    enumeration order, n1 and n2 reduced mod p over Z/p.
+
+    A full run walks the supports once each and builds no equation
+    objects; a sample reads only the brackets its equations use.  The
+    point count is checked here, before the first product is asked for.
+    """
+    d, n = config.dim, len(config)
+    ranks = sample_ranks(count_equations(d, n), sample, seed)
+    if isinstance(ranks, range):
+        picks = ((support, None)
+                 for support in combinations(range(1, n + 1), d + 4))
+    else:
+        eqs = (equation_at(d, n, r) for r in ranks)
+        picks = ((eq.support, eq.sextet) for eq in eqs)
+    table = config.bracket_table
+    products = monomial_products(table.minor, d, picks)
+    p = table.modulus
+    if p:
+        return ((J, I, n1 % p, n2 % p) for J, I, n1, n2 in products)
+    return products
 
 
 def evaluate_many(config: Configuration,
                   eqs: Sequence[BracketEquation]) -> list[EquationReport]:
-    """Exact values of the equations on the configuration, in order."""
+    """Exact values of the equations on the configuration, in order, each
+    read bracket by bracket: the slow path the streaming evaluation of
+    equation_products is pinned against."""
     for eq in eqs:
-        _check_match(config, eq)
+        check_match(config, eq.dim, eq.n_points)
     table = config.bracket_table
     p = table.modulus
     out = []
-    for eq, n1, n2 in monomial_products(table.minor, config.dim, eqs):
+    products = monomial_products(
+        table.minor, config.dim, ((eq.support, eq.sextet) for eq in eqs))
+    for eq, (_, _, n1, n2) in zip(eqs, products):
         if p:
             n1 %= p
             n2 %= p

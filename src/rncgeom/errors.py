@@ -27,9 +27,21 @@ def malformed_input(what: str):
         raise ValueError(f"malformed {what}: {exc}") from None
 
 
+_JSON_TYPES = {int: "a JSON integer", bool: "a JSON boolean",
+               type(None): "null"}
+
+
+def json_typed(value, what: str, *types: type):
+    """The value if its type is exactly one of types (int, bool or
+    NoneType), refusing what int() or bool() would quietly convert: a bool
+    is no integer here, and the string "false" no boolean."""
+    if type(value) not in types:
+        kinds = " or ".join(_JSON_TYPES[t] for t in types)
+        raise TypeError(f"{what} must be {kinds}, got {value!r}")
+    return value
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer, refusing the bool, float or string that int() would
     quietly convert."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be a JSON integer, got {value!r}")
-    return value
+    return json_typed(value, what, int)

@@ -251,7 +251,7 @@ def verify_equation_identity(
             return vertex_bracket_poly(d, SubsetSplit(d, cols))
     else:
         raise ValueError(f"unknown method {method!r}")
-    [(_, n1, n2)] = monomial_products(minor, d, [eq])
+    [(_, _, n1, n2)] = monomial_products(minor, d, [(eq.support, eq.sextet)])
     return n1 == n2
 
 

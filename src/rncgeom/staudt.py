@@ -29,8 +29,10 @@ from .curve import (
 )
 from .equations import (
     BracketEquation,
+    _equation,
+    check_match,
     equation_from_json,
-    evaluate_many,
+    equation_products,
     sample_equations,
 )
 from .errors import (
@@ -38,6 +40,7 @@ from .errors import (
     DegenerateInputError,
     MismatchError,
     json_int,
+    json_typed,
     malformed_input,
 )
 from .fields import (
@@ -194,31 +197,42 @@ def verify_instance(inst: VonStaudtInstance,
     general linear position of the vertices, then vanishing of every (or
     every sampled) equation, then optionally the fitted-curve cross-check.
     The middle two read one bracket table of the vertices, so each bracket
-    is computed once.  A sampled run records its sample seed.
+    is computed once.  A sampled run records its sample seed.  Equations
+    are streamed: only a failing one becomes a BracketEquation.
 
-    The evaluator hook lets a caller observe or replace the evaluation of
-    the equation reports; it must return them in the order given.
+    The evaluator hook, used by the benchmark's traced pass, lets a caller
+    observe or replace the evaluation: it gets the selected equations and
+    must return their reports (as equations.evaluate_many does), in order.
     """
     d = inst.d
+    n = 2 * d + 2
     config = inst.vertices
     # the stored points, planes and vertices are what the parameters build
     construction_ok = inst == build_instance(d, inst.params, inst.field,
                                              inst.seed)
     glp_ok = is_general_linear_position(config)
-    eqs = sample_equations(d, 2 * d + 2, sample, sample_seed)
+    check_match(config, d, n)
     if evaluator is None:
-        reports = evaluate_many(config, eqs)
+        total = 0
+        failures = []
+        for support, sextet, n1, n2 in equation_products(config, sample,
+                                                         sample_seed):
+            total += 1
+            if n1 != n2:
+                failures.append(_equation(d, n, support, sextet))
     else:
-        reports = evaluator(config, eqs)
-    failures = tuple(r.equation for r in reports if r.nonzero)
+        reports = evaluator(config, sample_equations(d, n, sample,
+                                                     sample_seed))
+        total = len(reports)
+        failures = [r.equation for r in reports if r.nonzero]
     castelnuovo_ok = castelnuovo_check(inst) if with_castelnuovo else None
     verdict = (construction_ok and glp_ok and not failures
                and castelnuovo_ok is not False)
     return Certificate(
         d=d, field=inst.field, seed=inst.seed,
         construction_ok=construction_ok, glp_ok=glp_ok,
-        psi_total=len(reports), psi_zero=len(reports) - len(failures),
-        psi_failures=failures, castelnuovo_ok=castelnuovo_ok,
+        psi_total=total, psi_zero=total - len(failures),
+        psi_failures=tuple(failures), castelnuovo_ok=castelnuovo_ok,
         sample=sample, sample_seed=None if sample is None else sample_seed,
         verdict=verdict)
 
@@ -308,23 +322,30 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 def certificate_from_json(obj: dict) -> Certificate:
     """Load a certificate; a vonstaudt-cert/1 one predates the
-    construction check and the sample seed, and reads them as null."""
-    if obj.get("schema") not in ("vonstaudt-cert/1", CERT_SCHEMA):
-        raise ValueError(f"unknown certificate schema {obj.get('schema')!r}")
-    d = int(obj["d"])
-    n = 2 * d + 2
-    return Certificate(
-        d=d,
-        field=field_from_json(obj["field"]),
-        seed=obj.get("seed"),
-        construction_ok=obj.get("construction_ok"),
-        glp_ok=bool(obj["glp_ok"]),
-        psi_total=int(obj["psi_total"]),
-        psi_zero=int(obj["psi_zero"]),
-        psi_failures=tuple(
-            equation_from_json(x, d, n) for x in obj["psi_failures"]),
-        castelnuovo_ok=obj.get("castelnuovo_ok"),
-        sample=obj.get("sample"),
-        sample_seed=obj.get("sample_seed"),
-        verdict=bool(obj["verdict"]),
-    )
+    construction check and the sample seed, and reads them as null.  Every
+    key must hold its own JSON type; anything else raises ValueError."""
+    null = type(None)
+    with malformed_input("certificate"):
+        if obj.get("schema") not in ("vonstaudt-cert/1", CERT_SCHEMA):
+            raise ValueError(
+                f"unknown certificate schema {obj.get('schema')!r}")
+        d = json_int(obj["d"], "d")
+        n = 2 * d + 2
+        return Certificate(
+            d=d,
+            field=field_from_json(obj["field"]),
+            seed=json_typed(obj.get("seed"), "seed", int, null),
+            construction_ok=json_typed(obj.get("construction_ok"),
+                                       "construction_ok", bool, null),
+            glp_ok=json_typed(obj["glp_ok"], "glp_ok", bool),
+            psi_total=json_int(obj["psi_total"], "psi_total"),
+            psi_zero=json_int(obj["psi_zero"], "psi_zero"),
+            psi_failures=tuple(
+                equation_from_json(x, d, n) for x in obj["psi_failures"]),
+            castelnuovo_ok=json_typed(obj.get("castelnuovo_ok"),
+                                      "castelnuovo_ok", bool, null),
+            sample=json_typed(obj.get("sample"), "sample", int, null),
+            sample_seed=json_typed(obj.get("sample_seed"), "sample_seed",
+                                   int, null),
+            verdict=json_typed(obj["verdict"], "verdict", bool),
+        )

@@ -156,6 +156,25 @@ def test_verify_rejects_data_from_another_seed(tmp_path, capsys, key):
     assert cert["construction_ok"] is False and cert["verdict"] is False
 
 
+def test_verify_summary_names_a_failed_construction(tmp_path, capsys):
+    """Vertices from another seed satisfy every equation; the stderr
+    summary shows that the construction check is what failed."""
+    own = json.loads(gen_instance_file(tmp_path, capsys, 3, 11).read_text())
+    other = json.loads(gen_instance_file(tmp_path, capsys, 3, 12).read_text())
+    own["vertices"] = other["vertices"]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(own))
+    code, out, err = run_cli(["verify", "--input", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["psi_failures"] == []
+    assert err == ("verdict=False construction=False glp=True psi=56/56 "
+                   "castelnuovo=skipped\n")
+    code, _, err = run_cli(["verify", "--input",
+                            str(DATA / "d3.json")], capsys)
+    assert code == 0
+    assert err.startswith("verdict=True construction=True glp=True ")
+
+
 def test_verify_records_sample_seed(tmp_path, capsys):
     path = gen_instance_file(tmp_path, capsys, d=6, extra=(
         "--field", "prime:101"))

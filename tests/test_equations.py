@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,9 @@ from rncgeom.equations import (
     enumerate_equations,
     equation_at,
     equation_from_json,
+    equation_products,
     evaluate_many,
+    format_ratio,
     inversion_count,
     lies_on_rnc,
     membership,
@@ -32,8 +37,14 @@ from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ, PrimeField
 from rncgeom.cli import main
 from rncgeom.projective import BracketTable, Configuration, ProjectivePoint
-from rncgeom.staudt import sample_instance, verify_instance
+from rncgeom.staudt import (
+    instance_from_json,
+    instance_to_json,
+    sample_instance,
+    verify_instance,
+)
 
+DATA = Path(__file__).parent / "data"
 FP = PrimeField(101)
 
 
@@ -150,11 +161,12 @@ def test_template_parities_match_inversion_count(d):
     support = tuple(range(1, d + 5))
     odd_brackets = 0
     for local in combinations(range(d + 4), 6):
-        getters = template[local]
+        pick, *monomials = template[local]
         eq = BracketEquation(dim=d, n_points=d + 4, support=support,
                              sextet=tuple(k + 1 for k in local))
-        for picks, written in zip(getters, eq.monomial_columns()):
-            assert [g(support) for g in picks] == [
+        assert pick(support) == eq.sextet
+        for picks, written in zip(monomials, eq.monomial_columns()):
+            assert [template.columns[i](support) for i in picks] == [
                 tuple(sorted(cols)) for cols in written]
             parities = [inversion_count(cols) % 2 for cols in written]
             assert sum(parities) % 2 == 0
@@ -305,6 +317,142 @@ def test_report_json_fields(rng):
     assert obj["J"] == [1, 2, 3, 4, 5, 6]
     assert Fraction(obj["m1"]) - Fraction(obj["m2"]) == Fraction(obj["value"])
     json.dumps(obj)
+
+
+# ---------------------------------------------------------------------------
+# streaming evaluation against the slow exact paths
+
+
+def stream_cases(field, d):
+    """Honest, tampered and degenerate vertices of one instance."""
+    honest = sample_instance(d, field, seed=d).vertices
+    return [honest, perturbed(honest, 3), repeated(honest)]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_equation_products_match_evaluate_many(field, d):
+    """The per-support walk gives the products, order, counts and failures
+    that evaluate_many gives equation by equation; so does verify_instance,
+    for full runs and for samples at or above the total."""
+    n = 2 * d + 2
+    total = count_equations(d, n)
+    eqs = list(enumerate_equations(d, n))
+    inst = sample_instance(d, field, seed=d)
+    for config in stream_cases(field, d):
+        reports = evaluate_many(config, eqs)
+        want = [(r.equation.support, r.equation.sextet, r.n1, r.n2)
+                for r in reports]
+        for sample in (None, total, total + 5):
+            assert list(equation_products(config, sample, seed=3)) == want
+        failures = tuple(r.equation for r in reports if r.nonzero)
+        tampered = dataclasses.replace(inst, vertices=config)
+        cert = verify_instance(tampered)
+        assert cert.psi_total == total
+        assert cert.psi_zero == total - len(failures)
+        assert cert.psi_failures == failures
+        assert cert == verify_instance(tampered, evaluator=evaluate_many)
+        assert verify_instance(tampered, sample=total, sample_seed=3) == \
+            dataclasses.replace(cert, sample=total, sample_seed=3)
+        if d <= 4:
+            vectors = [list(p.coords) for p in config.points]
+            step = 1 if d < 4 else 7
+            for eq, (_, _, n1, n2) in zip(eqs[::step], want[::step]):
+                oracle = evaluate_equation_vectors(field, vectors, eq)
+                assert (n1 != n2) == bool(oracle.value)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])
+@pytest.mark.parametrize("d", [3, 6])
+def test_sampled_products_match_evaluate_many(field, d):
+    n = 2 * d + 2
+    config = sample_instance(d, field, seed=1).vertices
+    for config in (config, perturbed(config, 2)):
+        for k, seed in ((1, 0), (17, 4), (200, 9)):
+            eqs = sample_equations(d, n, k, seed)
+            assert list(equation_products(config, k, seed)) == [
+                (r.equation.support, r.equation.sextet, r.n1, r.n2)
+                for r in evaluate_many(config, eqs)]
+
+
+def test_full_walk_reads_each_support_minor_once(monkeypatch):
+    """A full run looks up each of a support's C(d+4, d+1) minors once; a
+    sample looks up only the eight brackets of each of its equations."""
+    looked_up = []
+    minor = BracketTable.minor
+
+    def counted(self, cols):
+        looked_up.append(cols)
+        return minor(self, cols)
+
+    monkeypatch.setattr(BracketTable, "minor", counted)
+    d, n = 4, 11
+    config = curve_config(d, list(range(1, n + 1)))
+    assert sum(1 for _ in equation_products(config)) == count_equations(d, n)
+    assert len(looked_up) == comb(n, d + 4) * comb(d + 4, d + 1)
+    looked_up.clear()
+    assert len(list(equation_products(config, 1, seed=2))) == 1
+    assert len(looked_up) == len(set(looked_up)) == 8
+
+
+def test_equation_products_check_the_point_count():
+    config = curve_config(3, list(range(1, 7)))
+    with pytest.raises(MismatchError):
+        equation_products(config)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_check_psi_lines_match_report_json(field, d, tmp_path, capsys):
+    """Every streamed check-psi line is the json.dumps of report_to_json
+    for the same equation, on honest, tampered and degenerate vertices,
+    for full runs and samples below, at and above the total."""
+    n = 2 * d + 2
+    total = count_equations(d, n)
+    inst = sample_instance(d, field, seed=d)
+    for config in stream_cases(field, d):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance_to_json(
+            dataclasses.replace(inst, vertices=config))))
+        expected = {}
+        for sample in (None, 11, total, total + 1):
+            argv = ["check-psi", "--input", str(path), "--seed", "5"]
+            if sample is not None:
+                argv += ["--sample", str(sample)]
+            code = main(argv)
+            out = capsys.readouterr().out
+            picked = 11 if sample == 11 else None
+            if picked not in expected:
+                reports = evaluate_many(
+                    config, sample_equations(d, n, picked, 5))
+                expected[picked] = ("".join(
+                    json.dumps(report_to_json(r, field)) + "\n"
+                    for r in reports), int(any(r.nonzero for r in reports)))
+            assert (out, code) == expected[picked]
+
+
+@settings(max_examples=300)
+@given(n=st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                   st.integers(-10 ** 300, 10 ** 300)),
+       scale=st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 300)),
+       common=st.integers(1, 10 ** 40))
+def test_format_ratio_matches_fraction(n, scale, common):
+    for num, den in ((n, scale), (n * common, scale * common)):
+        assert format_ratio(num, den) == str(Fraction(num, den))
+
+
+def test_verify_peak_memory_stays_small():
+    """A full d=5 run keeps no per-equation objects: the traced peak stays
+    far below the ~7 MB that a report per equation took."""
+    inst = instance_from_json(json.loads((DATA / "d5.json").read_text()))
+    tracemalloc.start()
+    try:
+        cert = verify_instance(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict and cert.psi_total == 18480
+    assert peak < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -537,6 +537,36 @@ def test_certificate_json_keeps_failures():
     assert restored == cert
 
 
+@pytest.mark.parametrize("key,bad", [
+    ("d", 2.9), ("d", "2"), ("d", True),
+    ("psi_total", 1.0), ("psi_total", "1"), ("psi_zero", False),
+    ("glp_ok", "false"), ("glp_ok", 1), ("glp_ok", None),
+    ("verdict", "false"), ("verdict", 0), ("verdict", None),
+    ("construction_ok", "true"), ("construction_ok", 1),
+    ("castelnuovo_ok", "false"), ("castelnuovo_ok", 0),
+    ("sample", 5.0), ("sample", "5"), ("sample", True),
+    ("sample_seed", "7"), ("sample_seed", False),
+    ("seed", 1.5), ("seed", "1"),
+])
+def test_certificate_json_refuses_wrong_types(key, bad):
+    """Each key holds its own JSON type; what int() or bool() would quietly
+    convert is refused with one line, whichever schema is read."""
+    cert = verify_instance(small_instance(2, seed=1), sample=1,
+                           sample_seed=7)
+    for schema in ("vonstaudt-cert/1", "vonstaudt-cert/2"):
+        obj = certificate_to_json(cert)
+        obj["schema"] = schema
+        obj[key] = bad
+        with pytest.raises(ValueError) as err:
+            certificate_from_json(obj)
+        assert key in str(err.value) and "\n" not in str(err.value)
+
+
+def test_certificate_json_refuses_non_object():
+    with pytest.raises(ValueError):
+        certificate_from_json(["vonstaudt-cert/2"])
+
+
 def test_certificate_json_rejects_unknown_schema():
     cert = verify_instance(small_instance(2, seed=1))
     obj = certificate_to_json(cert)
