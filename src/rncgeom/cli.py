@@ -20,10 +20,13 @@ from typing import Optional
 
 from .curve import fit_and_test, model_to_json
 from .equations import (
+    _equation,
     _unrank_combination,
+    equation_picks,
     equation_products,
+    membership,
+    monomial_products,
     report_line,
-    sample_equations,
     sample_ranks,
 )
 from .errors import DegenerateInputError
@@ -31,12 +34,16 @@ from .fields import QQ, Field, PrimeField, field_to_json
 from .identities import (
     SubsetSplit,
     factorization_record,
+    identity_minor,
     identity_record,
     require_degree,
-    verify_equation_identity,
     verify_factorization,
 )
-from .projective import Configuration, config_from_json
+from .projective import (
+    Configuration,
+    config_from_json,
+    is_general_linear_position,
+)
 from .staudt import (
     certificate_to_json,
     dual_configuration,
@@ -84,17 +91,9 @@ def _output_stream(output: Optional[str]):
             yield fh
 
 
-def _write_text(text: str, output: Optional[str]) -> None:
-    with _output_stream(output) as fh:
-        fh.write(text)
-
-
 def _write_json(obj, output: Optional[str]) -> None:
-    _write_text(json.dumps(obj, indent=2) + "\n", output)
-
-
-def _write_lines(objs, output: Optional[str]) -> None:
-    _write_text("".join(json.dumps(o) + "\n" for o in objs), output)
+    with _output_stream(output) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _note(message: str) -> None:
@@ -184,23 +183,33 @@ def _cmd_sym_factorization(args) -> int:
     d = args.d
     require_degree(d)
     n = 2 * d + 2
-    splits = [SubsetSplit(d, _unrank_combination(n, d + 1, r))
-              for r in sample_ranks(comb(n, d + 1), args.sample, args.seed)]
-    records = [factorization_record(split, verify_factorization(split))
-               for split in splits]
-    _write_lines(records, args.output)
-    bad = sum(1 for r in records if not r["ok"])
-    _note(f"subsets={len(records)} failed={bad}")
+    ranks = sample_ranks(comb(n, d + 1), args.sample, args.seed)
+    bad = 0
+    with _output_stream(args.output) as fh:
+        for r in ranks:
+            split = SubsetSplit(d, _unrank_combination(n, d + 1, r))
+            ok = verify_factorization(split)
+            bad += not ok
+            fh.write(json.dumps(factorization_record(split, ok)) + "\n")
+    _note(f"subsets={len(ranks)} failed={bad}")
     return 0 if bad == 0 else 1
 
 
 def _cmd_sym_psi(args) -> int:
-    eqs = sample_equations(args.d, 2 * args.d + 2, args.sample, args.seed)
-    records = [identity_record(eq, verify_equation_identity(eq, args.method))
-               for eq in eqs]
-    _write_lines(records, args.output)
-    bad = sum(1 for r in records if not r["ok"])
-    _note(f"identities={len(records)} method={args.method} failed={bad}")
+    d, n = args.d, 2 * args.d + 2
+    # both refusals come before the output is opened, the picks' first
+    picks = equation_picks(d, n, args.sample, args.seed)
+    minor = identity_minor(d, args.method)
+    total = bad = 0
+    with _output_stream(args.output) as fh:
+        for support, sextet, n1, n2 in monomial_products(minor, d, picks):
+            ok = n1 == n2
+            del n1, n2  # free an expanded pair before the next one forms
+            total += 1
+            bad += not ok
+            record = identity_record(_equation(d, n, support, sextet), ok)
+            fh.write(json.dumps(record) + "\n")
+    _note(f"identities={total} method={args.method} failed={bad}")
     return 0 if bad == 0 else 1
 
 
@@ -213,9 +222,6 @@ def _cmd_dual_check(args) -> int:
     else:
         raise ValueError("dual-check needs --input or --d")
     dual = dual_configuration(inst)
-    from .projective import is_general_linear_position
-    from .equations import membership
-
     glp = is_general_linear_position(dual)
     member = membership(dual).member if glp else None
     on_rnc = bool(glp and member)

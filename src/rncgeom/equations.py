@@ -127,8 +127,7 @@ def count_equations(dim: int, n: int) -> int:
 
 def enumerate_equations(dim: int, n: int) -> Iterator[BracketEquation]:
     """All equations in lexicographic (support, then sextet) order."""
-    if dim < 2 or n < dim + 4:
-        raise MismatchError(f"no equations for dim {dim} with {n} points")
+    count_equations(dim, n)
     for support in combinations(range(1, n + 1), dim + 4):
         for sextet in combinations(support, 6):
             yield _equation(dim, n, support, sextet)
@@ -366,26 +365,28 @@ def monomial_products(minor: Callable, dim: int,
                    m[f] * m[g] * m[h] * m[k])
 
 
+def equation_picks(dim: int, n: int, sample: Optional[int] = None,
+                   seed: int = 0) -> Iterator[tuple]:
+    """The monomial_products picks of every equation, each support once
+    with sextet None, or of a seeded sample of them (as sample_equations
+    picks), one (support, sextet) each; checked before the first pick."""
+    ranks = sample_ranks(count_equations(dim, n), sample, seed)
+    if isinstance(ranks, range):
+        return ((support, None)
+                for support in combinations(range(1, n + 1), dim + 4))
+    eqs = (equation_at(dim, n, r) for r in ranks)
+    return ((eq.support, eq.sextet) for eq in eqs)
+
+
 def equation_products(config: Configuration, sample: Optional[int] = None,
                       seed: int = 0) -> Iterator[tuple]:
-    """(support, sextet, n1, n2) for every equation on the configuration,
-    or for a seeded sample of them (as sample_equations picks), in
-    enumeration order, n1 and n2 reduced mod p over Z/p.
-
-    A full run walks the supports once each and builds no equation
-    objects; a sample reads only the brackets its equations use.  The
-    point count is checked here, before the first product is asked for.
-    """
-    d, n = config.dim, len(config)
-    ranks = sample_ranks(count_equations(d, n), sample, seed)
-    if isinstance(ranks, range):
-        picks = ((support, None)
-                 for support in combinations(range(1, n + 1), d + 4))
-    else:
-        eqs = (equation_at(d, n, r) for r in ranks)
-        picks = ((eq.support, eq.sextet) for eq in eqs)
+    """(support, sextet, n1, n2) for the equation_picks on the
+    configuration, in enumeration order, n1 and n2 reduced mod p over Z/p.
+    A full run builds no equation objects; a sample reads only the
+    brackets its equations use."""
+    picks = equation_picks(config.dim, len(config), sample, seed)
     table = config.bracket_table
-    products = monomial_products(table.minor, d, picks)
+    products = monomial_products(table.minor, config.dim, picks)
     p = table.modulus
     if p:
         return ((J, I, n1 % p, n2 % p) for J, I, n1, n2 in products)
@@ -419,22 +420,15 @@ def evaluate_many(config: Configuration,
 @dataclass(frozen=True)
 class MembershipResult:
     member: bool
-    reports: tuple[EquationReport, ...]
 
 
 def membership(config: Configuration, sample: Optional[int] = None,
                seed: int = 0) -> MembershipResult:
-    """Whether every (or, if sampling, every sampled) equation vanishes.
-
-    Degenerate configurations pass trivially: every bracket of d+1
-    dependent points is zero.
-    """
-    d, n = config.dim, len(config)
-    if n < d + 4:
-        raise MismatchError(f"membership needs at least {d + 4} points")
-    reports = evaluate_many(config, sample_equations(d, n, sample, seed))
-    member = not any(r.nonzero for r in reports)
-    return MembershipResult(member=member, reports=tuple(reports))
+    """Whether every (or every sampled) equation vanishes, stopping at the
+    first that does not.  Degenerate configurations pass trivially: every
+    bracket of d+1 dependent points is zero."""
+    return MembershipResult(member=all(
+        n1 == n2 for _, _, n1, n2 in equation_products(config, sample, seed)))
 
 
 def lies_on_rnc(config: Configuration) -> bool:
@@ -449,6 +443,4 @@ def lies_on_rnc(config: Configuration) -> bool:
     if len(config) < config.dim + 4:
         raise MismatchError(
             f"need at least {config.dim + 4} points, got {len(config)}")
-    if not is_general_linear_position(config):
-        return False
-    return membership(config).member
+    return is_general_linear_position(config) and membership(config).member

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import comb
-from typing import Literal
+from typing import Callable, Literal
 
 from .curve import linear_product_coeffs
 from .equations import BracketEquation, inversion_count, monomial_products
@@ -222,36 +222,35 @@ def _factor_table(d: int) -> _FactorCodes:
     return _FactorCodes(d)
 
 
-def verify_equation_identity(
-        eq: BracketEquation,
-        method: Literal["auto", "factors", "expand"] = "auto") -> bool:
-    """Whether the equation, evaluated on the symbolic vertices, is the
-    zero polynomial.
+def identity_minor(d: int, method: str = "auto") -> Callable:
+    """The vertex brackets a route feeds equations.monomial_products.
 
-    Both routes multiply the monomials' sorted brackets with
-    equations.monomial_products; sorting costs no sign, since each
-    monomial's written column orders have even total parity.  The factor
-    route compares the two monomials' signs and factor multisets; it is
-    sound given the bracket factorization, which verify_factorization
-    establishes by expansion.  The expand route multiplies out both
-    monomials and compares; degree 4d(d+1) makes it infeasible much beyond
-    d = 2, where it serves as an independent guard of the factor route
-    itself.  All of d = 3 takes about a minute; d >= 4 is refused, as one
-    d = 4 identity ran past 10 minutes and 3.4 GB.
+    The factor route ("auto" above d = 2) is sound given the bracket
+    factorization, which verify_factorization establishes by expansion.
+    The expand route ("auto" at d = 2) multiplies out both monomials of
+    degree 4d(d+1), an independent guard of the factor route: all of d = 3
+    takes about a minute, and d >= 4 is refused, as one d = 4 identity ran
+    past 10 minutes and 3.4 GB.
     """
-    d = _require_symbolic(eq)
     if method == "expand" and d >= 4:
         raise ValueError(f"the expand route is limited to d <= 3, got {d}")
     if method == "auto":
         method = "expand" if d == 2 else "factors"
     if method == "factors":
-        minor = _factor_table(d).__getitem__
-    elif method == "expand":
-        def minor(cols):
-            return vertex_bracket_poly(d, SubsetSplit(d, cols))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    [(_, _, n1, n2)] = monomial_products(minor, d, [(eq.support, eq.sextet)])
+        return _factor_table(d).__getitem__
+    if method == "expand":
+        return lambda cols: vertex_bracket_poly(d, SubsetSplit(d, cols))
+    raise ValueError(f"unknown method {method!r}")
+
+
+def verify_equation_identity(
+        eq: BracketEquation,
+        method: Literal["auto", "factors", "expand"] = "auto") -> bool:
+    """Whether the equation, evaluated on the symbolic vertices, is the
+    zero polynomial: the two monomials of the method's brackets agree."""
+    d = _require_symbolic(eq)
+    [(_, _, n1, n2)] = monomial_products(identity_minor(d, method), d,
+                                         [(eq.support, eq.sextet)])
     return n1 == n2
 
 

@@ -323,7 +323,10 @@ def certificate_to_json(cert: Certificate) -> dict:
 def certificate_from_json(obj: dict) -> Certificate:
     """Load a certificate; a vonstaudt-cert/1 one predates the
     construction check and the sample seed, and reads them as null.  Every
-    key must hold its own JSON type; anything else raises ValueError."""
+    key must hold its own JSON type, and the certificate must agree with
+    itself: its counts add up, a true verdict rests on checks that passed,
+    and a /2 sample has a seed exactly when it is a sample.  Anything else
+    raises ValueError."""
     null = type(None)
     with malformed_input("certificate"):
         if obj.get("schema") not in ("vonstaudt-cert/1", CERT_SCHEMA):
@@ -331,7 +334,7 @@ def certificate_from_json(obj: dict) -> Certificate:
                 f"unknown certificate schema {obj.get('schema')!r}")
         d = json_int(obj["d"], "d")
         n = 2 * d + 2
-        return Certificate(
+        cert = Certificate(
             d=d,
             field=field_from_json(obj["field"]),
             seed=json_typed(obj.get("seed"), "seed", int, null),
@@ -349,3 +352,19 @@ def certificate_from_json(obj: dict) -> Certificate:
                                    int, null),
             verdict=json_typed(obj["verdict"], "verdict", bool),
         )
+        failed = len(cert.psi_failures)
+        if cert.psi_zero + failed != cert.psi_total:
+            raise ValueError(
+                f"inconsistent certificate: psi_zero {cert.psi_zero} plus "
+                f"{failed} failures is not psi_total {cert.psi_total}")
+        if cert.verdict and (failed or cert.psi_total < 1 or not cert.glp_ok
+                             or False in (cert.construction_ok,
+                                          cert.castelnuovo_ok)):
+            raise ValueError("inconsistent certificate: a true verdict "
+                             "needs at least one equation, no failures and "
+                             "no failed check")
+        if obj["schema"] == CERT_SCHEMA and (
+                (cert.sample is None) != (cert.sample_seed is None)):
+            raise ValueError("inconsistent certificate: sample_seed must be "
+                             "null exactly when sample is")
+        return cert

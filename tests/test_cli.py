@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncgeom import QQ, PrimeField, instance_from_json, sample_instance
+from rncgeom import (
+    QQ,
+    PrimeField,
+    identities,
+    instance_from_json,
+    sample_instance,
+)
 from rncgeom.cli import main
 from rncgeom.fields import field_to_json
 from rncgeom.projective import config_to_json
@@ -254,8 +261,11 @@ def test_check_psi_golden_output(capsys, name, expected):
       str(DATA / "gen-instance-d4-seed3-prime101.json")],
      "gen-instance-d4-seed3-prime101.fit-curve.json"),
     (["dual-check", "--input", str(DATA / "d3.json")], "d3.dual-check.json"),
+    (["dual-check", "--d", "4", "--seed", "2", "--field", "prime:101"],
+     "dual-check-d4-seed2-prime101.json"),
 ], ids=["gen-instance-d3", "gen-instance-d4-mod101", "fit-curve",
-        "fit-curve-d5", "fit-curve-d4-mod101", "dual-check"])
+        "fit-curve-d5", "fit-curve-d4-mod101", "dual-check",
+        "dual-check-d4-mod101"])
 def test_serialization_golden_output(capsys, argv, name):
     """Parameters, curve points, planes, vertices and fitted models are
     written byte for byte as recorded in the data files."""
@@ -399,6 +409,38 @@ def test_sym_psi_refuses_expand_beyond_d3():
         "error: the expand route is limited to d <= 3, got 4"]
 
 
+@pytest.mark.parametrize("argv,name,summary", [
+    (["sym-psi", "--d", "2"], "sym-psi-d2.jsonl",
+     "identities=1 method=auto failed=0"),
+    (["sym-psi", "--d", "4", "--sample", "50", "--seed", "3"],
+     "sym-psi-d4-sample50-seed3.jsonl", "identities=50 method=auto failed=0"),
+    (["sym-psi", "--d", "3", "--sample", "7", "--method", "expand"],
+     "sym-psi-d3-sample7-expand.jsonl",
+     "identities=7 method=expand failed=0"),
+], ids=["d2-expand", "d4-sampled", "d3-sampled-expand"])
+def test_sym_psi_golden_output(capsys, argv, name, summary):
+    """Byte-identical to the records written when every equation was
+    checked on its own, on both routes, in full and sampled."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, summary + "\n")
+    assert out == (DATA / name).read_text()
+
+
+def test_sym_psi_peak_memory_stays_small(tmp_path):
+    """Records are written as they form: a full d=5 run keeps no
+    per-equation objects, far below the ~7 MB that held all 18,480."""
+    path = tmp_path / "d5.jsonl"
+    tracemalloc.start()
+    try:
+        code = main(["sym-psi", "--d", "5", "--output", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(path.read_text().splitlines()) == 18480
+    assert peak < 2 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # dual-check
 
@@ -496,17 +538,33 @@ def test_sample_zero_exits_two(command, tmp_path, capsys):
     (["sym-psi", "--d", "24", "--sample", "5"],
      "cannot sample from 33435605402785404000 items; "
      f"at most {sys.maxsize} are supported"),
+    (["sym-psi", "--d", "1", "--method", "expand"],
+     "no equations for dim 1 with 4 points"),
+    (["sym-psi", "--d", "24", "--sample", "5", "--method", "expand"],
+     "cannot sample from 33435605402785404000 items; "
+     f"at most {sys.maxsize} are supported"),
+    (["sym-psi", "--d", "4", "--method", "expand"],
+     "the expand route is limited to d <= 3, got 4"),
 ], ids=["gen-instance-d1", "dual-check-d1", "sym-psi-d1",
         "sym-factorization-d-1", "sym-factorization-d0",
         "sym-factorization-d1", "sym-factorization-d-2",
-        "sym-psi-d24-sampled"])
-def test_degree_and_sample_range_exit_two(argv, message, capsys):
-    """Degrees below 2, and samples from more items than random.sample
-    can index, are input errors with one line."""
-    code, out, err = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}\n"
+        "sym-psi-d24-sampled", "sym-psi-d1-expand",
+        "sym-psi-d24-sampled-expand", "sym-psi-d4-expand"])
+def test_degree_and_sample_range_exit_two(argv, message, tmp_path, capsys,
+                                          monkeypatch):
+    """Degrees below 2, samples from more items than random.sample can
+    index, and the expand route above d = 3 are input errors with one
+    line, raised before any output file is opened or any expansion
+    starts; a bad pick wins over a bad method."""
+    def no_expansion(*args):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(identities, "vertex_bracket_poly", no_expansion)
+    path = tmp_path / "out.json"
+    for output in ([], ["--output", str(path)]):
+        code, out, err = run_cli(argv + output, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
 
 
 def test_missing_input_file(capsys):

@@ -24,6 +24,7 @@ from rncgeom.equations import (
     enumerate_equations,
     equation_at,
     equation_from_json,
+    equation_picks,
     equation_products,
     evaluate_many,
     format_ratio,
@@ -38,6 +39,7 @@ from rncgeom.fields import QQ, PrimeField
 from rncgeom.cli import main
 from rncgeom.projective import BracketTable, Configuration, ProjectivePoint
 from rncgeom.staudt import (
+    dual_configuration,
     instance_from_json,
     instance_to_json,
     sample_instance,
@@ -239,17 +241,16 @@ def test_curve_points_satisfy_equations_beyond_minimum(rng):
     # n strictly larger than d+4
     ts = rand_distinct_fractions(rng, 9)
     config = curve_config(3, ts)
-    result = membership(config)
-    assert result.member
-    assert len(result.reports) == count_equations(3, 9)
+    assert membership(config).member
+    assert sum(1 for _ in equation_products(config)) == count_equations(3, 9)
 
 
 def test_random_configuration_is_not_a_member(rng):
     config = random_config(rng, 2, 6)
-    result = membership(config)
     # a generic configuration violates the single equation
-    assert not result.member
-    assert result.reports[0].value != 0
+    assert not membership(config).member
+    [report] = evaluate_many(config, list(enumerate_equations(2, 6)))
+    assert report.value != 0
 
 
 def test_cached_and_raw_paths_agree(rng):
@@ -333,8 +334,8 @@ def stream_cases(field, d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_equation_products_match_evaluate_many(field, d):
     """The per-support walk gives the products, order, counts and failures
-    that evaluate_many gives equation by equation; so does verify_instance,
-    for full runs and for samples at or above the total."""
+    that evaluate_many gives equation by equation; so do verify_instance,
+    for full runs and for samples at or above the total, and membership."""
     n = 2 * d + 2
     total = count_equations(d, n)
     eqs = list(enumerate_equations(d, n))
@@ -346,6 +347,7 @@ def test_equation_products_match_evaluate_many(field, d):
         for sample in (None, total, total + 5):
             assert list(equation_products(config, sample, seed=3)) == want
         failures = tuple(r.equation for r in reports if r.nonzero)
+        assert membership(config).member is not bool(failures)
         tampered = dataclasses.replace(inst, vertices=config)
         cert = verify_instance(tampered)
         assert cert.psi_total == total
@@ -455,6 +457,35 @@ def test_verify_peak_memory_stays_small():
     assert peak < 2 * 2 ** 20
 
 
+def test_equation_picks_are_checked_when_asked_for():
+    """Full picks are the supports, each once; sampled picks are the
+    sampled equations; bad counts and samples raise before any pick."""
+    d, n = 3, 9
+    assert list(equation_picks(d, n)) == [
+        (support, None) for support in combinations(range(1, n + 1), 7)]
+    assert list(equation_picks(d, n, 17, seed=4)) == [
+        (eq.support, eq.sextet) for eq in sample_equations(d, n, 17, 4)]
+    with pytest.raises(MismatchError):
+        equation_picks(d, 6)
+    with pytest.raises(ValueError, match="cannot sample"):
+        equation_picks(24, 50, 5)
+
+
+def test_membership_peak_memory_stays_small():
+    """membership streams: on the d=5 dual it keeps no per-equation
+    report, far below the ~7 MB that 18,480 of them took."""
+    inst = instance_from_json(json.loads((DATA / "d5.json").read_text()))
+    dual = dual_configuration(inst)
+    tracemalloc.start()
+    try:
+        member = membership(dual).member
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert member
+    assert peak < 2 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # membership verdicts
 
@@ -470,9 +501,10 @@ def test_membership_needs_enough_points(rng):
 def test_membership_sampling(rng):
     ts = rand_distinct_fractions(rng, 10)
     config = curve_config(3, ts)
-    result = membership(config, sample=12, seed=1)
-    assert result.member
-    assert len(result.reports) == 12
+    assert membership(config, sample=12, seed=1).member
+    products = list(equation_products(config, 12, seed=1))
+    assert len(products) == 12
+    assert all(n1 == n2 for _, _, n1, n2 in products)
 
 
 def test_lies_on_rnc_for_curve_and_not_for_noise(rng):

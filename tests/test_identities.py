@@ -461,6 +461,26 @@ def test_factor_route_matches_oracle_under_mutation(
     assert len(new) == rejected
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_sym_psi_fails_what_each_identity_rejects_under_mutation(
+        d, monkeypatch, fresh_factor_tables, capsys):
+    """With a factor dropped from every split holding label 1, the streamed
+    sym-psi run fails exactly the equations that verify_equation_identity
+    rejects one at a time."""
+    name, replace = FACTORIZATION_MUTATIONS["drop-first-pair"]
+    monkeypatch.setattr(identities, name,
+                        replace(getattr(identities, name)))
+    assert main(["sym-psi", "--d", str(d)]) == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    eqs = list(enumerate_equations(d, 2 * d + 2))
+    assert len(records) == len(eqs)
+    failed = {(tuple(r["J"]), tuple(r["I"])) for r in records if not r["ok"]}
+    rejected = {(eq.support, eq.sextet) for eq in eqs
+                if not verify_equation_identity(eq)}
+    assert failed == rejected and rejected
+
+
 def test_identity_record_shape():
     eq = equation_at(2, 6, 0)
     assert identity_record(eq, True) == {

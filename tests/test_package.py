@@ -60,3 +60,17 @@ def test_public_api_is_an_explicit_list():
     assert [e.value for e in value.elts] == rncgeom.__all__
     for name in rncgeom.__all__:
         assert not isinstance(getattr(rncgeom, name), types.ModuleType), name
+
+
+def test_cli_reads_no_per_equation_layer():
+    """Every command streams its equations from equation_picks or
+    equation_products; the per-equation names stay out of the CLI."""
+    tree = ast.parse((Path(rncgeom.__file__).parent / "cli.py").read_text(
+        encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    for name in ("sample_equations", "enumerate_equations", "evaluate_many",
+                 "EquationReport", "verify_equation_identity"):
+        assert name not in imported | used, name

@@ -1,8 +1,10 @@
 """Tests for the two-simplex construction and its certification."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,9 @@ from oracles import (
     sympy_det,
     sympy_rank,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_instance(d, seed=0):
@@ -506,10 +511,13 @@ def test_instance_json_prime_round_trip():
 
 
 def test_certificate_json_round_trip():
-    cert = verify_instance(small_instance(2, seed=1), with_castelnuovo=True)
-    obj = certificate_to_json(cert)
-    assert obj["schema"] == "vonstaudt-cert/2"
-    assert certificate_from_json(obj) == cert
+    """Full, sampled and --castelnuovo certificates load as written."""
+    for d, kwargs in ((2, {"with_castelnuovo": True}), (3, {}),
+                      (3, {"sample": 5, "sample_seed": 2})):
+        cert = verify_instance(small_instance(d, seed=1), **kwargs)
+        obj = certificate_to_json(cert)
+        assert obj["schema"] == "vonstaudt-cert/2"
+        assert certificate_from_json(obj) == cert
 
 
 def test_certificate_json_reads_schema_one():
@@ -560,6 +568,60 @@ def test_certificate_json_refuses_wrong_types(key, bad):
         with pytest.raises(ValueError) as err:
             certificate_from_json(obj)
         assert key in str(err.value) and "\n" not in str(err.value)
+
+
+def tampered_d3_certificate():
+    """The certificate verify writes for tests/data/d3-tampered.json: 49 of
+    its 56 equations fail."""
+    obj = json.loads((DATA / "d3-tampered.json").read_text())
+    cert = certificate_to_json(verify_instance(instance_from_json(obj)))
+    assert (cert["psi_total"], len(cert["psi_failures"])) == (56, 49)
+    return cert
+
+
+def refuse(obj, message):
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(obj)
+    assert message in str(err.value) and "\n" not in str(err.value)
+
+
+def test_certificate_counts_must_add_up():
+    obj = tampered_d3_certificate()
+    certificate_from_json(obj)
+    obj.update(verdict=True, psi_zero=999)
+    refuse(obj, "psi_zero 999 plus 49 failures is not psi_total 56")
+    obj.update(verdict=False, psi_zero=8)
+    refuse(obj, "psi_zero 8 plus 49 failures is not psi_total 56")
+
+
+@pytest.mark.parametrize("edit", [
+    {"psi_zero": 0, "psi_failures": [{"J": [1, 2, 3, 4, 5, 6],
+                                      "I": [1, 2, 3, 4, 5, 6]}]},
+    {"psi_total": 0, "psi_zero": 0},
+    {"glp_ok": False},
+    {"construction_ok": False},
+    {"castelnuovo_ok": False},
+], ids=["a-failure", "no-equations", "glp", "construction", "castelnuovo"])
+def test_true_verdict_must_rest_on_passed_checks(edit):
+    obj = certificate_to_json(verify_instance(small_instance(2, seed=1),
+                                              with_castelnuovo=True))
+    assert certificate_from_json(obj).verdict
+    obj.update(edit)
+    refuse(obj, "a true verdict needs")
+    obj["verdict"] = False
+    certificate_from_json(obj)
+
+
+@pytest.mark.parametrize("sample, sample_seed", [(None, 5), (3, None)])
+def test_sample_seed_is_null_exactly_when_sample_is(sample, sample_seed):
+    obj = certificate_to_json(verify_instance(small_instance(3, seed=1),
+                                              sample=3, sample_seed=5))
+    certificate_from_json(obj)
+    obj.update(sample=sample, sample_seed=sample_seed)
+    refuse(obj, "sample_seed must be null exactly when sample is")
+    # a /1 certificate predates the sample seed
+    obj["schema"] = "vonstaudt-cert/1"
+    assert certificate_from_json(obj).sample == sample
 
 
 def test_certificate_json_refuses_non_object():
