@@ -68,8 +68,6 @@ def veronese_coords(q: ProjectivePoint, d: int) -> tuple:
 
 def veronese_embed(q: ProjectivePoint, d: int) -> ProjectivePoint:
     """The point of the standard degree-d curve at parameter q."""
-    if d < 1:
-        raise ValueError("degree must be at least 1")
     require_characteristic_over(q.field, d)
     return ProjectivePoint(veronese_coords(q, d), q.field)
 
@@ -91,19 +89,18 @@ def osculating_hyperplane(q: ProjectivePoint, d: int) -> ProjectivePoint:
     Its form evaluates on veronese_embed([a:b]) to (a b0 - b a0)^d, so it
     meets the curve set-theoretically only at q.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
     require_characteristic_over(q.field, d)
     return ProjectivePoint(osculating_coeffs(q, d), q.field)
 
 
-def linear_product_coeffs(pairs: Sequence[tuple], one, zero) -> tuple:
+def linear_product_coeffs(pairs: Sequence[tuple], one) -> tuple:
     """The coefficients of prod (a_i x + b_i y) over the pairs (a_i, b_i),
     x^d y^0 first, for d = len(pairs).
 
-    Works over any commutative ring given its one and zero: field scalars
-    here, MultiPoly for the symbolic vertices.
+    Works over any commutative ring given its one: field scalars here,
+    MultiPoly for the symbolic vertices.
     """
+    zero = one - one
     coeffs = [one]   # coeffs[m] multiplies x^(len(coeffs) - 1 - m) y^m
     for a, b in pairs:
         nxt = [zero] * (len(coeffs) + 1)
@@ -118,9 +115,7 @@ def vertex_coords(qs: Sequence[ProjectivePoint]) -> tuple:
     """Raw coordinates r_k = sum over (d-k)-subsets S' of a_{S'} b_{rest},
     for d = len(qs); equivalently the coefficients of prod (a_i x + b_i y).
     """
-    field = qs[0].field
-    return linear_product_coeffs(
-        [q.coords for q in qs], field.one, field.zero)
+    return linear_product_coeffs([q.coords for q in qs], qs[0].field.one)
 
 
 def simplex_vertex(qs: Sequence[ProjectivePoint]) -> ProjectivePoint:

@@ -38,13 +38,20 @@ from math import comb, gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import MismatchError
+from .errors import MismatchError, json_int
 from .fields import Field, Scalar
 from .projective import BracketTable, Configuration, is_general_linear_position
 
 # positions within the sorted 6-subset whose triples make up each monomial
 _TRIPLES_FIRST = ((3, 4, 5), (1, 2, 5), (0, 2, 4), (0, 1, 3))
 _TRIPLES_SECOND = ((2, 4, 5), (1, 3, 5), (0, 3, 4), (0, 1, 2))
+
+
+def _monomial_columns(sextet: Sequence, shared: tuple) -> tuple:
+    """Both monomials' bracket columns, in written order: each triple of
+    sextet positions, then the shared labels."""
+    return tuple(tuple(tuple(sextet[p] for p in t) + shared for t in triples)
+                 for triples in (_TRIPLES_FIRST, _TRIPLES_SECOND))
 
 
 @dataclass(frozen=True)
@@ -85,14 +92,7 @@ class BracketEquation:
 
     def monomial_columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Column labels of the 4+4 brackets, in written (unsorted) order."""
-        shared = self.shared
-        first = tuple(
-            tuple(self.sextet[p] for p in triple) + shared
-            for triple in _TRIPLES_FIRST)
-        second = tuple(
-            tuple(self.sextet[p] for p in triple) + shared
-            for triple in _TRIPLES_SECOND)
-        return first, second
+        return _monomial_columns(self.sextet, self.shared)
 
     def to_json(self) -> dict:
         return {"J": list(self.support), "I": list(self.sextet)}
@@ -111,8 +111,10 @@ def _equation(dim: int, n_points: int, support: tuple[int, ...],
 
 
 def equation_from_json(obj: dict, dim: int, n_points: int) -> BracketEquation:
-    return BracketEquation(dim=dim, n_points=n_points,
-                           support=tuple(obj["J"]), sextet=tuple(obj["I"]))
+    return BracketEquation(
+        dim=dim, n_points=n_points,
+        support=tuple(json_int(k, "J label") for k in obj["J"]),
+        sextet=tuple(json_int(k, "I label") for k in obj["I"]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +177,13 @@ def sample_ranks(total: int, k: Optional[int] = None,
 
 def sample_equations(dim: int, n: int, k: Optional[int] = None,
                      seed: int = 0) -> list[BracketEquation]:
-    """Every equation when k is None or not below the total; otherwise a
-    seeded uniform sample of k equations, in enumeration order."""
-    ranks = sample_ranks(count_equations(dim, n), k, seed)
-    if isinstance(ranks, range):
-        # one pass of the generator beats unranking each equation
-        return list(enumerate_equations(dim, n))
-    return [equation_at(dim, n, r) for r in ranks]
+    """The equations of equation_picks: every equation when k is None or
+    not below the total; otherwise a seeded uniform sample of k equations,
+    in enumeration order."""
+    return [_equation(dim, n, support, sextet)
+            for support, pick in equation_picks(dim, n, k, seed)
+            for sextet in (combinations(support, 6) if pick is None
+                           else (pick,))]
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +222,8 @@ class _Template(dict):
     def __missing__(self, sextet: tuple[int, ...]) -> tuple:
         shared = tuple(k for k in range(self.dim + 4) if k not in sextet)
         value = self[sextet] = (itemgetter(*sextet),) + tuple(
-            tuple(self._index[tuple(sorted(
-                tuple(sextet[p] for p in t) + shared))] for t in triples)
-            for triples in (_TRIPLES_FIRST, _TRIPLES_SECOND))
+            tuple(self._index[tuple(sorted(cols))] for cols in monomial)
+            for monomial in _monomial_columns(sextet, shared))
         return value
 
     @cached_property
@@ -368,8 +369,8 @@ def monomial_products(minor: Callable, dim: int,
 def equation_picks(dim: int, n: int, sample: Optional[int] = None,
                    seed: int = 0) -> Iterator[tuple]:
     """The monomial_products picks of every equation, each support once
-    with sextet None, or of a seeded sample of them (as sample_equations
-    picks), one (support, sextet) each; checked before the first pick."""
+    with sextet None, or of a seeded sample of them, one (support, sextet)
+    each; checked before the first pick."""
     ranks = sample_ranks(count_equations(dim, n), sample, seed)
     if isinstance(ranks, range):
         return ((support, None)

@@ -53,18 +53,14 @@ class Residue:
         return Residue(self.value * other.value, self.modulus)
 
     def __truediv__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError(f"division by zero mod {self.modulus}")
-        inv = pow(other.value, -1, self.modulus)
-        return Residue(self.value * inv, self.modulus)
+        return self * other ** -1
 
     def __neg__(self) -> "Residue":
         return Residue(-self.value, self.modulus)
 
     def __pow__(self, exponent: int) -> "Residue":
-        if exponent < 0:
-            return Residue(1, self.modulus) / self.__pow__(-exponent)
+        if exponent < 0 and not self.value:
+            raise ZeroDivisionError(f"division by zero mod {self.modulus}")
         return Residue(pow(self.value, exponent, self.modulus), self.modulus)
 
     def __eq__(self, other: object) -> bool:
@@ -88,7 +84,7 @@ class Residue:
 Scalar = Union[Fraction, Residue]
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     if p % 2 == 0:
@@ -148,7 +144,7 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
@@ -212,7 +208,9 @@ QQ = Rationals()
 
 
 def require_characteristic_over(field: Field, d: int) -> None:
-    """Raise unless the field has characteristic 0 or greater than d."""
+    """Raise unless d >= 1 and the characteristic is 0 or exceeds d."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     if field.characteristic != 0 and field.characteristic <= d:
         raise CharacteristicError(
             f"characteristic {field.characteristic} must exceed degree {d}")

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from math import comb
 from typing import Callable, Literal
 
 from .curve import linear_product_coeffs
 from .equations import BracketEquation, inversion_count, monomial_products
 from .errors import MismatchError
+from .fields import is_prime
 from .polynomials import MultiPoly, poly_det
 
 
@@ -103,39 +104,35 @@ def two_bracket(n_points: int, i: int, j: int) -> MultiPoly:
 
 
 @cache
-def vertex_polys(d: int, omit: int, side: int) -> tuple[MultiPoly, ...]:
+def vertex_polys(d: int, omit: int) -> tuple[MultiPoly, ...]:
     """Symbolic coordinates of the vertex R_omit.
 
-    With S the chosen side's label set minus omit, coordinate k is
+    With S the label set of omit's group minus omit, coordinate k is
     sum over (d-k)-subsets S' of S of a_{S'} b_{S \\ S'}; equivalently the
     x^(d-k) y^k coefficient of prod_{i in S} (a_i x + b_i y).
     """
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    group = first_group(d) if side == 1 else second_group(d)
-    if omit not in group:
-        raise ValueError(f"label {omit} is not on side {side}")
+    group = first_group(d) if group_of(d, omit) == 1 else second_group(d)
     n = 2 * d + 2
     return linear_product_coeffs(
         [(MultiPoly.var_a(n, i), MultiPoly.var_b(n, i))
-         for i in group if i != omit],
-        MultiPoly.one(n), MultiPoly.zero(n))
+         for i in group if i != omit], MultiPoly.one(n))
 
 
-def vertex_bracket_poly(d: int, split: SubsetSplit) -> MultiPoly:
+def vertex_bracket_poly(split: SubsetSplit) -> MultiPoly:
     """The bracket of the d+1 vertices R_k, k in the split, fully expanded
     along the group-1 vertex rows (first, as members are sorted), which
     share no variables with the group-2 rows."""
-    if split.d != d:
-        raise MismatchError("split does not match the degree")
-    rows = [vertex_polys(d, k, group_of(d, k)) for k in split.members]
+    rows = [vertex_polys(split.d, k) for k in split.members]
     return poly_det(rows, split=len(split.group1))
+
+
+def _case_sign(k1: int, k2: int) -> int:
+    return -1 if (comb(k1, 2) + comb(k2, 2)) % 2 else 1
 
 
 def split_sign(split: SubsetSplit) -> int:
     """(-1)^(C(|K1|,2) + C(|K2|,2)) for the split's two halves."""
-    e = comb(len(split.group1), 2) + comb(len(split.group2), 2)
-    return -1 if e % 2 else 1
+    return _case_sign(len(split.group1), len(split.group2))
 
 
 def factor_pairs(split: SubsetSplit) -> tuple[tuple[int, int], ...]:
@@ -148,11 +145,9 @@ def factor_pairs(split: SubsetSplit) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def factored_bracket(d: int, split: SubsetSplit) -> MultiPoly:
+def factored_bracket(split: SubsetSplit) -> MultiPoly:
     """The factored form of the vertex bracket, expanded for comparison."""
-    if split.d != d:
-        raise MismatchError("split does not match the degree")
-    n = 2 * d + 2
+    n = 2 * split.d + 2
     out = MultiPoly.constant(n, split_sign(split))
     for i, j in factor_pairs(split):
         out = out * two_bracket(n, i, j)
@@ -162,8 +157,7 @@ def factored_bracket(d: int, split: SubsetSplit) -> MultiPoly:
 def verify_factorization(split: SubsetSplit) -> bool:
     """Whether the vertex bracket equals its predicted factorization,
     checked by full expansion."""
-    d = split.d
-    return (vertex_bracket_poly(d, split) - factored_bracket(d, split)).is_zero
+    return (vertex_bracket_poly(split) - factored_bracket(split)).is_zero
 
 
 def factorization_record(split: SubsetSplit, ok: bool) -> dict:
@@ -183,14 +177,9 @@ def _require_symbolic(eq: BracketEquation) -> int:
     return d
 
 
-def _primes(count: int) -> list[int]:
-    out: list[int] = []
-    k = 2
-    while len(out) < count:
-        if all(k % p for p in out if p * p <= k):
-            out.append(k)
-        k += 1
-    return out
+def _primes(k: int) -> list[int]:
+    """The first k primes."""
+    return list(islice(filter(is_prime, count(2)), k))
 
 
 class _FactorCodes(dict):
@@ -239,7 +228,7 @@ def identity_minor(d: int, method: str = "auto") -> Callable:
     if method == "factors":
         return _factor_table(d).__getitem__
     if method == "expand":
-        return lambda cols: vertex_bracket_poly(d, SubsetSplit(d, cols))
+        return lambda cols: vertex_bracket_poly(SubsetSplit(d, cols))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -288,10 +277,6 @@ class SignAnalysis:
         return (self.parity_sum_1 == 0 and self.parity_sum_2 == 0
                 and self.case_ok
                 and self.total_sign_1 == self.total_sign_2)
-
-
-def _case_sign(k1: int, k2: int) -> int:
-    return -1 if (comb(k1, 2) + comb(k2, 2)) % 2 else 1
 
 
 def equation_sign_analysis(eq: BracketEquation) -> SignAnalysis:

@@ -11,7 +11,7 @@ Linear algebra is exact and has one integer kernel for both fields: each
 point caches an integer representative (over Q its primitive vector, over
 Z/p its residues), a bracket is the integer determinant of those
 (fraction-free Bareiss elimination) divided by the points' scales over Q or
-reduced mod p, and a rank is taken by division-free elimination of the
+reduced mod p, and the full-rank test of a few points reads minors of the
 same vectors.  A configuration keeps a table of these integer brackets,
 so each is computed once however often the general-position test and the
 bracket equations read it.
@@ -107,13 +107,15 @@ class Configuration:
 
 
 # ---------------------------------------------------------------------------
-# determinants and rank
+# determinants
 
 
 def _det_int(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (rows may be tuples) by
-    fraction-free Bareiss elimination."""
+    fraction-free Bareiss elimination; the empty matrix has determinant 1."""
     n = len(m)
+    if not n:
+        return 1
     m = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -135,28 +137,6 @@ def _det_int(m: Sequence[Sequence[int]]) -> int:
                 row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _rank_int(rows: Sequence[Sequence[int]], modulus: int) -> int:
-    """Rank of an integer matrix over Q (modulus 0) or over Z/p by
-    division-free elimination, each new row reduced mod p or divided by its
-    content over Q."""
-    rows = [[x % modulus for x in r] if modulus else list(r) for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            head = rows[i][c]
-            if head:
-                row = [top[c] * x - head * y for x, y in zip(rows[i], top)]
-                g = gcd(*row) or 1
-                rows[i] = [x % modulus if modulus else x // g for x in row]
-        rank += 1
-    return rank
 
 
 def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
@@ -239,15 +219,19 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list:
 def is_general_linear_position(config: Configuration) -> bool:
     """Whether every subset of at most d+1 points spans projectively.
 
-    For n <= d+1 this is full rank; for larger n it is equivalent to every
-    (d+1)-subset having nonzero bracket, since any dependent subset extends
-    to a dependent one of size d+1.
+    For n <= d+1 this is full rank: some n x n minor of the points' integer
+    representatives is nonzero (mod p over Z/p).  For larger n it is
+    equivalent to every (d+1)-subset having nonzero bracket, since any
+    dependent subset extends to a dependent one of size d+1.
     """
     n = len(config)
     d = config.dim
     if n <= d + 1:
-        vectors = [p.primitive[0] for p in config.points]
-        return _rank_int(vectors, config.field.characteristic) == n
+        p = config.field.characteristic
+        vectors = [pt.primitive[0] for pt in config.points]
+        minors = (_det_int([[v[c] for c in cols] for v in vectors])
+                  for cols in combinations(range(d + 1), n))
+        return any(m % p if p else m for m in minors)
     return config.bracket_table.all_nonzero()
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import NoneType
 from typing import Callable, Optional, Sequence
 
 from .curve import (
@@ -31,6 +32,7 @@ from .equations import (
     BracketEquation,
     _equation,
     check_match,
+    count_equations,
     equation_from_json,
     equation_products,
     sample_equations,
@@ -188,6 +190,14 @@ def castelnuovo_check(inst: VonStaudtInstance) -> bool:
         return False
 
 
+def _verdict(construction_ok: Optional[bool], glp_ok: bool, total: int,
+             failures: Sequence, castelnuovo_ok: Optional[bool]) -> bool:
+    """True exactly when at least one equation was evaluated, none failed
+    and no check failed; a check that was not run (None) fails nothing."""
+    return (glp_ok and total >= 1 and not failures
+            and False not in (construction_ok, castelnuovo_ok))
+
+
 def verify_instance(inst: VonStaudtInstance,
                     with_castelnuovo: bool = False,
                     sample: Optional[int] = None,
@@ -226,8 +236,8 @@ def verify_instance(inst: VonStaudtInstance,
         total = len(reports)
         failures = [r.equation for r in reports if r.nonzero]
     castelnuovo_ok = castelnuovo_check(inst) if with_castelnuovo else None
-    verdict = (construction_ok and glp_ok and not failures
-               and castelnuovo_ok is not False)
+    verdict = _verdict(construction_ok, glp_ok, total, failures,
+                       castelnuovo_ok)
     return Certificate(
         d=d, field=inst.field, seed=inst.seed,
         construction_ok=construction_ok, glp_ok=glp_ok,
@@ -243,15 +253,6 @@ def dual_configuration(inst: VonStaudtInstance) -> Configuration:
     return Configuration(field=inst.field, dim=inst.d, points=inst.planes)
 
 
-def _reduce_param(q: ProjectivePoint, field: PrimeField) -> ProjectivePoint:
-    # clear denominators to a primitive integer pair before reducing, so a
-    # parameter like 1/p lands on the point at infinity instead of failing
-    a, b = q.coords
-    scale = a.denominator * b.denominator
-    return ProjectivePoint((field.from_int(int(a * scale)),
-                            field.from_int(int(b * scale))), field)
-
-
 def reduce_instance_mod(inst: VonStaudtInstance, p: int) -> VonStaudtInstance:
     """Rebuild a rational instance over the prime field Z/p.
 
@@ -261,7 +262,10 @@ def reduce_instance_mod(inst: VonStaudtInstance, p: int) -> VonStaudtInstance:
     if inst.field != QQ:
         raise MismatchError("only rational instances can be reduced")
     field = PrimeField(p)
-    params = tuple(_reduce_param(q, field) for q in inst.params)
+    # reduce the primitive integer pair, so a parameter like 1/p lands on
+    # the point at infinity instead of failing
+    params = tuple(ProjectivePoint(tuple(map(field.from_int, q.primitive[0])),
+                                   field) for q in inst.params)
     return build_instance(inst.d, params, field, seed=inst.seed)
 
 
@@ -289,7 +293,7 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
     with malformed_input("instance"):
         field = field_from_json(obj["field"])
         d = json_int(obj["d"], "d")
-        seed = obj.get("seed")
+        seed = json_typed(obj.get("seed"), "seed", int, NoneType)
         params = points_from_json(obj["params"], field)
         inst = build_instance(d, params, field, seed=seed)
         if "points" in obj:
@@ -324,10 +328,10 @@ def certificate_from_json(obj: dict) -> Certificate:
     """Load a certificate; a vonstaudt-cert/1 one predates the
     construction check and the sample seed, and reads them as null.  Every
     key must hold its own JSON type, and the certificate must agree with
-    itself: its counts add up, a true verdict rests on checks that passed,
-    and a /2 sample has a seed exactly when it is a sample.  Anything else
-    raises ValueError."""
-    null = type(None)
+    itself: its counts add up within the equations there are (and the
+    sample, if any), no failure repeats, the verdict is the one its checks
+    give, and a /2 sample has a seed exactly when it is a sample.  Anything
+    else raises ValueError."""
     with malformed_input("certificate"):
         if obj.get("schema") not in ("vonstaudt-cert/1", CERT_SCHEMA):
             raise ValueError(
@@ -337,19 +341,19 @@ def certificate_from_json(obj: dict) -> Certificate:
         cert = Certificate(
             d=d,
             field=field_from_json(obj["field"]),
-            seed=json_typed(obj.get("seed"), "seed", int, null),
+            seed=json_typed(obj.get("seed"), "seed", int, NoneType),
             construction_ok=json_typed(obj.get("construction_ok"),
-                                       "construction_ok", bool, null),
+                                       "construction_ok", bool, NoneType),
             glp_ok=json_typed(obj["glp_ok"], "glp_ok", bool),
             psi_total=json_int(obj["psi_total"], "psi_total"),
             psi_zero=json_int(obj["psi_zero"], "psi_zero"),
             psi_failures=tuple(
                 equation_from_json(x, d, n) for x in obj["psi_failures"]),
             castelnuovo_ok=json_typed(obj.get("castelnuovo_ok"),
-                                      "castelnuovo_ok", bool, null),
-            sample=json_typed(obj.get("sample"), "sample", int, null),
+                                      "castelnuovo_ok", bool, NoneType),
+            sample=json_typed(obj.get("sample"), "sample", int, NoneType),
             sample_seed=json_typed(obj.get("sample_seed"), "sample_seed",
-                                   int, null),
+                                   int, NoneType),
             verdict=json_typed(obj["verdict"], "verdict", bool),
         )
         failed = len(cert.psi_failures)
@@ -357,12 +361,29 @@ def certificate_from_json(obj: dict) -> Certificate:
             raise ValueError(
                 f"inconsistent certificate: psi_zero {cert.psi_zero} plus "
                 f"{failed} failures is not psi_total {cert.psi_total}")
-        if cert.verdict and (failed or cert.psi_total < 1 or not cert.glp_ok
-                             or False in (cert.construction_ok,
-                                          cert.castelnuovo_ok)):
-            raise ValueError("inconsistent certificate: a true verdict "
-                             "needs at least one equation, no failures and "
-                             "no failed check")
+        if cert.psi_zero < 0:
+            raise ValueError(
+                f"inconsistent certificate: psi_zero {cert.psi_zero} < 0")
+        if cert.sample is not None and cert.psi_total > cert.sample:
+            raise ValueError(
+                f"inconsistent certificate: psi_total {cert.psi_total} "
+                f"exceeds the sample {cert.sample}")
+        # a total below 2^(d-1) is within the count: skip a comb slow at huge d
+        if (cert.psi_total.bit_length() >= d
+                and cert.psi_total > count_equations(d, n)):
+            raise ValueError(
+                f"inconsistent certificate: psi_total {cert.psi_total} "
+                f"exceeds the equations for d={d}")
+        if len(set(cert.psi_failures)) != failed:
+            raise ValueError("inconsistent certificate: a failure repeats")
+        if cert.verdict != _verdict(cert.construction_ok, cert.glp_ok,
+                                    cert.psi_total, cert.psi_failures,
+                                    cert.castelnuovo_ok):
+            raise ValueError(
+                f"inconsistent certificate: verdict "
+                f"{str(cert.verdict).lower()} does not follow from its "
+                f"checks; a true verdict needs at least one equation, no "
+                f"failures and no failed check")
         if obj["schema"] == CERT_SCHEMA and (
                 (cert.sample is None) != (cert.sample_seed is None)):
             raise ValueError("inconsistent certificate: sample_seed must be "

@@ -249,8 +249,7 @@ def transposed_vertex_bracket(d: int, split):
     """The vertex bracket by the plain row DP, with the symbolic vertex
     coordinates as columns and no block split: the route the expansion
     along the group-1 vertex rows replaced."""
-    cols = [identities.vertex_polys(d, k, identities.group_of(d, k))
-            for k in split.members]
+    cols = [identities.vertex_polys(d, k) for k in split.members]
     return poly_det([[col[r] for col in cols] for r in range(d + 1)])
 
 

@@ -664,6 +664,24 @@ def test_malformed_input_exits_two(tmp_path, capsys, command, field, corrupt):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", ["7", 1.5, True],
+                         ids=["string", "float", "bool"])
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["check-psi"], ["fit-curve"], ["dual-check"]],
+    ids=["verify", "check-psi", "fit-curve", "dual-check"])
+def test_instance_seed_must_be_an_integer(tmp_path, capsys, argv, seed):
+    """An instance seed is a JSON integer or null; anything else is an input
+    error with one line, before a certificate or report is written."""
+    obj = json.loads((DATA / "d3.json").read_text())
+    obj["seed"] = seed
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([*argv, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: malformed instance: seed must be a JSON integer "
+                   f"or null, got {seed!r}\n")
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "rncgeom.cli",

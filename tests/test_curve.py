@@ -108,8 +108,9 @@ def test_veronese_rejects_small_characteristic():
     q = param_point(PrimeField(3), 1, 1)
     with pytest.raises(CharacteristicError):
         veronese_embed(q, 3)
-    with pytest.raises(ValueError):
-        veronese_embed(qq_param(1), 0)
+    for embed in (veronese_embed, osculating_hyperplane):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            embed(qq_param(1), 0)
 
 
 # ---------------------------------------------------------------------------

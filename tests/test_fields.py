@@ -45,6 +45,20 @@ def test_residue_pow_matches_repeated_multiplication(x, e):
     assert a ** e == expected
 
 
+@given(residues.filter(lambda x: x != 0), st.integers(1, 6))
+def test_residue_negative_power_is_the_inverse_power(x, k):
+    a = Residue(x, P)
+    assert a ** -k == FP.one / a ** k
+    assert a ** -k * a ** k == FP.one
+
+
+def test_residue_zero_to_a_negative_power_raises():
+    for k in (1, 2):
+        with pytest.raises(ZeroDivisionError):
+            Residue(0, P) ** -k
+    assert Residue(0, P) ** 0 == FP.one
+
+
 def test_residue_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
         Residue(1, P) / Residue(0, P)
@@ -109,6 +123,10 @@ def test_characteristic_guard():
         require_characteristic_over(FP, 101)
     with pytest.raises(CharacteristicError):
         require_characteristic_over(PrimeField(3), 5)
+    # the degree comes first: a curve needs degree at least 1
+    for field in (QQ, FP):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            require_characteristic_over(field, 0)
 
 
 def test_field_json_round_trip():

@@ -132,13 +132,13 @@ def test_two_bracket_basics():
 
 
 def test_vertex_polys_base_case():
-    r = vertex_polys(2, 3, 1)
+    r = vertex_polys(2, 3)
     assert [str(x) for x in r] == ["a1*a2", "a1*b2 + a2*b1", "b1*b2"]
 
 
 def test_vertex_polys_dehomogenized_base_case():
     # with b_1 = b_2 = 1 the coordinates reduce to (a1 a2, a1 + a2, 1)
-    r = vertex_polys(2, 3, 1)
+    r = vertex_polys(2, 3)
     values = [(Fraction(0), Fraction(1))] * 6
     values[0] = (Fraction(5), Fraction(1))
     values[1] = (Fraction(7), Fraction(1))
@@ -146,15 +146,15 @@ def test_vertex_polys_dehomogenized_base_case():
 
 
 def test_vertex_polys_validation():
-    with pytest.raises(ValueError):
-        vertex_polys(2, 4, 1)
-    with pytest.raises(ValueError):
-        vertex_polys(2, 3, 0)
+    """A label outside 1..2d+2 has no vertex."""
+    for bad in (0, 7, -1):
+        with pytest.raises(ValueError, match="outside 1..6"):
+            vertex_polys(2, bad)
 
 
 def test_vertex_polys_are_bihomogeneous():
-    for d, omit, side in ((2, 1, 1), (3, 6, 2), (4, 2, 1)):
-        for r in vertex_polys(d, omit, side):
+    for d, omit in ((2, 1), (3, 6), (4, 2)):
+        for r in vertex_polys(d, omit):
             assert all(sum(e) == d for e in r.exponents())
 
 
@@ -162,9 +162,9 @@ def test_vertex_polys_specialize_to_numeric_vertices(rng):
     for d in (2, 3):
         n = 2 * d + 2
         qs, values = rand_params(rng, n)
-        for side, group in ((1, first_group(d)), (2, second_group(d))):
+        for group in (first_group(d), second_group(d)):
             for omit in group:
-                sym = vertex_polys(d, omit, side)
+                sym = vertex_polys(d, omit)
                 numeric = vertex_coords(
                     [qs[i - 1] for i in group if i != omit])
                 assert tuple(evaluate(p, values) for p in sym) == numeric
@@ -172,6 +172,14 @@ def test_vertex_polys_specialize_to_numeric_vertices(rng):
 
 # ---------------------------------------------------------------------------
 # bracket factorization
+
+
+def test_primes_are_the_first_primes():
+    assert identities._primes(0) == []
+    assert identities._primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # one prime per 2x2 bracket at d = 12: the 325th prime is 2153
+    primes = identities._primes(comb(26, 2))
+    assert primes[-1] == 2153 and len(set(primes)) == 325
 
 
 def test_split_sign_cases():
@@ -194,7 +202,7 @@ def test_factor_pairs_shape():
 
 def test_factored_bracket_degree():
     for d, members in ((2, (1, 2, 4)), (3, (1, 2, 5, 6))):
-        p = factored_bracket(d, SubsetSplit(d, members))
+        p = factored_bracket(SubsetSplit(d, members))
         assert total_degree(p) == d * (d + 1)
 
 
@@ -220,8 +228,8 @@ def test_bracket_printing_golden():
     for line in (DATA / "vertex-bracket-str.jsonl").read_text().splitlines():
         case = json.loads(line)
         split = SubsetSplit(case["d"], tuple(case["K"]))
-        assert str(vertex_bracket_poly(case["d"], split)) == case["str"]
-        assert str(factored_bracket(case["d"], split)) == case["str"]
+        assert str(vertex_bracket_poly(split)) == case["str"]
+        assert str(factored_bracket(split)) == case["str"]
 
 
 def test_vertex_bracket_matches_transposed_row_dp():
@@ -230,7 +238,7 @@ def test_vertex_bracket_matches_transposed_row_dp():
     for d in (2, 3, 4):
         for members in combinations(range(1, 2 * d + 3), d + 1):
             split = SubsetSplit(d, members)
-            assert vertex_bracket_poly(d, split) == \
+            assert vertex_bracket_poly(split) == \
                 transposed_vertex_bracket(d, split), (d, members)
 
 
@@ -276,7 +284,7 @@ def test_sym_factorization_cli_rejects_mutations(mutated_factorization,
 def test_vertex_bracket_vanishes_on_repeated_parameter(rng):
     # Q_1 = Q_2 collapses two osculating data sets, so the bracket of any
     # split containing vertices from side 1 built on both must vanish
-    p = vertex_bracket_poly(2, SubsetSplit(2, (1, 2, 3)))
+    p = vertex_bracket_poly(SubsetSplit(2, (1, 2, 3)))
     values = rand_values(rng, 6)
     values[1] = values[0]
     assert evaluate(p, values) == 0
@@ -289,7 +297,7 @@ def test_vertex_bracket_matches_numeric_bracket(rng):
         for _ in range(3):
             members = tuple(sorted(rng.sample(range(1, n + 1), d + 1)))
             split = SubsetSplit(d, members)
-            sym = evaluate(vertex_bracket_poly(d, split), values)
+            sym = evaluate(vertex_bracket_poly(split), values)
             pts = []
             for k in members:
                 group = first_group(d) if k <= d + 1 else second_group(d)

@@ -39,11 +39,12 @@ def test_package_starts_no_processes_or_threads():
 
 
 def test_no_linear_algebra_over_field_scalars():
-    """Determinants and ranks run on integer representatives only; the
-    Gauss-Jordan stack over Fraction/Residue scalars stays out."""
+    """Determinants and ranks run on integer representatives only, through
+    the one determinant kernel; the Gauss-Jordan stack over Fraction/Residue
+    scalars and a second elimination routine for ranks stay out."""
     import rncgeom.projective
 
-    for name in ("det", "rref", "rank", "mat_inverse"):
+    for name in ("det", "rref", "rank", "mat_inverse", "_rank_int"):
         assert not hasattr(rncgeom.projective, name), name
 
 

@@ -23,7 +23,6 @@ from rncgeom.projective import (
     ProjectivePoint,
     bracket,
     canonical_coords,
-    _rank_int,
     config_from_json,
     config_to_json,
     is_general_linear_position,
@@ -182,27 +181,6 @@ def test_bracket_validates_shape():
 # ranks, intersections
 
 
-def test_rank_matches_sympy(rng):
-    """The integer rank equals sympy's rank taken in the field itself: over
-    Q, and mod small primes, where it can differ from the rank of the
-    integer lifts."""
-    for p in (0, 2, 3, 5, 101):
-        field = PrimeField(p) if p else QQ
-        for _ in range(60):
-            n, m = rng.randint(1, 6), rng.randint(1, 6)
-            rows = []
-            while len(rows) < n:
-                if rows and rng.random() < 0.3:
-                    # a combination of earlier rows
-                    a, b = rng.choice(rows), rng.choice(rows)
-                    k = rng.randint(-3, 3)
-                    rows.append([x + k * y for x, y in zip(a, b)])
-                else:
-                    rows.append([rng.randint(-6, 6) for _ in range(m)])
-            scalars = [[field.from_int(x) for x in row] for row in rows]
-            assert _rank_int(rows, p) == sympy_rank(scalars, field)
-
-
 def test_hyperplane_intersection_coordinate_planes():
     planes = [pt(1, 0, 0), pt(0, 1, 0)]
     assert hyperplane_intersection(planes) == pt(0, 0, 1)
@@ -238,29 +216,41 @@ def test_glp_fails_on_collinear_triple():
 def test_glp_small_configs_use_rank():
     assert is_general_linear_position(config_of((1, 0, 0), (0, 1, 0)))
     assert not is_general_linear_position(config_of((1, 0, 0), (1, 0, 0)))
+    # no points: the one 0 x 0 minor is 1
+    assert is_general_linear_position(
+        Configuration(field=QQ, dim=2, points=()))
 
 
 def test_glp_small_configs_match_sympy(rng):
-    """With at most d+1 points, general position is full rank in the field:
-    the integer lifts of (1,0,60), (0,1,60), (1,1,19) are independent, but
-    mod 101 the third is the sum of the other two."""
+    """With at most d+1 points, general position is full rank in the field
+    itself, which the minors of the integer lifts read mod p: the lifts of
+    (1,0,60), (0,1,60), (1,1,19) are independent, but mod 101 the third is
+    the sum of the other two.  Random points, some of them combinations of
+    earlier ones, are checked against sympy over Q and mod small primes."""
     rows = ((1, 0, 60), (0, 1, 60), (1, 1, 19))
     lifted = config_of(*rows)
     reduced = Configuration(field=FP, dim=2, points=tuple(
         ProjectivePoint(tuple(map(FP.from_int, row)), FP) for row in rows))
     assert is_general_linear_position(lifted)
     assert not is_general_linear_position(reduced)
-    for field in (QQ, FP):
-        for _ in range(40):
-            d = rng.randint(1, 4)
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(5), FP):
+        for _ in range(60):
+            d = rng.randint(1, 5)
             n = rng.randint(1, d + 1)
-            points = []
-            while len(points) < n:
-                row = [field.from_int(rng.randint(-2, 2))
-                       for _ in range(d + 1)]
-                if any(row):
-                    points.append(ProjectivePoint(tuple(row), field))
-            config = Configuration(field=field, dim=d, points=tuple(points))
+            rows = []
+            while len(rows) < n:
+                if rows and rng.random() < 0.3:
+                    # a combination of earlier rows
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    k = rng.randint(-3, 3)
+                    row = [x + k * y for x, y in zip(a, b)]
+                else:
+                    row = [rng.randint(-6, 6) for _ in range(d + 1)]
+                if any(field.from_int(x) for x in row):
+                    rows.append(row)
+            points = tuple(ProjectivePoint(tuple(map(field.from_int, row)),
+                                           field) for row in rows)
+            config = Configuration(field=field, dim=d, points=points)
             full = sympy_rank([p.coords for p in points], field) == n
             assert is_general_linear_position(config) == full
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rncgeom.curve import curve_contains, fit_rnc, param_point
-from rncgeom.equations import evaluate_many, lies_on_rnc
+from rncgeom.equations import count_equations, evaluate_many, lies_on_rnc
 from rncgeom.fields import QQ, PrimeField
 from rncgeom.identities import first_group, second_group, vertex_polys
 from rncgeom.projective import (
@@ -187,8 +187,7 @@ def test_vertices_match_symbolic_specialization():
     inst = build_instance(3, qs)
     values = [q.coords for q in qs]
     for k in range(1, 9):
-        side = 1 if k <= 4 else 2
-        sym = vertex_polys(3, k, side)
+        sym = vertex_polys(3, k)
         coords = tuple(evaluate(p, values) for p in sym)
         assert ProjectivePoint(coords, QQ) == inst.vertices.points[k - 1]
 
@@ -610,6 +609,68 @@ def test_true_verdict_must_rest_on_passed_checks(edit):
     refuse(obj, "a true verdict needs")
     obj["verdict"] = False
     certificate_from_json(obj)
+
+
+def test_false_verdict_must_follow_from_failed_checks():
+    """The loader recomputes the verdict from the checks, so a false one
+    whose checks all passed is refused like a true one that rests on a
+    failure."""
+    obj = certificate_to_json(verify_instance(small_instance(3, seed=1),
+                                              with_castelnuovo=True))
+    certificate_from_json(obj)
+    obj["verdict"] = False
+    refuse(obj, "verdict false does not follow from its checks; "
+                "a true verdict needs")
+
+
+def test_certificate_counts_are_bounded():
+    """A count beyond the equations there are, or beyond the sample, a
+    negative count and a repeated failure are refused."""
+    full = certificate_to_json(verify_instance(small_instance(3, seed=1)))
+    assert full["psi_total"] == count_equations(3, 8) == 56
+    refuse(dict(full, psi_total=10 ** 6, psi_zero=10 ** 6),
+           "psi_total 1000000 exceeds the equations for d=3")
+    refuse(dict(full, psi_total=57, psi_zero=57),
+           "psi_total 57 exceeds the equations for d=3")
+    sampled = certificate_to_json(verify_instance(
+        small_instance(3, seed=1), sample=5, sample_seed=2))
+    certificate_from_json(sampled)
+    refuse(dict(sampled, psi_total=500, psi_zero=500),
+           "psi_total 500 exceeds the sample 5")
+    refuse(dict(sampled, psi_total=6, psi_zero=6),
+           "psi_total 6 exceeds the sample 5")
+    # a sample larger than the equations checks them all
+    everything = certificate_to_json(verify_instance(
+        small_instance(2, seed=1), sample=5, sample_seed=2))
+    assert certificate_from_json(everything).psi_total == 1
+    refuse(dict(full, psi_total=-1, psi_zero=-1, verdict=False),
+           "psi_zero -1 < 0")
+    tampered = tampered_d3_certificate()
+    failures = tampered["psi_failures"]
+    refuse(dict(tampered, psi_failures=[failures[0]] + failures[:-1]),
+           "a failure repeats")
+    one = {"J": [1, 2, 3, 4, 5, 6], "I": [1, 2, 3, 4, 5, 6]}
+    conic = certificate_to_json(verify_instance(small_instance(2, seed=1)))
+    refuse(dict(conic, psi_total=2, psi_zero=0, psi_failures=[one, one],
+                verdict=False), "psi_total 2 exceeds the equations for d=2")
+
+
+def test_count_bound_skips_only_totals_below_the_count():
+    """The loader compares psi_total with the count only from 2^(d-1) on;
+    every smaller total is below the count, which starts at 1 for d = 2."""
+    for d in range(2, 80):
+        assert count_equations(d, 2 * d + 2) >= 2 ** (d - 1) - 1
+
+
+@pytest.mark.parametrize("label", [1.0, True, "1"],
+                         ids=["float", "bool", "string"])
+@pytest.mark.parametrize("key", ["J", "I"])
+def test_failure_labels_are_json_integers(key, label):
+    obj = tampered_d3_certificate()
+    bad = obj["psi_failures"][0]
+    assert bad[key][0] == 1
+    bad[key] = [label] + bad[key][1:]
+    refuse(obj, f"{key} label must be a JSON integer")
 
 
 @pytest.mark.parametrize("sample, sample_seed", [(None, 5), (3, None)])
