@@ -102,7 +102,10 @@ def _note(message: str) -> None:
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

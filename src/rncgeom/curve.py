@@ -17,16 +17,14 @@ the dual P^d given by its coefficient vector.
 Fitting moves the first d+2 of d+3 points in general position to the
 standard frame by ratios of brackets; the failure modes of that
 normalization (zero or coincident ratios) are exactly general-position
-violations, so no other degeneracy detection is needed.
+violations, so no other degeneracy detection is needed.  Containment is
+then one exact test on a point's frame coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from math import comb
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DegenerateInputError, MismatchError
@@ -58,12 +56,9 @@ def _require_distinct(qs: Sequence[ProjectivePoint]) -> None:
 
 
 def veronese_coords(q: ProjectivePoint, d: int) -> tuple:
-    """Raw curve coordinates C(d,i) a^(d-i) b^i, not canonicalized."""
-    field = q.field
-    a, b = q.coords
-    return tuple(
-        field.from_int(comb(d, i)) * a ** (d - i) * b ** i
-        for i in range(d + 1))
+    """Raw curve coordinates C(d,i) a^(d-i) b^i, not canonicalized: the
+    coefficients of (a x + b y)^d."""
+    return linear_product_coeffs([q.coords] * d, q.field.one)
 
 
 def veronese_embed(q: ProjectivePoint, d: int) -> ProjectivePoint:
@@ -100,14 +95,11 @@ def linear_product_coeffs(pairs: Sequence[tuple], one) -> tuple:
     Works over any commutative ring given its one: field scalars here,
     MultiPoly for the symbolic vertices.
     """
-    zero = one - one
     coeffs = [one]   # coeffs[m] multiplies x^(len(coeffs) - 1 - m) y^m
     for a, b in pairs:
-        nxt = [zero] * (len(coeffs) + 1)
-        for m, c in enumerate(coeffs):
-            nxt[m] = nxt[m] + a * c
-            nxt[m + 1] = nxt[m + 1] + b * c
-        coeffs = nxt
+        coeffs = ([a * coeffs[0]]
+                  + [a * c + b * prev for prev, c in zip(coeffs, coeffs[1:])]
+                  + [b * coeffs[-1]])
     return tuple(coeffs)
 
 
@@ -140,15 +132,14 @@ def simplex_vertex(qs: Sequence[ProjectivePoint]) -> ProjectivePoint:
 @dataclass(frozen=True)
 class RNCModel:
     """A rational normal curve through a frame of fitted points: frame_map
-    sends them to the standard frame, frame_inverse back, and the curve is
-    t = [u:v]  ->  frame_inverse . ( prod_{j != i} (u - alphas[j] v) )_i.
+    sends them to the standard frame, where the curve is
+    t = [u:v]  ->  ( prod_{j != i} (u - alphas[j] v) )_i.
     """
 
     dim: int
     field: Field
     frame_map: tuple[tuple, ...]
     alphas: tuple
-    frame_inverse: tuple[tuple, ...]
 
 
 def fit_rnc(config: Configuration) -> RNCModel:
@@ -158,10 +149,9 @@ def fit_rnc(config: Configuration) -> RNCModel:
     The first d+2 points are sent to the standard frame e_0..e_d, [1:...:1];
     the image [q_0:...:q_d] of the last point then has all q_i nonzero and
     pairwise distinct, and the curve is pinned by alphas_i = -1/q_i.  By
-    Cramer's rule, with [v@i] the bracket of the frame F = p_0..p_d with
-    p_i replaced by v: frame_map[i][j] = [e_j@i] / [p_{d+1}@i],
-    q_i = [p_{d+2}@i] / [p_{d+1}@i], and frame_inverse = F diag(lam) with
-    lam_i = [p_{d+1}@i] / [F].
+    Cramer's rule, with [v@i] the bracket of the frame p_0..p_d with p_i
+    replaced by v: frame_map[i][j] = [e_j@i] / [p_{d+1}@i] and
+    q_i = [p_{d+2}@i] / [p_{d+1}@i].
     """
     d = config.dim
     field = config.field
@@ -190,58 +180,36 @@ def fit_rnc(config: Configuration) -> RNCModel:
     if len(set(q)) != d + 1:
         raise DegenerateInputError("last point has coincident frame ratios")
     alphas = tuple(-(field.one / qi) for qi in q)
-    base = bracket(frame)
-    frame_inverse = tuple(
-        tuple(frame[i].coords[r] * unit[i] / base for i in range(d + 1))
-        for r in range(d + 1))
-    return RNCModel(dim=d, field=field, frame_map=frame_map, alphas=alphas,
-                    frame_inverse=frame_inverse)
-
-
-def curve_point(model: RNCModel, t: ProjectivePoint) -> ProjectivePoint:
-    """Evaluate the fitted parametrization at t = [u:v]."""
-    if t.field != model.field:
-        raise MismatchError("parameter from a different field")
-    u, v = t.coords
-    factors = [u - alpha * v for alpha in model.alphas]
-    xs = [reduce(mul, factors[:i] + factors[i + 1:], model.field.one)
-          for i in range(model.dim + 1)]
-    coords = mat_vec(model.frame_inverse, xs)
-    return ProjectivePoint(tuple(coords), model.field)
+    return RNCModel(dim=d, field=field, frame_map=frame_map, alphas=alphas)
 
 
 def curve_contains(model: RNCModel,
                    p: ProjectivePoint) -> Optional[ProjectivePoint]:
     """The parameter mapping to p under the model's curve, or None.
 
-    In frame coordinates x = frame_map . p, a curve point has either no
-    zero entries or exactly one nonzero entry (a frame point e_i, parameter
-    [alphas_i : 1]).  In the first case x_i (u - alphas_i v) is independent
-    of i, so any two distinct entries pin [u : v]; equal entries across the
-    board mean [1 : 0].  Candidates are verified exactly, so tie-breaking
-    cannot produce a wrong answer.
+    Let x = frame_map . p.  The curve meets the frame hyperplanes only at
+    the frame points: x = e_i is the point at [alphas_i : 1].  Elsewhere
+    x_i is proportional to 1/(u - alphas_i v), so p lies on the curve
+    exactly when x has no zero entry and 1/x_i = c0 + c1 alphas_i for
+    every i; then [u : v] = [c0 : -c1].  The alphas are distinct, so the
+    first two entries pin c0 and c1 and the rest are checked exactly.
     """
     if p.field != model.field or p.dim != model.dim:
         raise MismatchError("point does not match the model")
     field = model.field
+    alphas = model.alphas
     x = mat_vec(model.frame_map, p.coords)
     nonzero = [i for i, xi in enumerate(x) if xi]
     if len(nonzero) == 1:
-        i = nonzero[0]
-        candidate = ProjectivePoint((model.alphas[i], field.one), field)
-    elif len(nonzero) == model.dim + 1:
-        j = next((k for k in range(1, model.dim + 1) if x[k] != x[0]), None)
-        if j is None:
-            candidate = ProjectivePoint((field.one, field.zero), field)
-        else:
-            candidate = ProjectivePoint(
-                (model.alphas[0] * x[0] - model.alphas[j] * x[j],
-                 x[0] - x[j]), field)
-    else:
+        return ProjectivePoint((alphas[nonzero[0]], field.one), field)
+    if len(nonzero) <= model.dim:
         return None
-    if curve_point(model, candidate) == p:
-        return candidate
-    return None
+    y = [field.one / xi for xi in x]
+    c1 = (y[1] - y[0]) / (alphas[1] - alphas[0])
+    c0 = y[0] - c1 * alphas[0]
+    if any(yi != c0 + c1 * a for yi, a in zip(y, alphas)):
+        return None
+    return ProjectivePoint((c0, -c1), field)
 
 
 def fit_and_test(config: Configuration) -> tuple[RNCModel, list[bool]]:

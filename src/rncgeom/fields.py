@@ -84,16 +84,44 @@ class Residue:
 Scalar = Union[Fraction, Residue]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below psi_13
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime: trial division below 2^32, Miller-Rabin with
+    the witnesses above.  Primality is decided exactly only below
+    PRIME_LIMIT; a larger p raises ValueError."""
     if p < 2:
         return False
     if p % 2 == 0:
         return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p < 1 << 32:
+        f = 3
+        while f * f <= p:
+            if p % f == 0:
+                return False
+            f += 2
+        return True
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"modulus {p} is too large: primality is decided "
+                         f"exactly only below {PRIME_LIMIT}")
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _WITNESSES:
+        x = pow(a, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -289,20 +289,36 @@ def instance_to_json(inst: VonStaudtInstance) -> dict:
 def instance_from_json(obj: dict) -> VonStaudtInstance:
     """Load an instance; missing derived fields are rebuilt from the
     parameters, present ones are taken as stored (they may legitimately
-    disagree with the construction, e.g. in negative controls)."""
+    disagree with the construction, e.g. in negative controls) but must
+    have the instance's shape: 2d+2 points of P^d, the vertices over the
+    instance's field.  A wrong shape raises ValueError."""
     with malformed_input("instance"):
         field = field_from_json(obj["field"])
         d = json_int(obj["d"], "d")
         seed = json_typed(obj.get("seed"), "seed", int, NoneType)
         params = points_from_json(obj["params"], field)
         inst = build_instance(d, params, field, seed=seed)
+        n = 2 * d + 2
+
+        def shaped(key: str, points: tuple) -> tuple:
+            if len(points) != n or any(p.dim != d for p in points):
+                raise ValueError(
+                    f"stored {key} must be {n} points of P^{d}")
+            return points
+
         if "points" in obj:
-            inst = replace(inst, curve_points=points_from_json(
-                obj["points"], field))
+            inst = replace(inst, curve_points=shaped(
+                "points", points_from_json(obj["points"], field)))
         if "planes" in obj:
-            inst = replace(inst, planes=points_from_json(obj["planes"], field))
+            inst = replace(inst, planes=shaped(
+                "planes", points_from_json(obj["planes"], field)))
         if "vertices" in obj:
-            inst = replace(inst, vertices=config_from_json(obj["vertices"]))
+            vertices = config_from_json(obj["vertices"])
+            if vertices.field != field:
+                raise ValueError("stored vertices are not over the "
+                                 "instance's field")
+            shaped("vertices", vertices.points)
+            inst = replace(inst, vertices=vertices)
         return inst
 
 

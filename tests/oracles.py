@@ -6,10 +6,11 @@ both sides of an assertion.  sympy is a test dependency only.
 
 The last sections hold helpers only the tests use: polynomial evaluation
 and degrees over MultiPoly.exponents(), the vertex bracket by the plain
-row DP, the raw vector bracket, the degeneracy predicate and model
-decoding (which calls the package's scalar parsers); then the incidence of
-hyperplanes, given as points of the dual space, and the apolarity pairing
-of binary forms, which the package itself never needs.
+row DP, the raw vector bracket, the degeneracy predicate, model decoding
+(which calls the package's scalar parsers) and the fitted curve's
+parametrization; then the incidence of hyperplanes, given as points of the
+dual space, and the apolarity pairing of binary forms, which the package
+itself never needs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Union
 
@@ -279,18 +281,54 @@ def is_degenerate(config: Configuration) -> bool:
 
 
 def model_from_json(obj: dict, field: Field) -> RNCModel:
-    """The inverse of curve.model_to_json; the inverse frame map, which
-    the JSON leaves out, is recomputed by sympy."""
-    frame_map = tuple(
-        tuple(field.parse(c) for c in row) for row in obj["frame_map"])
-    inverse = domain_matrix(frame_map, field).inv().to_list()
+    """The inverse of curve.model_to_json."""
     return RNCModel(
         dim=int(obj["dim"]),
         field=field,
-        frame_map=frame_map,
+        frame_map=tuple(
+            tuple(field.parse(c) for c in row) for row in obj["frame_map"]),
         alphas=tuple(field.parse(a) for a in obj["alphas"]),
-        frame_inverse=tuple(from_domain(row, field) for row in inverse),
     )
+
+
+@lru_cache(maxsize=64)
+def _frame_inverse(model: RNCModel) -> tuple:
+    inverse = domain_matrix(model.frame_map, model.field).inv().to_list()
+    return tuple(from_domain(row, model.field) for row in inverse)
+
+
+def from_frame(model: RNCModel, xs) -> ProjectivePoint:
+    """The point with frame coordinates xs: xs mapped back through sympy's
+    inverse of the frame map."""
+    field = model.field
+    coords = []
+    for row in _frame_inverse(model):
+        total = field.zero
+        for c, x in zip(row, xs):
+            total = total + c * x
+        coords.append(total)
+    return ProjectivePoint(tuple(coords), field)
+
+
+def curve_frame_coords(model: RNCModel, t: ProjectivePoint) -> list:
+    """The frame coordinates (prod_{j != i} (u - alphas_j v))_i of the
+    fitted curve at t = [u:v]."""
+    if t.field != model.field:
+        raise MismatchError("parameter from a different field")
+    u, v = t.coords
+    factors = [u - alpha * v for alpha in model.alphas]
+    xs = []
+    for i in range(model.dim + 1):
+        x = model.field.one
+        for f in factors[:i] + factors[i + 1:]:
+            x = x * f
+        xs.append(x)
+    return xs
+
+
+def curve_point(model: RNCModel, t: ProjectivePoint) -> ProjectivePoint:
+    """The fitted curve at t = [u:v]."""
+    return from_frame(model, curve_frame_coords(model, t))
 
 
 # ---------------------------------------------------------------------------

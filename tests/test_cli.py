@@ -640,6 +640,43 @@ def _prime_string(obj):
     return obj
 
 
+def _planes_cut_to_seven(obj):
+    obj["planes"] = obj["planes"][:7]
+    return obj
+
+
+def _vertices_cut_to_seven(obj):
+    obj["vertices"]["points"] = obj["vertices"]["points"][:7]
+    return obj
+
+
+def _vertices_over_another_field(obj):
+    obj["vertices"]["field"] = {"kind": "prime", "p": 101}
+    return obj
+
+
+def _points_cut_to_three(obj):
+    obj["points"] = obj["points"][:3]
+    return obj
+
+
+def _plane_rows_one_short(obj):
+    obj["planes"] = [row[:-1] for row in obj["planes"]]
+    return obj
+
+
+def _vertices_in_a_plane(obj):
+    obj["vertices"]["dim"] -= 1
+    obj["vertices"]["points"] = [row[:-1] for row in
+                                 obj["vertices"]["points"]]
+    return obj
+
+
+def _prime_beyond_the_exact_bound(obj):
+    obj["field"]["p"] = 2 ** 89 - 1
+    return obj
+
+
 @pytest.mark.parametrize("field,corrupt", [
     ("rationals", _zero_denominator),
     ("rationals", _points_not_a_list),
@@ -651,11 +688,25 @@ def _prime_string(obj):
     ("rationals", _degree_float),
     ("rationals", _dim_float),
     ("prime:101", _prime_string),
+    ("rationals", _planes_cut_to_seven),
+    ("rationals", _vertices_cut_to_seven),
+    ("rationals", _vertices_over_another_field),
+    ("rationals", _points_cut_to_three),
+    ("rationals", _plane_rows_one_short),
+    ("rationals", _vertices_in_a_plane),
+    ("prime:101", _prime_beyond_the_exact_bound),
 ], ids=["param-1-over-0", "points-5", "param-1-over-101-mod-101",
         "not-an-object", "param-in-p2", "param-row-string", "d-string",
-        "d-float", "dim-float", "p-string"])
-@pytest.mark.parametrize("command", ["verify", "check-psi"])
+        "d-float", "dim-float", "p-string", "planes-7", "vertices-7",
+        "vertices-mod-101", "points-3", "plane-rows-short",
+        "vertices-in-p4", "p-beyond-psi13"])
+@pytest.mark.parametrize("command", [
+    "verify", "check-psi", "fit-curve", "dual-check"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, field, corrupt):
+    """Every input error, a wrong shape included, exits 2 with one line
+    and nothing on stdout.  Stored points, planes and vertices must be
+    2d+2 points of P^d, the vertices over the instance's field; tampered
+    values of the right shape are a verdict instead."""
     path = gen_instance_file(tmp_path, capsys, d=5, extra=("--field", field))
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     code, out, err = run_cli([command, "--input", str(path)], capsys)
@@ -680,6 +731,27 @@ def test_instance_seed_must_be_an_integer(tmp_path, capsys, argv, seed):
     assert (code, out) == (2, "")
     assert err == ("error: malformed instance: seed must be a JSON integer "
                    f"or null, got {seed!r}\n")
+
+
+@pytest.mark.parametrize("command", [
+    "verify", "check-psi", "fit-curve", "dual-check"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    """A file too deeply nested for the JSON decoder is an input error,
+    not a traceback with the counterexample code."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_large_prime_modulus(tmp_path, capsys):
+    """A 61-bit prime, far past trial division, works end to end."""
+    path = gen_instance_file(tmp_path, capsys, d=2, extra=(
+        "--field", f"prime:{2 ** 61 - 1}"))
+    code, _, err = run_cli(["verify", "--castelnuovo", "--input", str(path)],
+                           capsys)
+    assert code == 0 and err.startswith("verdict=True ")
 
 
 def test_module_entry_point(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -12,6 +13,9 @@ from oracles import (
     apolarity_apply,
     binomial_coords,
     contains,
+    curve_frame_coords,
+    curve_point,
+    from_frame,
     hyperplane_intersection,
     linear_form,
     model_from_json,
@@ -23,7 +27,6 @@ from oracles import (
 from rncgeom.curve import (
     RNCModel,
     curve_contains,
-    curve_point,
     fit_rnc,
     model_to_json,
     osculating_coeffs,
@@ -307,6 +310,8 @@ def test_fit_input_validation():
 
 
 def test_curve_point_injective(rng):
+    """The fitted alphas make an embedding: through the oracle
+    parametrization, distinct parameters give distinct points."""
     ts = rand_distinct_fractions(rng, 6)
     model = fit_rnc(standard_config(3, ts))
     p1 = curve_point(model, qq_param(5, 7))
@@ -374,6 +379,111 @@ def test_fit_over_prime_field():
     model = fit_rnc(Configuration(field=FP, dim=2, points=pts[:5]))
     for p in pts:
         assert curve_contains(model, p) is not None
+
+
+# ---------------------------------------------------------------------------
+# containment pinned against the oracle parametrization
+
+
+def random_scalar(rng, field):
+    if field == QQ:
+        return rand_fraction(rng)
+    return field.from_int(rng.randrange(field.p))
+
+
+def random_point(rng, field, dim=1):
+    while True:
+        coords = tuple(random_scalar(rng, field) for _ in range(dim + 1))
+        if any(coords):
+            return ProjectivePoint(coords, field)
+
+
+def parameter_line(field):
+    """Every point of P^1 over a prime field."""
+    return [param_point(field, 1, 0)] + [param_point(field, t)
+                                         for t in range(field.p)]
+
+
+def random_model(rng, field, d):
+    """The curve fitted through d+3 samples of the standard curve moved by
+    a random projectivity."""
+    while True:
+        m = [[random_scalar(rng, field) for _ in range(d + 1)]
+             for _ in range(d + 1)]
+        if sympy_det(m, field):
+            break
+    if field == QQ:
+        ts = [qq_param(t) for t in rand_distinct_fractions(rng, d + 3)]
+    else:
+        ts = rng.sample(parameter_line(field), d + 3)
+    pts = []
+    for t in ts:
+        v = veronese_coords(t, d)
+        coords = []
+        for row in m:
+            total = field.zero
+            for a, x in zip(row, v):
+                total = total + a * x
+            coords.append(total)
+        pts.append(ProjectivePoint(tuple(coords), field))
+    return fit_rnc(Configuration(field=field, dim=d, points=tuple(pts)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(13), FP],
+                         ids=["Q", "Z13", "Z101"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_curve_contains_pins_the_oracle_parametrization(rng, field, d):
+    """curve_contains returns the oracle's parameter for every curve
+    point (the frame points [alphas_i : 1], [1:0], [0:1] and random
+    parameters) and None off the curve: frame coordinates with 2..d
+    nonzero entries, a curve point with one frame coordinate rescaled,
+    and, checked against the oracle when found, random points."""
+    nonzero = [x for x in (random_scalar(rng, field) for _ in range(50)) if x]
+    for _ in range(3):
+        model = random_model(rng, field, d)
+        frame_params = [param_point(field, a) for a in model.alphas]
+        ts = frame_params + [param_point(field, 1, 0), param_point(field, 0, 1)]
+        ts += [random_point(rng, field) for _ in range(20)]
+        for t in ts:
+            assert curve_contains(model, curve_point(model, t)) == t
+        for k in range(2, d + 1):
+            for _ in range(5):
+                xs = [field.zero] * (d + 1)
+                for i in rng.sample(range(d + 1), k):
+                    xs[i] = rng.choice(nonzero)
+                assert curve_contains(model, from_frame(model, xs)) is None
+        for _ in range(10):
+            t = random_point(rng, field)
+            while t in frame_params:
+                t = random_point(rng, field)
+            xs = curve_frame_coords(model, t)
+            i = rng.randrange(d + 1)
+            scale = rng.choice([x for x in nonzero if x != field.one])
+            xs[i] = xs[i] * scale
+            assert curve_contains(model, from_frame(model, xs)) is None
+        for _ in range(10):
+            p = random_point(rng, field, d)
+            t = curve_contains(model, p)
+            assert t is None or curve_point(model, t) == p
+
+
+@pytest.mark.parametrize("q, d", [(7, 2), (13, 2), (7, 3), (13, 3), (7, 4)])
+def test_curve_contains_on_every_point_of_a_small_space(rng, q, d):
+    """Over Z/q every point of P^d is tested: curve_contains returns the
+    parameter the oracle parametrization sends there, or None when there
+    is none."""
+    field = PrimeField(q)
+    model = random_model(rng, field, d)
+    on_curve = {curve_point(model, t): t for t in parameter_line(field)}
+    assert len(on_curve) == q + 1
+    checked = 0
+    for coords in product(range(q), repeat=d + 1):
+        if next((c for c in coords if c), None) != 1:
+            continue  # not the canonical representative of its point
+        p = ProjectivePoint(tuple(map(field.from_int, coords)), field)
+        assert curve_contains(model, p) == on_curve.get(p)
+        checked += 1
+    assert checked == (q ** (d + 1) - 1) // (q - 1)
 
 
 def test_model_json_round_trip(rng):

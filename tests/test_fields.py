@@ -1,17 +1,21 @@
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rncgeom.errors import CharacteristicError
 from rncgeom.fields import (
     QQ,
+    PRIME_LIMIT,
     PrimeField,
     Rationals,
     Residue,
     field_from_json,
     field_to_json,
+    is_prime,
     require_characteristic_over,
 )
 
@@ -106,6 +110,36 @@ def test_prime_field_rejects_composites():
             PrimeField(bad)
     PrimeField(2)
     PrimeField(7919)
+
+
+def test_is_prime_agrees_with_sympy_above_two_to_the_32():
+    """Miller-Rabin takes over from trial division at 2^32."""
+    lo = 2 ** 32
+    assert [n for n in range(lo, lo + 10 ** 4) if is_prime(n)] == \
+        list(sympy.primerange(lo, lo + 10 ** 4))
+
+
+def test_strong_pseudoprimes_are_composite():
+    # psi_12 passes the bases 2..37 and falls to 41; the other passes 2..23
+    for n in (318665857834031151167461, 3825123056546413051):
+        assert not sympy.isprime(n)
+        assert not is_prime(n)
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 64 - 59])
+def test_large_prime_modulus_builds_fast(p):
+    start = time.perf_counter()
+    assert PrimeField(p).p == p
+    assert time.perf_counter() - start < 0.1
+
+
+def test_modulus_beyond_the_exact_bound_is_refused():
+    """Above psi_13 the thirteen witnesses no longer decide primality."""
+    assert PRIME_LIMIT == 3317044064679887385961981
+    for p in (PRIME_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(p)
+    assert not is_prime(PRIME_LIMIT - 1)
 
 
 def test_field_equality_and_hash():

@@ -1,8 +1,9 @@
 """Whole-package guards: the standard library only, no worker processes
-or threads, one integer kernel for exact linear algebra, and an explicit
-public API."""
+or threads, one integer kernel for exact linear algebra, no inverse frame
+map for curve containment, and an explicit public API."""
 
 import ast
+import dataclasses
 import sys
 import types
 from pathlib import Path
@@ -46,6 +47,17 @@ def test_no_linear_algebra_over_field_scalars():
 
     for name in ("det", "rref", "rank", "mat_inverse", "_rank_int"):
         assert not hasattr(rncgeom.projective, name), name
+
+
+def test_curve_containment_needs_no_inverse_frame_map():
+    """Containment is decided in frame coordinates, so the curve module
+    has no parametrization to map back through, and a fitted model holds
+    what model_to_json prints plus its field."""
+    import rncgeom.curve
+
+    assert not hasattr(rncgeom.curve, "curve_point")
+    assert [f.name for f in dataclasses.fields(rncgeom.curve.RNCModel)] == \
+        ["dim", "field", "frame_map", "alphas"]
 
 
 def test_public_api_is_an_explicit_list():
