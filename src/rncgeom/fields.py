@@ -91,23 +91,17 @@ PRIME_LIMIT = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Whether p is prime: trial division below 2^32, Miller-Rabin with
-    the witnesses above.  Primality is decided exactly only below
-    PRIME_LIMIT; a larger p raises ValueError."""
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    if p < 1 << 32:
-        f = 3
-        while f * f <= p:
-            if p % f == 0:
-                return False
-            f += 2
-        return True
+    """Whether p is prime, by Miller-Rabin with the witnesses as bases once
+    p is checked for divisibility by them.  Primality is decided exactly
+    only below PRIME_LIMIT; a larger p raises ValueError."""
     if p >= PRIME_LIMIT:
         raise ValueError(f"modulus {p} is too large: primality is decided "
                          f"exactly only below {PRIME_LIMIT}")
+    if p < 2:
+        return False
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
     odd, twos = p - 1, 0
     while odd % 2 == 0:
         odd //= 2

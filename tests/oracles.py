@@ -31,7 +31,7 @@ from rncgeom.equations import inversion_count
 from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, Field, Residue, Scalar
 from rncgeom.polynomials import poly_det
-from rncgeom.projective import Configuration, ProjectivePoint
+from rncgeom.projective import Configuration, ProjectivePoint, mat_vec
 
 
 def to_sympy(x):
@@ -300,14 +300,8 @@ def _frame_inverse(model: RNCModel) -> tuple:
 def from_frame(model: RNCModel, xs) -> ProjectivePoint:
     """The point with frame coordinates xs: xs mapped back through sympy's
     inverse of the frame map."""
-    field = model.field
-    coords = []
-    for row in _frame_inverse(model):
-        total = field.zero
-        for c, x in zip(row, xs):
-            total = total + c * x
-        coords.append(total)
-    return ProjectivePoint(tuple(coords), field)
+    return ProjectivePoint(tuple(mat_vec(_frame_inverse(model), xs)),
+                           model.field)
 
 
 def curve_frame_coords(model: RNCModel, t: ProjectivePoint) -> list:

@@ -44,6 +44,7 @@ from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
     bracket,
+    mat_vec,
     points_from_json,
     points_to_json,
 )
@@ -416,17 +417,9 @@ def random_model(rng, field, d):
         ts = [qq_param(t) for t in rand_distinct_fractions(rng, d + 3)]
     else:
         ts = rng.sample(parameter_line(field), d + 3)
-    pts = []
-    for t in ts:
-        v = veronese_coords(t, d)
-        coords = []
-        for row in m:
-            total = field.zero
-            for a, x in zip(row, v):
-                total = total + a * x
-            coords.append(total)
-        pts.append(ProjectivePoint(tuple(coords), field))
-    return fit_rnc(Configuration(field=field, dim=d, points=tuple(pts)))
+    pts = tuple(ProjectivePoint(tuple(mat_vec(m, veronese_coords(t, d))),
+                                field) for t in ts)
+    return fit_rnc(Configuration(field=field, dim=d, points=pts))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(13), FP],

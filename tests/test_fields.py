@@ -112,9 +112,10 @@ def test_prime_field_rejects_composites():
     PrimeField(7919)
 
 
-def test_is_prime_agrees_with_sympy_above_two_to_the_32():
-    """Miller-Rabin takes over from trial division at 2^32."""
-    lo = 2 ** 32
+@pytest.mark.parametrize("lo", [0, 2 ** 32])
+def test_is_prime_agrees_with_sympy(lo):
+    """Small moduli, the witnesses themselves and their squares included,
+    and a window past 2^32."""
     assert [n for n in range(lo, lo + 10 ** 4) if is_prime(n)] == \
         list(sympy.primerange(lo, lo + 10 ** 4))
 
