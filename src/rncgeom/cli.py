@@ -20,7 +20,6 @@ from typing import Optional
 
 from .curve import fit_and_test, model_to_json
 from .equations import (
-    _equation,
     _unrank_combination,
     equation_picks,
     equation_products,
@@ -32,12 +31,12 @@ from .equations import (
 from .errors import DegenerateInputError
 from .fields import QQ, Field, PrimeField, field_to_json
 from .identities import (
+    FactorizationOrbits,
     SubsetSplit,
     factorization_record,
+    identity_line,
     identity_minor,
-    identity_record,
     require_degree,
-    verify_factorization,
 )
 from .projective import (
     Configuration,
@@ -187,14 +186,15 @@ def _cmd_sym_factorization(args) -> int:
     require_degree(d)
     n = 2 * d + 2
     ranks = sample_ranks(comb(n, d + 1), args.sample, args.seed)
+    orbits = FactorizationOrbits(d)
     bad = 0
     with _output_stream(args.output) as fh:
         for r in ranks:
             split = SubsetSplit(d, _unrank_combination(n, d + 1, r))
-            ok = verify_factorization(split)
+            ok = orbits.verify(split)
             bad += not ok
             fh.write(json.dumps(factorization_record(split, ok)) + "\n")
-    _note(f"subsets={len(ranks)} failed={bad}")
+    _note(f"subsets={len(ranks)} failed={bad} expanded={orbits.expanded}")
     return 0 if bad == 0 else 1
 
 
@@ -210,8 +210,7 @@ def _cmd_sym_psi(args) -> int:
             del n1, n2  # free an expanded pair before the next one forms
             total += 1
             bad += not ok
-            record = identity_record(_equation(d, n, support, sextet), ok)
-            fh.write(json.dumps(record) + "\n")
+            fh.write(identity_line(d, support, sextet, ok))
     _note(f"identities={total} method={args.method} failed={bad}")
     return 0 if bad == 0 else 1
 

@@ -13,15 +13,18 @@ bracket of any d+1 vertices factors completely into 2x2 brackets
                                         * prod_{i in T1\\K1, j in T2\\K2} |Q_iQ_j|
 
 with K1 = K cap T1, K2 = K cap T2 and sign(K) = (-1)^(C(|K1|,2)+C(|K2|,2)).
-verify_factorization checks this by full expansion.  On top of it, each
-curve equation evaluated on the vertices is a difference of two products of
-four such brackets, multiplied by the same kernel that evaluates equations
-numerically (equations.monomial_products).  The factor route feeds it each
-bracket's sign times one distinct prime per 2x2 factor, so two monomials
-agree exactly when their signs and factor multisets do; this proves the
-difference identically zero without expanding degree-4d(d+1) products.
-The expand route feeds it the expanded vertex brackets and serves as a
-cross-check where full expansion is feasible.
+verify_factorization checks this by full expansion.  FactorizationOrbits
+expands one split per orbit of relabellings within the two groups and
+carries its verdict to the rest of the orbit by exact renaming.  On top of
+it, each curve equation evaluated on the vertices is a difference of two
+products of four such brackets, multiplied by the same kernel that
+evaluates equations numerically (equations.monomial_products).  The
+factor route feeds it each bracket's sign times one distinct prime per 2x2
+factor, so two monomials agree exactly when their signs and factor
+multisets do; this proves the difference identically zero without
+expanding degree-4d(d+1) products.  The expand route feeds it the expanded
+vertex brackets and serves as a cross-check where full expansion is
+feasible.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, count, islice, product
 from math import comb
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 from .curve import linear_product_coeffs
 from .equations import BracketEquation, inversion_count, monomial_products
@@ -160,6 +163,78 @@ def verify_factorization(split: SubsetSplit) -> bool:
     return (vertex_bracket_poly(split) - factored_bracket(split)).is_zero
 
 
+class FactorizationOrbits:
+    """verify_factorization's verdicts for the splits of one degree, by one
+    expansion per orbit of Sym(T1) x Sym(T2).
+
+    The orbit of a split K is fixed by m = |K1|; its representative is
+    R = T1[:m] + T2[:d+1-m], expanded when a split of that m first comes.
+    Take sigma mapping R's present labels onto K's and R's absent labels
+    onto K's, in increasing order within each group.  If split_sign(K) ==
+    split_sign(R), factor_pairs(K) is sigma applied to factor_pairs(R)
+    pair by pair, and every vertex row of R renamed by sigma is the
+    matching row of K, then B_K - F_K is B_R - F_R renamed by sigma, so it
+    is zero exactly when that is, and K takes R's verdict.  If any of
+    these facts fails, K is expanded on its own.
+
+    The row fact is cached per (k, sigma(k)).  That is sound because
+    vertex_polys(d, k) is symmetric in the other labels of k's group,
+    which is checked once per k on adjacent transpositions; a row that
+    fails the check never transports.  The caches belong to one instance,
+    so one run; expanded counts its verify_factorization calls.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self.expanded = 0
+        self._verdicts: dict[int, bool] = {}
+        self._rows: dict[tuple[int, int], bool] = {}
+        self._symmetric: dict[int, bool] = {}
+
+    def verify(self, split: SubsetSplit) -> bool:
+        if split.d != self.d:
+            raise ValueError(f"split of degree {split.d}, not {self.d}")
+        d, m = self.d, len(split.group1)
+        rep = SubsetSplit(d, first_group(d)[:m] + second_group(d)[:d + 1 - m])
+        if split.members != rep.members:
+            sigma = dict(zip(
+                rep.group1 + rep.absent1 + rep.group2 + rep.absent2,
+                split.group1 + split.absent1 + split.group2 + split.absent2))
+            if not (split_sign(split) == split_sign(rep)
+                    and factor_pairs(split) == tuple(
+                        (sigma[i], sigma[j]) for i, j in factor_pairs(rep))
+                    and all(self._row_moves(k, sigma) for k in rep.members)):
+                return self._expand(split)
+        if m not in self._verdicts:
+            self._verdicts[m] = self._expand(rep)
+        return self._verdicts[m]
+
+    def _expand(self, split: SubsetSplit) -> bool:
+        self.expanded += 1
+        return verify_factorization(split)
+
+    def _row_moves(self, k: int, sigma: dict[int, int]) -> bool:
+        """Whether the row of R_k renamed by sigma is the row of
+        R_sigma(k), for every sigma with that image of k."""
+        key = (k, sigma[k])
+        if key not in self._rows:
+            row = vertex_polys(self.d, k)
+            self._rows[key] = self._row_symmetric(k, row) and [
+                p.relabel(sigma) for p in row] == list(
+                vertex_polys(self.d, sigma[k]))
+        return self._rows[key]
+
+    def _row_symmetric(self, k: int, row) -> bool:
+        if k not in self._symmetric:
+            d = self.d
+            group = first_group(d) if group_of(d, k) == 1 else second_group(d)
+            others = [i for i in group if i != k]
+            self._symmetric[k] = all(
+                p.relabel({i: j, j: i}) == p
+                for i, j in zip(others, others[1:]) for p in row)
+        return self._symmetric[k]
+
+
 def factorization_record(split: SubsetSplit, ok: bool) -> dict:
     return {"kind": "factorization", "d": split.d,
             "K": list(split.members), "ok": ok}
@@ -246,6 +321,15 @@ def verify_equation_identity(
 def identity_record(eq: BracketEquation, ok: bool) -> dict:
     return {"kind": "psi-identity", "d": eq.dim,
             "J": list(eq.support), "I": list(eq.sextet), "ok": ok}
+
+
+def identity_line(d: int, support: Sequence[int], sextet: Sequence[int],
+                  ok: bool) -> str:
+    """The JSON line json.dumps(identity_record(...)) gives for the
+    equation (support, sextet), with its newline, formed straight from the
+    integers."""
+    return (f'{{"kind": "psi-identity", "d": {d}, "J": {list(support)}, '
+            f'"I": {list(sextet)}, "ok": {"true" if ok else "false"}}}\n')
 
 
 # ---------------------------------------------------------------------------

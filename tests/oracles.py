@@ -255,6 +255,25 @@ def transposed_vertex_bracket(d: int, split):
     return poly_det([[col[r] for col in cols] for r in range(d + 1)])
 
 
+def per_subset_factorizations(splits) -> list[bool]:
+    """The sym-factorization verdicts by the route the orbit route
+    replaced: every split expanded on its own."""
+    return [identities.verify_factorization(split) for split in splits]
+
+
+def relabel_exponents(p, perm: dict) -> dict:
+    """p.exponents() with the a_i and b_i exponents moved to a_perm[i] and
+    b_perm[i], one exponent tuple at a time."""
+    n = p.n_points
+    out = {}
+    for exps, c in p.exponents().items():
+        moved = list(exps)
+        for i, j in perm.items():
+            moved[j - 1], moved[n + j - 1] = exps[i - 1], exps[n + i - 1]
+        out[tuple(moved)] = c
+    return out
+
+
 def bracket_vectors(field: Field, vectors):
     """Determinant of the matrix whose columns are the given coordinate
     vectors, in the order written.

@@ -370,6 +370,23 @@ def test_sym_factorization_sample_picks(capsys):
         [2, 4, 6, 9, 10], [2, 5, 7, 9, 10], [3, 4, 5, 8, 9]]
 
 
+@pytest.mark.parametrize("argv,name,summary", [
+    (["sym-factorization", "--d", "3"], "sym-factorization-d3.jsonl",
+     "subsets=70 failed=0 expanded=5"),
+    (["sym-factorization", "--d", "4", "--sample", "126", "--seed", "5"],
+     "sym-factorization-d4-sample126-seed5.jsonl",
+     "subsets=126 failed=0 expanded=5"),
+    (["sym-factorization", "--d", "5", "--sample", "8"],
+     "sym-factorization-d5-sample8.jsonl", "subsets=8 failed=0 expanded=4"),
+], ids=["d3", "d4-sampled", "d5-sampled"])
+def test_sym_factorization_golden_output(capsys, argv, name, summary):
+    """Byte-identical to the records written when every subset was
+    expanded on its own; a sample expands only the orbits it reaches."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, summary + "\n")
+    assert out == (DATA / name).read_text()
+
+
 def test_sym_psi_conic(capsys):
     code, out, _ = run_cli(["sym-psi", "--d", "2"], capsys)
     assert code == 0

@@ -13,6 +13,7 @@ from oracles import (
     evaluate,
     factor_route_oracle,
     monomial_summary,
+    per_subset_factorizations,
     rand_distinct_fractions,
     total_degree,
     transposed_vertex_bracket,
@@ -32,6 +33,7 @@ from rncgeom.equations import (
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ
 from rncgeom.identities import (
+    FactorizationOrbits,
     SubsetSplit,
     equation_sign_analysis,
     factor_pairs,
@@ -39,6 +41,7 @@ from rncgeom.identities import (
     factorization_record,
     first_group,
     group_of,
+    identity_line,
     identity_record,
     second_group,
     split_sign,
@@ -252,6 +255,8 @@ FACTORIZATION_MUTATIONS = {
         pairs(s)[1:] if affected(s) else pairs(s))),
     "flip-sign": ("split_sign", lambda sign: lambda s: (
         -sign(s) if affected(s) else sign(s))),
+    "flip-orientation": ("factor_pairs", lambda pairs: lambda s: (
+        (pairs(s)[0][::-1],) + pairs(s)[1:] if affected(s) else pairs(s))),
 }
 
 
@@ -279,6 +284,101 @@ def test_sym_factorization_cli_rejects_mutations(mutated_factorization,
     assert "failed=35" in captured.err
     for record in records:
         assert record["ok"] is not (1 in record["K"]), record
+
+
+def all_splits(d):
+    return [SubsetSplit(d, members)
+            for members in combinations(range(1, 2 * d + 3), d + 1)]
+
+
+def orbit_verdicts(d, splits):
+    """The orbit route's verdicts on the splits, in order, and the number
+    of splits it expanded."""
+    orbits = FactorizationOrbits(d)
+    return [orbits.verify(split) for split in splits], orbits.expanded
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_orbit_route_matches_per_subset_route(d):
+    """Every split at d = 2..4 and a seeded sample of 40 at d = 5: one
+    expansion for each |K1| the splits reach, and the verdicts of
+    expanding every split on its own."""
+    splits = all_splits(d)
+    if d == 5:
+        splits = random.Random(5).sample(splits, 40)
+    verdicts, expanded = orbit_verdicts(d, splits)
+    assert verdicts == per_subset_factorizations(splits)
+    assert all(verdicts)
+    assert expanded == len({len(split.group1) for split in splits})
+    if d < 5:
+        assert expanded == d + 2
+
+
+def row_1_gains_row_2(vertex_polys):
+    """The row of R_1 becomes the sum of the rows of R_1 and R_2.  It is no
+    longer symmetric in the labels 2..d+1, and the bracket of a split
+    changes exactly when the split holds 1 but not 2."""
+    def mutated(d, omit):
+        row = vertex_polys(d, omit)
+        if omit != 1:
+            return row
+        return tuple(p + q for p, q in zip(row, vertex_polys(d, 2)))
+    return mutated
+
+
+# faults the orbit route must answer like the per-subset route:
+# (owner, name, original -> replacement)
+ORBIT_MUTATIONS = {
+    **{key: (identities, *fault)
+       for key, fault in FACTORIZATION_MUTATIONS.items()},
+    "row-1-gains-row-2": (identities, "vertex_polys", row_1_gains_row_2),
+    "relabel-does-nothing": (MultiPoly, "relabel",
+                             lambda relabel: lambda p, perm: p),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(ORBIT_MUTATIONS))
+def test_orbit_route_matches_per_subset_route_under_mutation(
+        mutation, monkeypatch):
+    """A fault in a transported fact sends a split back to its own
+    expansion, never to a verdict that expansion would not give."""
+    owner, name, replace = ORBIT_MUTATIONS[mutation]
+    monkeypatch.setattr(owner, name, replace(getattr(owner, name)))
+    for d in (2, 3, 4):
+        splits = all_splits(d)
+        verdicts, expanded = orbit_verdicts(d, splits)
+        expected = per_subset_factorizations(splits)
+        assert verdicts == expected, (d, mutation)
+        if mutation == "row-1-gains-row-2":
+            assert expected == [not (1 in s.members and 2 not in s.members)
+                                for s in splits]
+        if mutation in ("row-1-gains-row-2", "relabel-does-nothing"):
+            # every split but the representatives is expanded on its own
+            assert expanded == len(splits)
+        else:
+            assert d + 2 < expanded < len(splits)
+
+
+def test_orbit_route_refuses_a_split_of_another_degree():
+    with pytest.raises(ValueError, match="split of degree 2, not 3"):
+        FactorizationOrbits(3).verify(SubsetSplit(2, (1, 2, 3)))
+
+
+def test_sym_factorization_expands_once_per_orbit_in_each_run(
+        monkeypatch, capsys):
+    """Two full d = 4 runs in one process expand d + 2 = 6 splits each: no
+    cache outlives a run, and no run expands per subset."""
+    expanded = []
+    verify = identities.verify_factorization
+    monkeypatch.setattr(identities, "verify_factorization",
+                        lambda split: expanded.append(split) or verify(split))
+    for _ in range(2):
+        expanded.clear()
+        assert main(["sym-factorization", "--d", "4"]) == 0
+        assert capsys.readouterr().err == (
+            "subsets=252 failed=0 expanded=6\n")
+        assert sorted(len(split.group1) for split in expanded) == [
+            0, 1, 2, 3, 4, 5]
 
 
 def test_vertex_bracket_vanishes_on_repeated_parameter(rng):
@@ -494,6 +594,17 @@ def test_identity_record_shape():
     assert identity_record(eq, True) == {
         "kind": "psi-identity", "d": 2, "J": [1, 2, 3, 4, 5, 6],
         "I": [1, 2, 3, 4, 5, 6], "ok": True}
+
+
+def test_identity_line_matches_identity_record():
+    """Every identity at d = 2..4 and sampled ones at d = 5..7, both
+    verdicts."""
+    for d in range(2, 8):
+        n = 2 * d + 2
+        for eq in sample_equations(d, n, None if d < 5 else 300, seed=d):
+            for ok in (True, False):
+                assert identity_line(d, eq.support, eq.sextet, ok) == \
+                    json.dumps(identity_record(eq, ok)) + "\n"
 
 
 def test_factor_route_agrees_with_numeric_evaluation(rng):

@@ -11,6 +11,7 @@ from oracles import (
     evaluate,
     multipoly_to_sympy,
     rand_fraction,
+    relabel_exponents,
     sympy_det,
     total_degree,
 )
@@ -309,3 +310,41 @@ def test_poly_det_rejects_bad_split():
     for split in (-1, 2):
         with pytest.raises(ValueError):
             poly_det(rows, split)
+
+
+# ---------------------------------------------------------------------------
+# relabelling points
+
+
+@st.composite
+def point_perms(draw, n=N):
+    """A permutation of a random subset of the points 1..n, as a dict."""
+    moved = draw(st.lists(st.integers(1, n), unique=True))
+    return dict(zip(moved, draw(st.permutations(moved))))
+
+
+@given(st.one_of(polys(), wide_polys()), point_perms())
+def test_relabel_moves_each_exponent_pair(p, perm):
+    assert p.relabel(perm).exponents() == relabel_exponents(p, perm)
+
+
+@given(polys(), polys(), point_perms())
+def test_relabel_is_a_ring_map(p, q, perm):
+    assert (p * q).relabel(perm) == p.relabel(perm) * q.relabel(perm)
+    assert (p + q).relabel(perm) == p.relabel(perm) + q.relabel(perm)
+    inverse = {j: i for i, j in perm.items()}
+    assert p.relabel(perm).relabel(inverse) == p
+
+
+def test_relabel_example():
+    a1, b2 = MultiPoly.var_a(3, 1), MultiPoly.var_b(3, 2)
+    p = a1 * a1 * b2 - b2
+    assert str(p.relabel({1: 2, 2: 3, 3: 1})) == "a2^2*b3 - b3"
+    assert p.relabel({}) == p and p.relabel({2: 2}) == p
+
+
+@pytest.mark.parametrize("perm", [
+    {1: 2}, {1: 2, 2: 2}, {0: 1, 1: 0}, {3: 4, 4: 3}, {1: 2, 2: 3}])
+def test_relabel_refuses_a_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        MultiPoly.var_a(3, 1).relabel(perm)
