@@ -266,8 +266,15 @@ def _add_common(sub, *, seed=False, field=False, height=False, sample=False,
                          help="write JSON here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rncgeom",
         description="Exact construction and verification of point "
                     "configurations on rational normal curves.")

@@ -33,7 +33,6 @@ from .projective import (
     Configuration,
     ProjectivePoint,
     bracket,
-    is_general_linear_position,
     mat_vec,
 )
 
@@ -152,14 +151,17 @@ def fit_rnc(config: Configuration) -> RNCModel:
     Cramer's rule, with [v@i] the bracket of the frame p_0..p_d with p_i
     replaced by v: frame_map[i][j] = [e_j@i] / [p_{d+1}@i] and
     q_i = [p_{d+2}@i] / [p_{d+1}@i].
+
+    The checks that each [p_{d+1}@i] and q_i is nonzero and the q_i are
+    distinct are the general-position test: by the three-term Pluecker
+    relation, a dependent (d+1)-subset zeroes one of them or makes two
+    q_i equal.
     """
     d = config.dim
     field = config.field
     if len(config) != d + 3:
         raise MismatchError(
             f"fitting in P^{d} needs exactly {d + 3} points, got {len(config)}")
-    if not is_general_linear_position(config):
-        raise DegenerateInputError("points are not in general linear position")
     points = config.points
     frame = points[:d + 1]
 
@@ -213,8 +215,9 @@ def curve_contains(model: RNCModel,
 
 
 def fit_and_test(config: Configuration) -> tuple[RNCModel, list[bool]]:
-    """Fit the curve through the first d+3 points (DegenerateInputError
-    unless they are in general position) and test each remaining point."""
+    """Fit the curve through the first d+3 points and test each remaining
+    point.  fit_rnc's ratio checks are the general-position test: they
+    raise DegenerateInputError unless those points are in general position."""
     d = config.dim
     if len(config) < d + 3:
         raise MismatchError(f"fitting in P^{d} needs at least {d + 3} points")

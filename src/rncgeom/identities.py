@@ -61,6 +61,12 @@ def group_of(d: int, k: int) -> int:
     return 1 if k <= d + 1 else 2
 
 
+def group_others(d: int, k: int) -> tuple[int, ...]:
+    """The labels of k's group other than k: the parameters of R_k."""
+    group = first_group(d) if group_of(d, k) == 1 else second_group(d)
+    return tuple(i for i in group if i != k)
+
+
 @dataclass(frozen=True)
 class SubsetSplit:
     """A (d+1)-subset K of the 2d+2 labels, remembered with its split
@@ -114,11 +120,10 @@ def vertex_polys(d: int, omit: int) -> tuple[MultiPoly, ...]:
     sum over (d-k)-subsets S' of S of a_{S'} b_{S \\ S'}; equivalently the
     x^(d-k) y^k coefficient of prod_{i in S} (a_i x + b_i y).
     """
-    group = first_group(d) if group_of(d, omit) == 1 else second_group(d)
     n = 2 * d + 2
     return linear_product_coeffs(
         [(MultiPoly.var_a(n, i), MultiPoly.var_b(n, i))
-         for i in group if i != omit], MultiPoly.one(n))
+         for i in group_others(d, omit)], MultiPoly.one(n))
 
 
 def vertex_bracket_poly(split: SubsetSplit) -> MultiPoly:
@@ -226,9 +231,7 @@ class FactorizationOrbits:
 
     def _row_symmetric(self, k: int, row) -> bool:
         if k not in self._symmetric:
-            d = self.d
-            group = first_group(d) if group_of(d, k) == 1 else second_group(d)
-            others = [i for i in group if i != k]
+            others = group_others(self.d, k)
             self._symmetric[k] = all(
                 p.relabel({i: j, j: i}) == p
                 for i, j in zip(others, others[1:]) for p in row)

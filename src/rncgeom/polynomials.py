@@ -1,10 +1,9 @@
 """Sparse multivariate polynomials with packed exponents.
 
-The ring is Q[a_1..a_n, b_1..b_n] for a fixed number n of parameter points;
+The ring is Z[a_1..a_n, b_1..b_n] for a fixed number n of parameter points;
 variable v < n is a_{v+1} and variable n+i is b_{i+1}.  A polynomial is a
-map from monomials to nonzero coefficients.  Every polynomial the package
-builds has integer coefficients, so coefficients are ints; a Fraction is
-accepted and kept only when its denominator is not 1.
+map from monomials to nonzero int coefficients: every polynomial the
+package builds (vertex coordinates, 2x2 brackets, signs) is integral.
 
 Each monomial is packed into one int of 2n+1 fields of 8 bits (after
 Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -25,21 +24,13 @@ top field that is descending int order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
-Coeff = Union[int, Fraction]
 
 FIELD_BITS = 8
 MAX_DEGREE = (1 << FIELD_BITS) - 1
-
-
-def _coeff(c) -> Coeff:
-    """An int, or a Fraction when c is not integral."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class MultiPoly:
@@ -52,11 +43,11 @@ class MultiPoly:
 
     __slots__ = ("n_points", "terms")
 
-    def __init__(self, n_points: int, terms: Mapping[Exponents, Coeff] = ()):
+    def __init__(self, n_points: int, terms: Mapping[Exponents, int] = ()):
         if n_points < 1:
             raise ValueError("need at least one parameter point")
         width = 2 * n_points
-        clean: dict[int, Coeff] = {}
+        clean: dict[int, int] = {}
         for exps, coeff in dict(terms).items():
             exps = tuple(exps)
             if len(exps) != width or any(e < 0 for e in exps):
@@ -65,7 +56,8 @@ class MultiPoly:
             if degree > MAX_DEGREE:
                 raise OverflowError(
                     f"total degree {degree} exceeds {MAX_DEGREE}")
-            coeff = _coeff(coeff)
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient {coeff!r} is not an int")
             if coeff:
                 key = degree
                 for e in exps:
@@ -91,11 +83,8 @@ class MultiPoly:
         return cls._raw(n_points, {})
 
     @classmethod
-    def constant(cls, n_points: int, c) -> "MultiPoly":
-        c = _coeff(c)
-        if not c:
-            return cls.zero(n_points)
-        return cls._raw(n_points, {0: c})
+    def constant(cls, n_points: int, c: int) -> "MultiPoly":
+        return cls(n_points, {(0,) * (2 * n_points): c})
 
     @classmethod
     def one(cls, n_points: int) -> "MultiPoly":
@@ -140,8 +129,8 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         left, right = self.terms, other.terms
         if not left or not right:
@@ -152,7 +141,7 @@ class MultiPoly:
         if len(left) < len(right):
             left, right = right, left
         items = left.items()
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         get = out.get
         for e2, c2 in right.items():
             for e1, c1 in items:
@@ -160,9 +149,6 @@ class MultiPoly:
                 out[e] = get(e, 0) + c1 * c2
         return MultiPoly._raw(
             self.n_points, {e: c for e, c in out.items() if c})
-
-    def __rmul__(self, other) -> "MultiPoly":
-        return self.scale(other)
 
     def relabel(self, perm: Mapping[int, int]) -> "MultiPoly":
         """The image under a_i -> a_perm[i], b_i -> b_perm[i] for the
@@ -187,28 +173,10 @@ class MultiPoly:
             out[new] = c
         return MultiPoly._raw(n, out)
 
-    def scale(self, c) -> "MultiPoly":
-        c = _coeff(c)
-        if not c:
-            return MultiPoly.zero(self.n_points)
-        return MultiPoly._raw(
-            self.n_points, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.one(self.n_points)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.n_points == other.n_points and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n_points, frozenset(self.terms.items())))
 
     # -- queries
 
@@ -221,7 +189,7 @@ class MultiPoly:
         return tuple((key >> FIELD_BITS * (width - 1 - slot)) & MAX_DEGREE
                      for slot in range(width))
 
-    def exponents(self) -> dict[Exponents, Coeff]:
+    def exponents(self) -> dict[Exponents, int]:
         """The terms with exponent tuples (a_1..a_n, b_1..b_n) as keys."""
         return {self._unpack(key): c for key, c in self.terms.items()}
 
@@ -243,12 +211,9 @@ class MultiPoly:
                     factors.append(self._var_name(slot))
                 elif e > 1:
                     factors.append(f"{self._var_name(slot)}^{e}")
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = str(abs(coeff)) + "*" + "*".join(factors)
+            if abs(coeff) != 1 or not factors:
+                factors.insert(0, str(abs(coeff)))
+            body = "*".join(factors)
             if not pieces:
                 pieces.append(body if coeff > 0 else "-" + body)
             else:
@@ -315,7 +280,7 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]], split: int = 0) -> MultiPoly:
     ring = rows[0][0].n_points
     full = (1 << n) - 1
     bottom = _block_minors(rows[split:], n, ring)
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     for mask, top in _block_minors(rows[:split], n, ring).items():
         if (full ^ mask) in bottom:
             e = sum(j for j in range(n) if mask >> j & 1) + comb(split, 2)

@@ -53,7 +53,7 @@ from .fields import (
     field_to_json,
     require_characteristic_over,
 )
-from .identities import first_group, require_degree, second_group
+from .identities import group_others, require_degree
 from .projective import (
     Configuration,
     ProjectivePoint,
@@ -126,11 +126,8 @@ def build_instance(d: int, params: Sequence[ProjectivePoint],
     _require_distinct(params)
     curve_points = tuple(veronese_embed(q, d) for q in params)
     planes = tuple(osculating_hyperplane(q, d) for q in params)
-    vertices = []
-    for k in range(1, 2 * d + 3):
-        group = first_group(d) if k <= d + 1 else second_group(d)
-        others = [params[i - 1] for i in group if i != k]
-        vertices.append(simplex_vertex(others))
+    vertices = [simplex_vertex([params[i - 1] for i in group_others(d, k)])
+                for k in range(1, 2 * d + 3)]
     return VonStaudtInstance(
         d=d, field=field, params=params, curve_points=curve_points,
         planes=planes,

@@ -5,12 +5,12 @@ through the package's own linear algebra, so a bug cannot cancel out of
 both sides of an assertion.  sympy is a test dependency only.
 
 The last sections hold helpers only the tests use: polynomial evaluation
-and degrees over MultiPoly.exponents(), the vertex bracket by the plain
-row DP, the raw vector bracket, the degeneracy predicate, model decoding
-(which calls the package's scalar parsers) and the fitted curve's
-parametrization; then the incidence of hyperplanes, given as points of the
-dual space, and the apolarity pairing of binary forms, which the package
-itself never needs.
+and degrees over MultiPoly.exponents(), powers by repeated product, the
+vertex bracket by the plain row DP, the raw vector bracket, the degeneracy
+predicate, model decoding (which calls the package's scalar parsers) and
+the fitted curve's parametrization; then the incidence of hyperplanes,
+given as points of the dual space, and the apolarity pairing of binary
+forms, which the package itself never needs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from rncgeom.curve import RNCModel
 from rncgeom.equations import inversion_count
 from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, Field, Residue, Scalar
-from rncgeom.polynomials import poly_det
+from rncgeom.polynomials import MultiPoly, poly_det
 from rncgeom.projective import Configuration, ProjectivePoint, mat_vec
 
 
@@ -234,6 +234,14 @@ def evaluate(p, values) -> Fraction:
                 term *= v ** e
         total += term
     return total
+
+
+def power(p, k: int):
+    """The MultiPoly p to the k-th power, by repeated product."""
+    out = MultiPoly.one(p.n_points)
+    for _ in range(k):
+        out = out * p
+    return out
 
 
 def total_degree(p) -> int:

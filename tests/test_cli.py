@@ -539,6 +539,25 @@ def test_sample_zero_exits_two(command, tmp_path, capsys):
                       "must be at least 1, got 0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-instance", "--d", "2", "--field", "prime:4"],
+    ["gen-instance", "--d", "2", "--field",
+     "prime:618970019642690137449562111"],
+    ["verify", "--sample", "0", "--input", "x"],
+    ["verify"],
+    ["sym-psi", "--d", "x"],
+])
+def test_usage_error_is_one_stderr_line(argv, capsys):
+    """argparse refusals print only the error line, no usage block."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"rncgeom {argv[0]}: error: ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gen-instance", "--d", "1"],
      "the construction needs degree at least 2"),

@@ -19,6 +19,7 @@ from oracles import (
     hyperplane_intersection,
     linear_form,
     model_from_json,
+    power,
     product_form_coords,
     rand_distinct_fractions,
     rand_fraction,
@@ -44,6 +45,7 @@ from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
     bracket,
+    is_general_linear_position,
     mat_vec,
     points_from_json,
     points_to_json,
@@ -153,12 +155,13 @@ def test_osculating_pairing_identity_symbolic(d):
     b2 = MultiPoly.var_b(2, 2)
     pairing = MultiPoly.zero(2)
     for i in range(d + 1):
-        h_i = (a2 ** i) * (b2 ** (d - i))
+        h_i = power(a2, i) * power(b2, d - i)
         if i % 2:
             h_i = -h_i
-        v_i = (a1 ** (d - i)) * (b1 ** i) * MultiPoly.constant(2, comb(d, i))
+        v_i = power(a1, d - i) * power(b1, i) * MultiPoly.constant(
+            2, comb(d, i))
         pairing = pairing + h_i * v_i
-    assert pairing == (a1 * b2 - a2 * b1) ** d
+    assert pairing == power(a1 * b2 - a2 * b1, d)
 
 
 @given(param_values, st.integers(1, 4))
@@ -420,6 +423,53 @@ def random_model(rng, field, d):
     pts = tuple(ProjectivePoint(tuple(mat_vec(m, veronese_coords(t, d))),
                                 field) for t in ts)
     return fit_rnc(Configuration(field=field, dim=d, points=pts))
+
+
+def combination(rng, field, points):
+    """A random nonzero combination of the given points' coordinates."""
+    while True:
+        cs = [random_scalar(rng, field) for _ in points]
+        coords = tuple(sum((c * x for c, x in zip(cs, xs)), field.zero)
+                       for xs in zip(*(p.coords for p in points)))
+        if any(coords):
+            return ProjectivePoint(coords, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), FP],
+                         ids=["Q", "Z7", "Z101"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fit_ratio_checks_decide_general_position(rng, field, d):
+    """fit_rnc raises DegenerateInputError exactly when its d+3 points are
+    not in general linear position, and never divides by zero.  Each
+    round forces one dependent (d+1)-subset of each kind: the frame
+    p_0..p_d, the frame with p_i replaced by p_{d+1} or by p_{d+2}, and
+    the frame with p_i, p_j replaced by both; then it tries random
+    points, which over Z/7 are often degenerate."""
+    for _ in range(3):
+        pts = [random_point(rng, field, d) for _ in range(d + 3)]
+        i, j = sorted(rng.sample(range(d + 1), 2))
+        frame = pts[:d + 1]
+        rest = frame[:i] + frame[i + 1:]
+        others = [p for k, p in enumerate(frame) if k not in (i, j)]
+        forced = [("frame", i, rest), ("unit", d + 1, rest),
+                  ("last", d + 2, rest),
+                  ("both", d + 2, [pts[d + 1]] + others)]
+        for kind, k, span in forced:
+            bad = list(pts)
+            bad[k] = combination(rng, field, span)
+            config = Configuration(field=field, dim=d, points=tuple(bad))
+            assert not is_general_linear_position(config), kind
+            with pytest.raises(DegenerateInputError):
+                fit_rnc(config)
+    for _ in range(10):
+        config = Configuration(field=field, dim=d, points=tuple(
+            random_point(rng, field, d) for _ in range(d + 3)))
+        try:
+            fit_rnc(config)
+        except DegenerateInputError:
+            assert not is_general_linear_position(config)
+        else:
+            assert is_general_linear_position(config)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(13), FP],

@@ -41,6 +41,7 @@ from rncgeom.identities import (
     factorization_record,
     first_group,
     group_of,
+    group_others,
     identity_line,
     identity_record,
     second_group,
@@ -78,6 +79,14 @@ def test_group_partition():
     assert second_group(3) == (5, 6, 7, 8)
     assert group_of(3, 4) == 1
     assert group_of(3, 5) == 2
+
+
+def test_group_others():
+    assert group_others(3, 2) == (1, 3, 4)
+    assert group_others(3, 5) == (6, 7, 8)
+    for bad in (0, 9):
+        with pytest.raises(ValueError):
+            group_others(3, bad)
 
 
 def test_subset_split_parts():

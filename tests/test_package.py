@@ -1,6 +1,7 @@
 """Whole-package guards: the standard library only, no worker processes
-or threads, one integer kernel for exact linear algebra, no inverse frame
-map for curve containment, and an explicit public API."""
+or threads, one integer kernel for exact linear algebra, polynomials over
+Z only, no inverse frame map for curve containment, and an explicit public
+API."""
 
 import ast
 import dataclasses
@@ -47,6 +48,19 @@ def test_no_linear_algebra_over_field_scalars():
 
     for name in ("det", "rref", "rank", "mat_inverse", "_rank_int"):
         assert not hasattr(rncgeom.projective, name), name
+
+
+def test_polynomials_are_over_the_integers_only():
+    """MultiPoly keeps the ring operations the package runs; the Fraction
+    path, scalar products, powers and hashing stay out."""
+    import rncgeom.polynomials
+
+    multipoly = rncgeom.polynomials.MultiPoly
+    for name in ("scale", "__pow__", "__rmul__"):
+        assert not hasattr(multipoly, name), name
+    assert multipoly.__hash__ is None  # __eq__ with no __hash__ of its own
+    path = Path(rncgeom.polynomials.__file__)
+    assert "fractions" not in imported_top_modules(path)
 
 
 def test_curve_containment_needs_no_inverse_frame_map():

@@ -10,6 +10,7 @@ from oracles import (
     degree_in_point,
     evaluate,
     multipoly_to_sympy,
+    power,
     rand_fraction,
     relabel_exponents,
     sympy_det,
@@ -21,7 +22,7 @@ N = 3
 
 
 def make_poly(n, terms):
-    return MultiPoly(n, {tuple(e): Fraction(c) for e, c in terms.items()})
+    return MultiPoly(n, {tuple(e): c for e, c in terms.items()})
 
 
 @st.composite
@@ -30,8 +31,7 @@ def polys(draw, n=N, max_terms=4, max_exp=2):
     terms = {}
     for _ in range(count):
         exps = tuple(draw(st.integers(0, max_exp)) for _ in range(2 * n))
-        coeff = draw(st.fractions(
-            min_value=-9, max_value=9, max_denominator=4))
+        coeff = draw(st.integers(-9, 9))
         if coeff:
             terms[exps] = coeff
     return MultiPoly(n, terms)
@@ -64,7 +64,7 @@ def test_zero_coefficients_are_dropped():
 
 def test_exponent_width_is_validated():
     with pytest.raises(ValueError):
-        MultiPoly(2, {(1, 0): Fraction(1)})
+        MultiPoly(2, {(1, 0): 1})
 
 
 def test_variable_constructors():
@@ -77,12 +77,19 @@ def test_variable_constructors():
         MultiPoly.var_a(3, 4)
 
 
-def test_integral_coefficients_are_stored_as_ints():
-    p = MultiPoly(1, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
-    assert p.exponents() == {(1, 0): 2, (0, 1): Fraction(1, 2)}
-    assert type(p.exponents()[(1, 0)]) is int
-    assert type(MultiPoly.constant(1, Fraction(3)).exponents()[(0, 0)]) is int
-    assert p.scale(Fraction(2)) == MultiPoly(1, {(1, 0): 4, (0, 1): 1})
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(3), 2.0])
+def test_non_int_coefficients_raise(coeff):
+    """Coefficients lie in Z and are ints; nothing else gets in, and a
+    polynomial times a number is not a product."""
+    with pytest.raises(TypeError):
+        MultiPoly(1, {(1, 0): coeff})
+    with pytest.raises(TypeError):
+        MultiPoly.constant(1, coeff)
+    for c in (coeff, 3):
+        with pytest.raises(TypeError):
+            MultiPoly.var_a(2, 1) * c
+        with pytest.raises(TypeError):
+            c * MultiPoly.var_a(2, 1)
 
 
 def test_immutability():
@@ -133,20 +140,6 @@ def test_units(p):
     assert p * MultiPoly.zero(N) == MultiPoly.zero(N)
 
 
-@given(polys(), st.integers(0, 3))
-def test_power_is_repeated_product(p, k):
-    expected = MultiPoly.one(N)
-    for _ in range(k):
-        expected = expected * p
-    assert p ** k == expected
-
-
-@given(polys(), st.fractions(min_value=-5, max_value=5, max_denominator=3))
-def test_scale_matches_constant_multiplication(p, c):
-    assert p.scale(c) == MultiPoly.constant(N, c) * p
-    assert p.scale(c) == c * p
-
-
 # ---------------------------------------------------------------------------
 # the packed exponent layout
 
@@ -170,10 +163,10 @@ def test_packed_order_is_graded_lex(p):
 def test_exponents_at_the_field_width():
     a1, b1 = MultiPoly.var_a(2, 1), MultiPoly.var_b(2, 1)
     b2 = MultiPoly.var_b(2, 2)
-    p = a1 ** 200 * b2 ** 55
+    p = power(a1, 200) * power(b2, 55)
     assert p.exponents() == {(200, 0, 0, 55): 1}
     assert str(p) == "a1^200*b2^55"
-    q = (a1 + b1) ** 5 * (a1 ** 195 * b2 ** 55)
+    q = power(a1 + b1, 5) * (power(a1, 195) * power(b2, 55))
     assert total_degree(q) == 255 and degree_in_point(q, 1) == 200
     assert len(q.terms) == 6
     assert str(q).startswith("a1^200*b2^55 + 5*a1^199*b1*b2^55")
@@ -182,11 +175,11 @@ def test_exponents_at_the_field_width():
 
 def test_product_past_degree_255_raises():
     a1, b2 = MultiPoly.var_a(2, 1), MultiPoly.var_b(2, 2)
-    p = a1 ** 200 * b2 ** 55
+    p = power(a1, 200) * power(b2, 55)
     with pytest.raises(OverflowError):
         p * a1
     with pytest.raises(OverflowError):
-        (a1 ** 128) * (b2 ** 128)
+        power(a1, 128) * power(b2, 128)
     with pytest.raises(OverflowError):
         MultiPoly(2, {(256, 0, 0, 0): 1})
     with pytest.raises(OverflowError):
@@ -224,7 +217,7 @@ def test_evaluation_matches_sympy(p):
 def test_degrees():
     a1 = MultiPoly.var_a(2, 1)
     b2 = MultiPoly.var_b(2, 2)
-    p = a1 ** 3 * b2 + a1 * b2
+    p = power(a1, 3) * b2 + a1 * b2
     assert total_degree(p) == 4
     assert degree_in_point(p, 1) == 3
     assert degree_in_point(p, 2) == 1
@@ -242,9 +235,9 @@ def test_str_golden():
     b2 = MultiPoly.var_b(2, 2)
     assert str(a1 * b2 - a2 * b1) == "a1*b2 - a2*b1"
     assert str(MultiPoly.zero(2)) == "0"
-    assert str(MultiPoly.constant(2, Fraction(-3, 2))) == "-3/2"
-    assert str(a1 ** 2 * b1.scale(4)) == "4*a1^2*b1"
-    assert str(MultiPoly.constant(2, 3) - a1 * a1.scale(2)) == "-2*a1^2 + 3"
+    assert str(power(a1, 2) * (MultiPoly.constant(2, 4) * b1)) == "4*a1^2*b1"
+    assert str(MultiPoly.constant(2, 3)
+               - a1 * (MultiPoly.constant(2, 2) * a1)) == "-2*a1^2 + 3"
 
 
 def test_str_orders_by_grade_then_lex():
@@ -265,12 +258,12 @@ def test_repr_is_distinct_from_str():
 
 def test_poly_det_constant_matrix_matches_numeric(rng):
     for n in (1, 2, 3, 4):
-        m = [[rand_fraction(rng, 6) for _ in range(n)] for _ in range(n)]
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         sym = [[MultiPoly.constant(1, x) for x in row] for row in m]
         expected = sympy_det(m)
         for split in range(n + 1):
             got = poly_det(sym, split)
-            assert got == MultiPoly.constant(1, expected), split
+            assert got == MultiPoly.constant(1, int(expected)), split
 
 
 def test_poly_det_matches_evaluation(rng):
@@ -281,10 +274,10 @@ def test_poly_det_matches_evaluation(rng):
                 # random small linear forms in 2 points
                 p = MultiPoly.zero(2)
                 for idx in (1, 2):
-                    p = p + MultiPoly.var_a(2, idx).scale(
-                        rand_fraction(rng, 3))
-                    p = p + MultiPoly.var_b(2, idx).scale(
-                        rand_fraction(rng, 3))
+                    p = p + MultiPoly.constant(2, rng.randint(-3, 3)) \
+                        * MultiPoly.var_a(2, idx)
+                    p = p + MultiPoly.constant(2, rng.randint(-3, 3)) \
+                        * MultiPoly.var_b(2, idx)
                 entries[i][j] = p
         dp = poly_det(entries)
         values = [(rand_fraction(rng, 5), rand_fraction(rng, 5))
