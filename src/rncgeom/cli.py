@@ -24,9 +24,9 @@ from .equations import (
     equation_picks,
     equation_products,
     membership,
-    monomial_products,
-    report_line,
+    report_lines,
     sample_ranks,
+    support_products,
 )
 from .errors import DegenerateInputError
 from .fields import QQ, Field, PrimeField, field_to_json
@@ -34,7 +34,6 @@ from .identities import (
     FactorizationOrbits,
     SubsetSplit,
     factorization_record,
-    identity_line,
     identity_minor,
     require_degree,
 )
@@ -150,11 +149,11 @@ def _cmd_check_psi(args) -> int:
     table = config.bracket_table
     total = nonzero = 0
     with _output_stream(args.output) as fh:
-        write = fh.write
-        for support, sextet, n1, n2 in products:
-            total += 1
-            nonzero += n1 != n2
-            write(report_line(table, support, sextet, n1, n2))
+        for support, rows in products:
+            lines, bad = report_lines(table, support, rows)
+            total += len(lines)
+            nonzero += bad
+            fh.write("".join(lines))
     _note(f"equations={total} nonzero={nonzero} member={nonzero == 0}")
     return 0 if nonzero == 0 else 1
 
@@ -205,12 +204,20 @@ def _cmd_sym_psi(args) -> int:
     minor = identity_minor(d, args.method)
     total = bad = 0
     with _output_stream(args.output) as fh:
-        for support, sextet, n1, n2 in monomial_products(minor, d, picks):
-            ok = n1 == n2
-            del n1, n2  # free an expanded pair before the next one forms
-            total += 1
-            bad += not ok
-            fh.write(identity_line(d, support, sextet, ok))
+        # each line is json.dumps(identity_record(...)), formed from labels
+        for support, rows in support_products(minor, d, picks):
+            head = (f'{{"kind": "psi-identity", "d": {d}, '
+                    f'"J": {list(support)}, "I": [')
+            labels = [str(k) for k in support]
+            lines = []
+            for pick, n1, n2 in rows:
+                ok = n1 == n2
+                del n1, n2  # free an expanded pair before the next one forms
+                bad += not ok
+                lines.append(f'{head}{", ".join(pick(labels))}], '
+                             f'"ok": {"true" if ok else "false"}}}\n')
+            total += len(lines)
+            fh.write("".join(lines))
     _note(f"identities={total} method={args.method} failed={bad}")
     return 0 if bad == 0 else 1
 

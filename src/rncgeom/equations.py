@@ -17,13 +17,13 @@ column set is computed once however many equations share it.  Which sorted
 column sets an equation needs depends only on where I sits inside J, and
 sorting the written columns never changes a monomial's sign; a per-degree
 template holds, for each sextet position, the indices of its eight sorted
-sets among the C(d+4, d+1) column sets of a support.  A full check walks
-the supports once each, reads each support's minors into one list and
-multiplies along the template, building no per-equation objects.
-Both monomials then are products of plain integers over one common scale:
-every sextet label appears twice and every shared label four times in each.
-monomial_products is the one place the monomials are multiplied; the
-symbolic identities run it over factored or expanded vertex brackets.
+sets among the C(d+4, d+1) column sets of a support.  The support stream,
+support_products, is the one place the monomials are multiplied: it reads
+a support's minors once and yields the support with a lazy batch of its
+equations' products, so every consumer does its per-support work once.
+Over Q both monomials are integers over one common scale: every sextet
+label appears twice and every shared label four times in each.  The
+symbolic identities run the same stream over their vertex brackets.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -236,19 +236,6 @@ def _template(dim: int) -> _Template:
     return _Template(dim)
 
 
-def equation_scale(scales: Sequence[int], support: Sequence[int],
-                   sextet: Sequence[int]) -> int:
-    """The common denominator of both monomials over Q: each bracket is its
-    integer over the product of its columns' scales, and in each monomial
-    every sextet label appears twice and every shared label four times."""
-    whole = inner = 1
-    for k in support:
-        whole *= scales[k - 1]
-    for k in sextet:
-        inner *= scales[k - 1]
-    return (whole * whole // inner) ** 2
-
-
 @dataclass(slots=True)
 class EquationReport:
     """An evaluated equation: both monomials and their difference.
@@ -275,8 +262,10 @@ class EquationReport:
         if not n:
             return Fraction(0)
         if self._scale is None:
-            eq = self.equation
-            self._scale = equation_scale(table.scales, eq.support, eq.sextet)
+            # the common denominator of both monomials (module docstring)
+            eq, scales = self.equation, table.scales
+            self._scale = (prod(scales[k - 1] for k in eq.support) ** 2
+                           // prod(scales[k - 1] for k in eq.sextet)) ** 2
         return Fraction(n, self._scale)
 
     @property
@@ -312,22 +301,29 @@ def format_ratio(n: int, scale: int) -> str:
     return f"{n // g}/{scale // g}"
 
 
-def report_line(table: BracketTable, support: Sequence[int],
-                sextet: Sequence[int], n1: int, n2: int) -> str:
-    """The JSON line json.dumps(report_to_json(...)) gives for the equation
-    (support, sextet) with products n1, n2 on the table, with its newline,
-    formed straight from the integers."""
+def report_lines(table: BracketTable, support: Sequence[int],
+                 rows: Iterable[tuple]) -> tuple[list[str], int]:
+    """The check-psi lines of one support's rows, each the JSON line
+    json.dumps(report_to_json(...)) gives with its newline, formed straight
+    from the integers; and how many rows are nonzero."""
+    head = f'{{"J": {list(support)}, "I": ['
+    labels = [str(k) for k in support]
     p = table.modulus
-    if p:
-        m1, m2, value = n1, n2, (n1 - n2) % p
-    else:
-        scale = (equation_scale(table.scales, support, sextet)
-                 if n1 or n2 else 1)
-        m1 = format_ratio(n1, scale)
-        m2 = m1 if n1 == n2 else format_ratio(n2, scale)
-        value = format_ratio(n1 - n2, scale)
-    return (f'{{"J": {list(support)}, "I": {list(sextet)}, '
-            f'"m1": "{m1}", "m2": "{m2}", "value": "{value}"}}\n')
+    scales = [table.scales[k - 1] for k in support]
+    whole = prod(scales) ** 2
+    lines, nonzero = [], 0
+    for pick, n1, n2 in rows:
+        if p:
+            m1, m2, value = n1, n2, (n1 - n2) % p
+        else:
+            scale = (whole // prod(pick(scales))) ** 2
+            m1 = format_ratio(n1, scale)
+            m2 = m1 if n1 == n2 else format_ratio(n2, scale)
+            value = format_ratio(n1 - n2, scale)
+        nonzero += n1 != n2
+        lines.append(f'{head}{", ".join(pick(labels))}], "m1": "{m1}", '
+                     f'"m2": "{m2}", "value": "{value}"}}\n')
+    return lines, nonzero
 
 
 def check_match(config: Configuration, dim: int, n_points: int) -> None:
@@ -338,19 +334,17 @@ def check_match(config: Configuration, dim: int, n_points: int) -> None:
             f"{len(config)} points in P^{config.dim}")
 
 
-def monomial_products(minor: Callable, dim: int,
-                      picks: Iterable[tuple]) -> Iterator[tuple]:
-    """(support, sextet, n1, n2) for each equation picked: the products of
-    minor(cols) over the sorted column tuples of its first and second
-    monomial.
-
-    Each pick is a support and one sextet of it, or the support and None
-    for all its sextets in enumeration order.  A whole support reads each
-    of its C(dim+4, dim+1) minors once into a local list; one sextet reads
-    only its eight.  minor is the bracket kernel's table: integer minors
-    for evaluation, factored or expanded symbolic brackets for the
-    identities.
-    """
+def support_products(minor: Callable, dim: int, picks: Iterable[tuple],
+                     modulus: int = 0) -> Iterator[tuple]:
+    """The support stream: (support, rows) once per pick, a support and
+    one sextet of it or the support and None for all its sextets.  rows
+    lazily yields (pick, n1, n2) per equation, in enumeration order: pick
+    is the template's itemgetter of the sextet's positions, so it applies
+    to the support or any sequence as long (labels, scales); n1, n2 are the
+    products of minor(sorted cols) over each monomial, reduced mod a
+    nonzero modulus.  A whole support reads its C(dim+4, dim+1) minors
+    once, one sextet only its eight; a row's products form when it is
+    drawn, so an expanded pair can be freed before the next one forms."""
     template = _template(dim)
     columns = template.columns
     for support, sextet in picks:
@@ -361,14 +355,22 @@ def monomial_products(minor: Callable, dim: int,
             entry = template[tuple(map(support.index, sextet))]
             m = {i: minor(columns[i](support)) for i in entry[1] + entry[2]}
             entries = (entry,)
-        for pick, (a, b, c, e), (f, g, h, k) in entries:
-            yield (support, pick(support), m[a] * m[b] * m[c] * m[e],
-                   m[f] * m[g] * m[h] * m[k])
+        yield support, _rows(m, entries, modulus)
+
+
+def _rows(m, entries: Iterable[tuple], p: int) -> Iterator[tuple]:
+    # no local holds a row's products, so a drawn pair is the consumer's
+    for pick, (a, b, c, e), (f, g, h, k) in entries:
+        if p:
+            yield (pick, m[a] * m[b] * m[c] * m[e] % p,
+                   m[f] * m[g] * m[h] * m[k] % p)
+        else:
+            yield pick, m[a] * m[b] * m[c] * m[e], m[f] * m[g] * m[h] * m[k]
 
 
 def equation_picks(dim: int, n: int, sample: Optional[int] = None,
                    seed: int = 0) -> Iterator[tuple]:
-    """The monomial_products picks of every equation, each support once
+    """The support_products picks of every equation, each support once
     with sextet None, or of a seeded sample of them, one (support, sextet)
     each; checked before the first pick."""
     ranks = sample_ranks(count_equations(dim, n), sample, seed)
@@ -381,17 +383,12 @@ def equation_picks(dim: int, n: int, sample: Optional[int] = None,
 
 def equation_products(config: Configuration, sample: Optional[int] = None,
                       seed: int = 0) -> Iterator[tuple]:
-    """(support, sextet, n1, n2) for the equation_picks on the
-    configuration, in enumeration order, n1 and n2 reduced mod p over Z/p.
-    A full run builds no equation objects; a sample reads only the
+    """The support stream of the equation_picks on the configuration's
+    bracket table, reduced mod p over Z/p; a sample reads only the
     brackets its equations use."""
     picks = equation_picks(config.dim, len(config), sample, seed)
     table = config.bracket_table
-    products = monomial_products(table.minor, config.dim, picks)
-    p = table.modulus
-    if p:
-        return ((J, I, n1 % p, n2 % p) for J, I, n1, n2 in products)
-    return products
+    return support_products(table.minor, config.dim, picks, table.modulus)
 
 
 def evaluate_many(config: Configuration,
@@ -402,16 +399,10 @@ def evaluate_many(config: Configuration,
     for eq in eqs:
         check_match(config, eq.dim, eq.n_points)
     table = config.bracket_table
-    p = table.modulus
-    out = []
-    products = monomial_products(
-        table.minor, config.dim, ((eq.support, eq.sextet) for eq in eqs))
-    for eq, (_, _, n1, n2) in zip(eqs, products):
-        if p:
-            n1 %= p
-            n2 %= p
-        out.append(EquationReport(eq, n1, n2, table))
-    return out
+    stream = support_products(table.minor, config.dim, (
+        (eq.support, eq.sextet) for eq in eqs), table.modulus)
+    return [EquationReport(eq, n1, n2, table)
+            for eq, (_, [(_, n1, n2)]) in zip(eqs, stream)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +420,8 @@ def membership(config: Configuration, sample: Optional[int] = None,
     first that does not.  Degenerate configurations pass trivially: every
     bracket of d+1 dependent points is zero."""
     return MembershipResult(member=all(
-        n1 == n2 for _, _, n1, n2 in equation_products(config, sample, seed)))
+        n1 == n2 for _, rows in equation_products(config, sample, seed)
+        for _, n1, n2 in rows))
 
 
 def lies_on_rnc(config: Configuration) -> bool:

@@ -18,7 +18,7 @@ expands one split per orbit of relabellings within the two groups and
 carries its verdict to the rest of the orbit by exact renaming.  On top of
 it, each curve equation evaluated on the vertices is a difference of two
 products of four such brackets, multiplied by the same kernel that
-evaluates equations numerically (equations.monomial_products).  The
+evaluates equations numerically (equations.support_products).  The
 factor route feeds it each bracket's sign times one distinct prime per 2x2
 factor, so two monomials agree exactly when their signs and factor
 multisets do; this proves the difference identically zero without
@@ -36,7 +36,7 @@ from math import comb
 from typing import Callable, Literal, Sequence
 
 from .curve import linear_product_coeffs
-from .equations import BracketEquation, inversion_count, monomial_products
+from .equations import BracketEquation, inversion_count, support_products
 from .errors import MismatchError
 from .fields import is_prime
 from .polynomials import MultiPoly, poly_det
@@ -290,7 +290,7 @@ def _factor_table(d: int) -> _FactorCodes:
 
 
 def identity_minor(d: int, method: str = "auto") -> Callable:
-    """The vertex brackets a route feeds equations.monomial_products.
+    """The vertex brackets a route feeds equations.support_products.
 
     The factor route ("auto" above d = 2) is sound given the bracket
     factorization, which verify_factorization establishes by expansion.
@@ -316,23 +316,14 @@ def verify_equation_identity(
     """Whether the equation, evaluated on the symbolic vertices, is the
     zero polynomial: the two monomials of the method's brackets agree."""
     d = _require_symbolic(eq)
-    [(_, _, n1, n2)] = monomial_products(identity_minor(d, method), d,
-                                         [(eq.support, eq.sextet)])
+    [(_, [(_, n1, n2)])] = support_products(identity_minor(d, method), d,
+                                            [(eq.support, eq.sextet)])
     return n1 == n2
 
 
 def identity_record(eq: BracketEquation, ok: bool) -> dict:
     return {"kind": "psi-identity", "d": eq.dim,
             "J": list(eq.support), "I": list(eq.sextet), "ok": ok}
-
-
-def identity_line(d: int, support: Sequence[int], sextet: Sequence[int],
-                  ok: bool) -> str:
-    """The JSON line json.dumps(identity_record(...)) gives for the
-    equation (support, sextet), with its newline, formed straight from the
-    integers."""
-    return (f'{{"kind": "psi-identity", "d": {d}, "J": {list(support)}, '
-            f'"I": {list(sextet)}, "ok": {"true" if ok else "false"}}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,8 @@ class MultiPoly:
             raise ValueError("polynomials from different rings")
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         _add_terms(out, other.terms)
@@ -126,6 +128,8 @@ class MultiPoly:
             self.n_points, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":

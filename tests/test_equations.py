@@ -33,6 +33,7 @@ from rncgeom.equations import (
     membership,
     report_to_json,
     sample_equations,
+    support_products,
 )
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ, PrimeField
@@ -53,6 +54,13 @@ FP = PrimeField(101)
 def curve_config(d, ts, field=QQ):
     pts = tuple(veronese_embed(param_point(field, t), d) for t in ts)
     return Configuration(field=field, dim=d, points=pts)
+
+
+def flat(stream):
+    """The support stream's rows as (support, sextet, n1, n2), one per
+    equation."""
+    return [(support, pick(support), n1, n2)
+            for support, rows in stream for pick, n1, n2 in rows]
 
 
 def random_config(rng, d, n):
@@ -242,7 +250,7 @@ def test_curve_points_satisfy_equations_beyond_minimum(rng):
     ts = rand_distinct_fractions(rng, 9)
     config = curve_config(3, ts)
     assert membership(config).member
-    assert sum(1 for _ in equation_products(config)) == count_equations(3, 9)
+    assert len(flat(equation_products(config))) == count_equations(3, 9)
 
 
 def test_random_configuration_is_not_a_member(rng):
@@ -333,9 +341,11 @@ def stream_cases(field, d):
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_equation_products_match_evaluate_many(field, d):
-    """The per-support walk gives the products, order, counts and failures
-    that evaluate_many gives equation by equation; so do verify_instance,
-    for full runs and for samples at or above the total, and membership."""
+    """The support stream, its batches flattened, gives the products,
+    order, counts and failures that evaluate_many gives equation by
+    equation, on honest, tampered and degenerate vertices; so do
+    verify_instance, for full runs and for samples below, at and above the
+    total, and membership."""
     n = 2 * d + 2
     total = count_equations(d, n)
     eqs = list(enumerate_equations(d, n))
@@ -345,10 +355,19 @@ def test_equation_products_match_evaluate_many(field, d):
         want = [(r.equation.support, r.equation.sextet, r.n1, r.n2)
                 for r in reports]
         for sample in (None, total, total + 5):
-            assert list(equation_products(config, sample, seed=3)) == want
+            assert flat(equation_products(config, sample, seed=3)) == want
         failures = tuple(r.equation for r in reports if r.nonzero)
         assert membership(config).member is not bool(failures)
+        picked = evaluate_many(config, sample_equations(d, n, 11, 3))
+        streamed = flat(equation_products(config, 11, seed=3))
+        assert streamed == [(r.equation.support, r.equation.sextet, r.n1,
+                             r.n2) for r in picked]
+        assert [n1 != n2 for *_, n1, n2 in streamed] == [
+            r.nonzero for r in picked]
         tampered = dataclasses.replace(inst, vertices=config)
+        assert verify_instance(tampered, sample=11, sample_seed=3) == \
+            verify_instance(tampered, sample=11, sample_seed=3,
+                            evaluator=evaluate_many)
         cert = verify_instance(tampered)
         assert cert.psi_total == total
         assert cert.psi_zero == total - len(failures)
@@ -372,7 +391,7 @@ def test_sampled_products_match_evaluate_many(field, d):
     for config in (config, perturbed(config, 2)):
         for k, seed in ((1, 0), (17, 4), (200, 9)):
             eqs = sample_equations(d, n, k, seed)
-            assert list(equation_products(config, k, seed)) == [
+            assert flat(equation_products(config, k, seed)) == [
                 (r.equation.support, r.equation.sextet, r.n1, r.n2)
                 for r in evaluate_many(config, eqs)]
 
@@ -390,11 +409,33 @@ def test_full_walk_reads_each_support_minor_once(monkeypatch):
     monkeypatch.setattr(BracketTable, "minor", counted)
     d, n = 4, 11
     config = curve_config(d, list(range(1, n + 1)))
-    assert sum(1 for _ in equation_products(config)) == count_equations(d, n)
+    assert len(flat(equation_products(config))) == count_equations(d, n)
     assert len(looked_up) == comb(n, d + 4) * comb(d + 4, d + 1)
     looked_up.clear()
-    assert len(list(equation_products(config, 1, seed=2))) == 1
+    assert len(flat(equation_products(config, 1, seed=2))) == 1
     assert len(looked_up) == len(set(looked_up)) == 8
+
+
+def test_support_rows_are_lazy():
+    """Drawing a row of a full support forms that row's six products and
+    no others, so the expand route holds one pair of polynomials at a
+    time."""
+    products = []
+
+    class Counted:
+        def __mul__(self, other):
+            products.append(other)
+            return self
+
+    d = 3
+    [(support, rows)] = support_products(
+        lambda cols: Counted(), d, [(tuple(range(1, d + 5)), None)])
+    assert iter(rows) is rows and not products
+    pick, n1, n2 = next(rows)
+    assert pick(support) == (1, 2, 3, 4, 5, 6)
+    assert len(products) == 6
+    assert sum(1 for _ in rows) == comb(d + 4, 6) - 1
+    assert len(products) == 6 * comb(d + 4, 6)
 
 
 def test_equation_products_check_the_point_count():
@@ -502,7 +543,7 @@ def test_membership_sampling(rng):
     ts = rand_distinct_fractions(rng, 10)
     config = curve_config(3, ts)
     assert membership(config, sample=12, seed=1).member
-    products = list(equation_products(config, 12, seed=1))
+    products = flat(equation_products(config, 12, seed=1))
     assert len(products) == 12
     assert all(n1 == n2 for _, _, n1, n2 in products)
 

@@ -42,7 +42,6 @@ from rncgeom.identities import (
     first_group,
     group_of,
     group_others,
-    identity_line,
     identity_record,
     second_group,
     split_sign,
@@ -578,6 +577,32 @@ def test_factor_route_matches_oracle_under_mutation(
     assert len(new) == rejected
 
 
+@pytest.mark.parametrize("d, sample", [
+    (2, None), (3, None), (4, None), (5, None), (5, 300), (6, 300),
+    (7, 300)])
+@pytest.mark.parametrize("mutated", [False, True], ids=["honest", "mutated"])
+def test_sym_psi_lines_match_identity_record(
+        d, sample, mutated, monkeypatch, fresh_factor_tables, capsys):
+    """Every streamed sym-psi line is the json.dumps of identity_record
+    for its equation and verify_equation_identity's verdict, full and
+    sampled, with the factorization honest and with a factor dropped from
+    every split holding label 1, so both verdicts are written."""
+    if mutated:
+        name, replace = FACTORIZATION_MUTATIONS["drop-first-pair"]
+        monkeypatch.setattr(identities, name,
+                            replace(getattr(identities, name)))
+    argv = ["sym-psi", "--d", str(d), "--seed", str(d)]
+    code = main(argv + ([] if sample is None else ["--sample", str(sample)]))
+    out, err = capsys.readouterr()
+    eqs = sample_equations(d, 2 * d + 2, sample, seed=d)
+    verdicts = [verify_equation_identity(eq) for eq in eqs]
+    assert out == "".join(json.dumps(identity_record(eq, ok)) + "\n"
+                          for eq, ok in zip(eqs, verdicts))
+    assert err.endswith(f" failed={verdicts.count(False)}\n")
+    assert code == (0 if all(verdicts) else 1)
+    assert all(verdicts) is (not mutated or d == 2)
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_sym_psi_fails_what_each_identity_rejects_under_mutation(
         d, monkeypatch, fresh_factor_tables, capsys):
@@ -603,17 +628,6 @@ def test_identity_record_shape():
     assert identity_record(eq, True) == {
         "kind": "psi-identity", "d": 2, "J": [1, 2, 3, 4, 5, 6],
         "I": [1, 2, 3, 4, 5, 6], "ok": True}
-
-
-def test_identity_line_matches_identity_record():
-    """Every identity at d = 2..4 and sampled ones at d = 5..7, both
-    verdicts."""
-    for d in range(2, 8):
-        n = 2 * d + 2
-        for eq in sample_equations(d, n, None if d < 5 else 300, seed=d):
-            for ok in (True, False):
-                assert identity_line(d, eq.support, eq.sextet, ok) == \
-                    json.dumps(identity_record(eq, ok)) + "\n"
 
 
 def test_factor_route_agrees_with_numeric_evaluation(rng):

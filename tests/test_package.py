@@ -90,8 +90,10 @@ def test_public_api_is_an_explicit_list():
 
 
 def test_cli_reads_no_per_equation_layer():
-    """Every command streams its equations from equation_picks or
-    equation_products; the per-equation names stay out of the CLI."""
+    """Every command streams its equations a support at a time from
+    support_products or equation_products; the per-equation names, and
+    the per-equation generator and line formers the support stream
+    replaced, stay out of the CLI."""
     tree = ast.parse((Path(rncgeom.__file__).parent / "cli.py").read_text(
         encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree)
@@ -99,5 +101,6 @@ def test_cli_reads_no_per_equation_layer():
     used = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
     for name in ("sample_equations", "enumerate_equations", "evaluate_many",
-                 "EquationReport", "verify_equation_identity"):
+                 "EquationReport", "verify_equation_identity",
+                 "monomial_products", "report_line", "identity_line"):
         assert name not in imported | used, name

@@ -92,6 +92,17 @@ def test_non_int_coefficients_raise(coeff):
             c * MultiPoly.var_a(2, 1)
 
 
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), 2.0, "a", None])
+def test_sum_and_difference_with_a_non_polynomial_raise(other):
+    """A polynomial plus or minus anything but a polynomial, from either
+    side, is a TypeError, as a product is."""
+    p = MultiPoly.one(1)
+    for form in (lambda: p + other, lambda: other + p,
+                 lambda: p - other, lambda: other - p):
+        with pytest.raises(TypeError):
+            form()
+
+
 def test_immutability():
     p = MultiPoly.one(2)
     with pytest.raises(AttributeError):

@@ -690,6 +690,26 @@ def test_certificate_json_refuses_non_object():
         certificate_from_json(["vonstaudt-cert/2"])
 
 
+@pytest.mark.parametrize("key", ["d", "field", "glp_ok", "psi_total",
+                                 "psi_zero", "psi_failures", "verdict"])
+def test_certificate_json_names_a_missing_key(key):
+    """A certificate without a required key is a ValueError naming it,
+    not a KeyError."""
+    obj = certificate_to_json(verify_instance(small_instance(2, seed=1)))
+    del obj[key]
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        certificate_from_json(obj)
+
+
+def test_certificate_json_names_a_missing_failure_label():
+    with pytest.raises(ValueError, match="missing key 'J'"):
+        certificate_from_json({"schema": "vonstaudt-cert/2", "d": 2,
+                               "field": {"kind": "rationals"},
+                               "glp_ok": True, "psi_total": 1,
+                               "psi_zero": 0, "psi_failures": [{"I": []}],
+                               "verdict": False})
+
+
 def test_certificate_json_rejects_unknown_schema():
     cert = verify_instance(small_instance(2, seed=1))
     obj = certificate_to_json(cert)
