@@ -3,7 +3,7 @@
 Structured results go to standard output as JSON (one object, or JSON
 lines for report streams); human-readable summaries go to standard error.
 Exit codes: 0 for a true verdict or successful computation, 1 for a false
-verdict, 2 for usage or input errors.
+verdict, 2 for usage or input errors or a computation too big to finish.
 
 Output is deterministic: identical command, flags and seed produce
 byte-identical JSON.
@@ -31,7 +31,7 @@ from .equations import (
 from .errors import DegenerateInputError
 from .fields import QQ, Field, PrimeField, field_to_json
 from .identities import (
-    FactorizationOrbits,
+    FactorizationProofs,
     SubsetSplit,
     factorization_record,
     identity_minor,
@@ -185,15 +185,15 @@ def _cmd_sym_factorization(args) -> int:
     require_degree(d)
     n = 2 * d + 2
     ranks = sample_ranks(comb(n, d + 1), args.sample, args.seed)
-    orbits = FactorizationOrbits(d)
+    proofs = FactorizationProofs(d)
     bad = 0
     with _output_stream(args.output) as fh:
         for r in ranks:
             split = SubsetSplit(d, _unrank_combination(n, d + 1, r))
-            ok = orbits.verify(split)
+            ok = proofs.verify(split)
             bad += not ok
             fh.write(json.dumps(factorization_record(split, ok)) + "\n")
-    _note(f"subsets={len(ranks)} failed={bad} expanded={orbits.expanded}")
+    _note(f"subsets={len(ranks)} failed={bad} expanded={proofs.expanded}")
     return 0 if bad == 0 else 1
 
 
@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_curve)
 
     p = subs.add_parser("sym-factorization",
-                        help="expand the symbolic vertex brackets and "
-                             "check their factorizations")
+                        help="prove that each symbolic vertex bracket "
+                             "factors into 2x2 brackets")
     p.add_argument("--d", type=int, required=True, help="curve degree")
     _add_common(p, seed=True, sample=True)
     p.set_defaults(func=_cmd_sym_factorization)
@@ -353,7 +353,10 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: input is missing key {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except (OSError, OverflowError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

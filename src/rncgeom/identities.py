@@ -13,18 +13,17 @@ bracket of any d+1 vertices factors completely into 2x2 brackets
                                         * prod_{i in T1\\K1, j in T2\\K2} |Q_iQ_j|
 
 with K1 = K cap T1, K2 = K cap T2 and sign(K) = (-1)^(C(|K1|,2)+C(|K2|,2)).
-verify_factorization checks this by full expansion.  FactorizationOrbits
-expands one split per orbit of relabellings within the two groups and
-carries its verdict to the rest of the orbit by exact renaming.  On top of
-it, each curve equation evaluated on the vertices is a difference of two
-products of four such brackets, multiplied by the same kernel that
-evaluates equations numerically (equations.support_products).  The
-factor route feeds it each bracket's sign times one distinct prime per 2x2
-factor, so two monomials agree exactly when their signs and factor
-multisets do; this proves the difference identically zero without
-expanding degree-4d(d+1) products.  The expand route feeds it the expanded
-vertex brackets and serves as a cross-check where full expansion is
-feasible.
+verify_factorization checks this by full expansion; FactorizationProofs
+proves it by divisibility, from two facts about each vertex row and one
+integer determinant per split.  On top of it, each curve equation
+evaluated on the vertices is a difference of two products of four such
+brackets, multiplied by the same kernel that evaluates equations
+numerically (equations.support_products).  The factor route feeds it each
+bracket's sign times one distinct prime per 2x2 factor, so two monomials
+agree exactly when their signs and factor multisets do; this proves the
+difference identically zero without expanding degree-4d(d+1) products.
+The expand route feeds it the expanded vertex brackets and serves as a
+cross-check where full expansion is feasible.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, count, islice, product
-from math import comb
+from math import comb, prod
+from operator import add
 from typing import Callable, Literal, Sequence
 
 from .curve import linear_product_coeffs
@@ -40,6 +40,7 @@ from .equations import BracketEquation, inversion_count, support_products
 from .errors import MismatchError
 from .fields import is_prime
 from .polynomials import MultiPoly, poly_det
+from .projective import _det_int
 
 
 def require_degree(d: int) -> None:
@@ -168,74 +169,87 @@ def verify_factorization(split: SubsetSplit) -> bool:
     return (vertex_bracket_poly(split) - factored_bracket(split)).is_zero
 
 
-class FactorizationOrbits:
-    """verify_factorization's verdicts for the splits of one degree, by one
-    expansion per orbit of Sym(T1) x Sym(T2).
+def _at_point(poly: MultiPoly, xs: Sequence[int]) -> int:
+    """The integer value of poly at a_i = xs[i-1], b_i = 1."""
+    return sum(c * prod(x ** e for x, e in zip(xs, exps))
+               for exps, c in poly.exponents().items())
 
-    The orbit of a split K is fixed by m = |K1|; its representative is
-    R = T1[:m] + T2[:d+1-m], expanded when a split of that m first comes.
-    Take sigma mapping R's present labels onto K's and R's absent labels
-    onto K's, in increasing order within each group.  If split_sign(K) ==
-    split_sign(R), factor_pairs(K) is sigma applied to factor_pairs(R)
-    pair by pair, and every vertex row of R renamed by sigma is the
-    matching row of K, then B_K - F_K is B_R - F_R renamed by sigma, so it
-    is zero exactly when that is, and K takes R's verdict.  If any of
-    these facts fails, K is expanded on its own.
 
-    The row fact is cached per (k, sigma(k)).  That is sound because
-    vertex_polys(d, k) is symmetric in the other labels of k's group,
-    which is checked once per k on adjacent transpositions; a row that
-    fails the check never transports.  The caches belong to one instance,
-    so one run; expanded counts its verify_factorization calls.
+def _evaluation_point(d: int) -> tuple[int, ...]:
+    """The a_i of the points Q_i = [a_i : 1] where constants are read."""
+    return tuple(range(1, 2 * d + 3))
+
+
+def _row_facts(d: int, k: int, row: Sequence[MultiPoly]) -> bool:
+    """Whether the vertex row R_k passes the shape and osculation facts of
+    FactorizationProofs."""
+    n = 2 * d + 2
+    others = group_others(d, k)
+    shape = tuple(int(p in others) for p in range(1, n + 1))
+    if len(row) != d + 1 or any(
+            tuple(map(add, exps, exps[n:])) != shape
+            for entry in row for exps in entry.exponents()):
+        return False
+    for p in others:
+        a, b = MultiPoly.var_a(n, p), MultiPoly.var_b(n, p)
+        form, power = MultiPoly.zero(n), MultiPoly.one(n)
+        for entry in row:  # Horner: form * b + (-a)^t R_k[t]
+            form, power = form * b + power * entry, power * -a
+        if not form.is_zero:
+            return False
+    return True
+
+
+class FactorizationProofs:
+    """verify_factorization's verdicts for the splits of one degree, proved
+    by divisibility instead of expansion.
+
+    Each vertex row R_k must pass two facts: shape (each term has degree 1
+    in (a_p, b_p) for p in group_others(d, k) and 0 in every other point)
+    and osculation (sum_t (-1)^t a_p^t b_p^(d-t) R_k[t] = 0 for those p).
+    Then Q_j := Q_i makes the rows of K dependent for each predicted pair
+    i < j (two rows of one half share the kernel of d osculating forms;
+    with i and j absent from different halves, every row lies on the
+    osculating hyperplane at Q_i), so a_i b_j - a_j b_i divides B_K and, by
+    degree, B_K = c * the product of the predicted factors.  The integer c
+    is read from the determinant of the rows at _evaluation_point(d).  By
+    unique factorization B_K = F_K exactly when factor_pairs(K) are the
+    predicted pairs, unordered, and c is split_sign(K) times their
+    orientation sign.  A split with a failing row, or with c = 0, is
+    expanded instead; expanded counts those.
     """
 
     def __init__(self, d: int):
+        n = 2 * d + 2
         self.d = d
         self.expanded = 0
-        self._verdicts: dict[int, bool] = {}
-        self._rows: dict[tuple[int, int], bool] = {}
-        self._symmetric: dict[int, bool] = {}
+        self.point = _evaluation_point(d)
+        if len(set(self.point)) != n:
+            raise ValueError(f"the evaluation point needs {n} distinct labels")
+        self._rows = {}  # R_k at the point, for each k whose row passes
+        for k in range(1, n + 1):
+            row = vertex_polys(d, k)
+            if _row_facts(d, k, row):
+                self._rows[k] = [_at_point(p, self.point) for p in row]
 
     def verify(self, split: SubsetSplit) -> bool:
         if split.d != self.d:
             raise ValueError(f"split of degree {split.d}, not {self.d}")
-        d, m = self.d, len(split.group1)
-        rep = SubsetSplit(d, first_group(d)[:m] + second_group(d)[:d + 1 - m])
-        if split.members != rep.members:
-            sigma = dict(zip(
-                rep.group1 + rep.absent1 + rep.group2 + rep.absent2,
-                split.group1 + split.absent1 + split.group2 + split.absent2))
-            if not (split_sign(split) == split_sign(rep)
-                    and factor_pairs(split) == tuple(
-                        (sigma[i], sigma[j]) for i, j in factor_pairs(rep))
-                    and all(self._row_moves(k, sigma) for k in rep.members)):
-                return self._expand(split)
-        if m not in self._verdicts:
-            self._verdicts[m] = self._expand(rep)
-        return self._verdicts[m]
-
-    def _expand(self, split: SubsetSplit) -> bool:
-        self.expanded += 1
-        return verify_factorization(split)
-
-    def _row_moves(self, k: int, sigma: dict[int, int]) -> bool:
-        """Whether the row of R_k renamed by sigma is the row of
-        R_sigma(k), for every sigma with that image of k."""
-        key = (k, sigma[k])
-        if key not in self._rows:
-            row = vertex_polys(self.d, k)
-            self._rows[key] = self._row_symmetric(k, row) and [
-                p.relabel(sigma) for p in row] == list(
-                vertex_polys(self.d, sigma[k]))
-        return self._rows[key]
-
-    def _row_symmetric(self, k: int, row) -> bool:
-        if k not in self._symmetric:
-            others = group_others(self.d, k)
-            self._symmetric[k] = all(
-                p.relabel({i: j, j: i}) == p
-                for i, j in zip(others, others[1:]) for p in row)
-        return self._symmetric[k]
+        value = 0  # c times the predicted factors, at the point
+        if set(split.members) <= self._rows.keys():
+            value = _det_int([self._rows[k] for k in split.members])
+        if value == 0:
+            self.expanded += 1
+            return verify_factorization(split)
+        claimed = factor_pairs(split)
+        predicted = sorted([*combinations(split.group1, 2),
+                            *combinations(split.group2, 2),
+                            *product(split.absent1, split.absent2)])
+        if sorted(tuple(sorted(pair)) for pair in claimed) != predicted:
+            return False
+        xs = self.point
+        return value == split_sign(split) * prod(
+            xs[i - 1] - xs[j - 1] for i, j in claimed)
 
 
 def factorization_record(split: SubsetSplit, ok: bool) -> dict:
@@ -293,7 +307,7 @@ def identity_minor(d: int, method: str = "auto") -> Callable:
     """The vertex brackets a route feeds equations.support_products.
 
     The factor route ("auto" above d = 2) is sound given the bracket
-    factorization, which verify_factorization establishes by expansion.
+    factorization, which FactorizationProofs establishes by divisibility.
     The expand route ("auto" at d = 2) multiplies out both monomials of
     degree 4d(d+1), an independent guard of the factor route: all of d = 3
     takes about a minute, and d >= 4 is refused, as one d = 4 identity ran

@@ -154,29 +154,6 @@ class MultiPoly:
         return MultiPoly._raw(
             self.n_points, {e: c for e, c in out.items() if c})
 
-    def relabel(self, perm: Mapping[int, int]) -> "MultiPoly":
-        """The image under a_i -> a_perm[i], b_i -> b_perm[i] for the
-        1-based points perm moves; perm must permute its own keys, and
-        points it omits stay.  Each packed monomial moves its a_i and b_i
-        fields to the new point's fields."""
-        n = self.n_points
-        if set(perm) != set(perm.values()) or not all(
-                1 <= i <= n for i in perm):
-            raise ValueError(f"not a permutation of points in 1..{n}: "
-                             f"{dict(perm)}")
-        width = 2 * n
-        moves = [(FIELD_BITS * (width - base - i),
-                  FIELD_BITS * (width - base - j))
-                 for i, j in perm.items() if i != j for base in (0, n)]
-        moved = sum(MAX_DEGREE << src for src, _ in moves)
-        out = {}
-        for key, c in self.terms.items():
-            new = key & ~moved
-            for src, dst in moves:
-                new |= (key >> src & MAX_DEGREE) << dst
-            out[new] = c
-        return MultiPoly._raw(n, out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented

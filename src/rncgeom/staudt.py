@@ -16,7 +16,7 @@ counterexamples must surface, not crash.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from types import NoneType
 from typing import Callable, Optional, Sequence
@@ -85,6 +85,9 @@ class VonStaudtInstance:
     planes: tuple[ProjectivePoint, ...]
     vertices: Configuration
     seed: Optional[int] = None
+    # instance_from_json's build of the params (maybe self); replace() drops it
+    rebuilt: Optional[VonStaudtInstance] = dataclass_field(
+        default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -215,8 +218,8 @@ def verify_instance(inst: VonStaudtInstance,
     n = 2 * d + 2
     config = inst.vertices
     # the stored points, planes and vertices are what the parameters build
-    construction_ok = inst == build_instance(d, inst.params, inst.field,
-                                             inst.seed)
+    construction_ok = inst == (inst.rebuilt or build_instance(
+        d, inst.params, inst.field, inst.seed))
     glp_ok = is_general_linear_position(config)
     check_match(config, d, n)
     if evaluator is None:
@@ -294,7 +297,7 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
         d = json_int(obj["d"], "d")
         seed = json_typed(obj.get("seed"), "seed", int, NoneType)
         params = points_from_json(obj["params"], field)
-        inst = build_instance(d, params, field, seed=seed)
+        inst = built = build_instance(d, params, field, seed=seed)
         n = 2 * d + 2
 
         def shaped(key: str, points: tuple) -> tuple:
@@ -316,6 +319,7 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
                                  "instance's field")
             shaped("vertices", vertices.points)
             inst = replace(inst, vertices=vertices)
+        object.__setattr__(inst, "rebuilt", built)
         return inst
 
 

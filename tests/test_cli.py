@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from rncgeom import (
     instance_from_json,
     sample_instance,
 )
+from rncgeom import cli
 from rncgeom.cli import main
 from rncgeom.fields import field_to_json
 from rncgeom.projective import config_to_json
@@ -372,16 +374,16 @@ def test_sym_factorization_sample_picks(capsys):
 
 @pytest.mark.parametrize("argv,name,summary", [
     (["sym-factorization", "--d", "3"], "sym-factorization-d3.jsonl",
-     "subsets=70 failed=0 expanded=5"),
+     "subsets=70 failed=0 expanded=0"),
     (["sym-factorization", "--d", "4", "--sample", "126", "--seed", "5"],
      "sym-factorization-d4-sample126-seed5.jsonl",
-     "subsets=126 failed=0 expanded=5"),
+     "subsets=126 failed=0 expanded=0"),
     (["sym-factorization", "--d", "5", "--sample", "8"],
-     "sym-factorization-d5-sample8.jsonl", "subsets=8 failed=0 expanded=4"),
+     "sym-factorization-d5-sample8.jsonl", "subsets=8 failed=0 expanded=0"),
 ], ids=["d3", "d4-sampled", "d5-sampled"])
 def test_sym_factorization_golden_output(capsys, argv, name, summary):
     """Byte-identical to the records written when every subset was
-    expanded on its own; a sample expands only the orbits it reaches."""
+    expanded on its own; the proof route expands none of them."""
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, summary + "\n")
     assert out == (DATA / name).read_text()
@@ -424,6 +426,42 @@ def test_sym_psi_refuses_expand_beyond_d3():
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
         "error: the expand route is limited to d <= 3, got 4"]
+
+
+def test_sym_factorization_runs_d7_in_little_memory():
+    """Under a 512 MB address-space cap, where one d = 7 expansion ran out
+    of memory, a d = 7 sample is proved without expanding."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "rncgeom.cli",
+         "sym-factorization", "--d", "7", "--sample", "40"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert result.returncode == 0
+    assert result.stderr == "subsets=40 failed=0 expanded=0\n"
+    assert len(result.stdout.splitlines()) == 40
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError(), "error: out of memory"),
+    (OverflowError("product degree exceeds 255"),
+     "error: product degree exceeds 255"),
+], ids=["memory", "overflow"])
+def test_a_computation_too_large_exits_2(error, message, monkeypatch,
+                                         capsys):
+    """Running out of memory or past the polynomial degree bound is not a
+    counterexample: exit 2 with one error line, not a traceback and 1."""
+    class Raising:
+        def __init__(self, d):
+            pass
+
+        def verify(self, split):
+            raise error
+
+    monkeypatch.setattr(cli, "FactorizationProofs", Raising)
+    code, out, err = run_cli(["sym-factorization", "--d", "2"], capsys)
+    assert (code, out, err.splitlines()) == (2, "", [message])
 
 
 @pytest.mark.parametrize("argv,name,summary", [

@@ -33,8 +33,9 @@ from rncgeom.equations import (
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ
 from rncgeom.identities import (
-    FactorizationOrbits,
+    FactorizationProofs,
     SubsetSplit,
+    _at_point,
     equation_sign_analysis,
     factor_pairs,
     factored_bracket,
@@ -299,94 +300,163 @@ def all_splits(d):
             for members in combinations(range(1, 2 * d + 3), d + 1)]
 
 
-def orbit_verdicts(d, splits):
-    """The orbit route's verdicts on the splits, in order, and the number
+def proof_verdicts(d, splits):
+    """The proof route's verdicts on the splits, in order, and the number
     of splits it expanded."""
-    orbits = FactorizationOrbits(d)
-    return [orbits.verify(split) for split in splits], orbits.expanded
+    proofs = FactorizationProofs(d)
+    return [proofs.verify(split) for split in splits], proofs.expanded
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_orbit_route_matches_per_subset_route(d):
-    """Every split at d = 2..4 and a seeded sample of 40 at d = 5: one
-    expansion for each |K1| the splits reach, and the verdicts of
-    expanding every split on its own."""
+def test_proof_route_matches_per_subset_route(d):
+    """Every split at d = 2..4 and a seeded sample of 40 at d = 5: the
+    verdicts of expanding every split on its own, with no expansion."""
     splits = all_splits(d)
     if d == 5:
         splits = random.Random(5).sample(splits, 40)
-    verdicts, expanded = orbit_verdicts(d, splits)
+    verdicts, expanded = proof_verdicts(d, splits)
     assert verdicts == per_subset_factorizations(splits)
     assert all(verdicts)
-    assert expanded == len({len(split.group1) for split in splits})
-    if d < 5:
-        assert expanded == d + 2
+    assert expanded == 0
 
 
-def row_1_gains_row_2(vertex_polys):
-    """The row of R_1 becomes the sum of the rows of R_1 and R_2.  It is no
-    longer symmetric in the labels 2..d+1, and the bracket of a split
-    changes exactly when the split holds 1 but not 2."""
-    def mutated(d, omit):
-        row = vertex_polys(d, omit)
-        if omit != 1:
-            return row
-        return tuple(p + q for p, q in zip(row, vertex_polys(d, 2)))
+def mutated_row_1(change):
+    """A vertex_polys replacement that applies change(row, vertex_polys, d)
+    to the row of R_1 and leaves every other row alone."""
+    def replace(vertex_polys):
+        def mutated(d, omit):
+            row = vertex_polys(d, omit)
+            return change(row, vertex_polys, d) if omit == 1 else row
+        return mutated
+    return replace
+
+
+# the row of R_1 becomes the sum of the rows of R_1 and R_2: the shape
+# fact fails, and the bracket of a split changes exactly when the split
+# holds 1 but not 2
+row_1_gains_row_2 = mutated_row_1(lambda row, vertex_polys, d: tuple(
+    p + q for p, q in zip(row, vertex_polys(d, 2))))
+# the first entry of R_1 doubled: the shape holds, the osculation fails
+row_1_entry_doubled = mutated_row_1(lambda row, vertex_polys, d: (
+    row[0] + row[0],) + row[1:])
+# every entry of R_1 doubled: both facts hold, so the proof stands and the
+# constant is twice the factorization's for every split holding 1
+row_1_doubled = mutated_row_1(lambda row, vertex_polys, d: tuple(
+    p + p for p in row))
+# every entry of R_1 zero: both facts hold vacuously, and c = 0 for every
+# split holding 1, whose bracket is then zero and is expanded
+row_1_zeroed = mutated_row_1(lambda row, vertex_polys, d: tuple(
+    p - p for p in row))
+# every entry of R_1 times b_1: the osculation holds, the shape fails, and
+# b_1 = 1 at the evaluation point hides the extra factor from the constant
+row_1_times_b_1 = mutated_row_1(lambda row, vertex_polys, d: tuple(
+    p * MultiPoly.var_b(2 * d + 2, 1) for p in row))
+
+
+def shift_first_pair(factor_pairs):
+    """The first pair (i, j) of a split holding 1 moved one label up (down
+    at the last label): the 2x2 bracket changes, its value at Q_i = [i : 1]
+    does not, so only the comparison of pairs rejects it."""
+    def mutated(split):
+        pairs = factor_pairs(split)
+        if not affected(split):
+            return pairs
+        (i, j), n = pairs[0], 2 * split.d + 2
+        step = 1 if j < n else -1
+        return ((i + step, j + step),) + pairs[1:]
     return mutated
 
 
-# faults the orbit route must answer like the per-subset route:
-# (owner, name, original -> replacement)
-ORBIT_MUTATIONS = {
-    **{key: (identities, *fault)
+# faults the proof route must answer like the per-subset route:
+# name -> (replacement of that name in identities, whether the splits
+# holding 1 fall back to their own expansion)
+PROOF_MUTATIONS = {
+    **{key: (*fault, False)
        for key, fault in FACTORIZATION_MUTATIONS.items()},
-    "row-1-gains-row-2": (identities, "vertex_polys", row_1_gains_row_2),
-    "relabel-does-nothing": (MultiPoly, "relabel",
-                             lambda relabel: lambda p, perm: p),
+    "row-1-gains-row-2": ("vertex_polys", row_1_gains_row_2, True),
+    "row-1-entry-doubled": ("vertex_polys", row_1_entry_doubled, True),
+    "row-1-doubled": ("vertex_polys", row_1_doubled, False),
+    "row-1-times-b-1": ("vertex_polys", row_1_times_b_1, True),
+    "row-1-zeroed": ("vertex_polys", row_1_zeroed, True),
+    "shift-first-pair": ("factor_pairs", shift_first_pair, False),
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(ORBIT_MUTATIONS))
-def test_orbit_route_matches_per_subset_route_under_mutation(
+@pytest.mark.parametrize("mutation", sorted(PROOF_MUTATIONS))
+def test_proof_route_matches_per_subset_route_under_mutation(
         mutation, monkeypatch):
-    """A fault in a transported fact sends a split back to its own
-    expansion, never to a verdict that expansion would not give."""
-    owner, name, replace = ORBIT_MUTATIONS[mutation]
-    monkeypatch.setattr(owner, name, replace(getattr(owner, name)))
+    """A row that fails a fact sends its splits back to their own
+    expansion; where both facts hold, the factor pairs, the sign and the
+    constant decide without expanding, never to a verdict that expansion
+    would not give."""
+    name, replace, falls_back = PROOF_MUTATIONS[mutation]
+    monkeypatch.setattr(identities, name, replace(getattr(identities, name)))
     for d in (2, 3, 4):
         splits = all_splits(d)
-        verdicts, expanded = orbit_verdicts(d, splits)
+        verdicts, expanded = proof_verdicts(d, splits)
         expected = per_subset_factorizations(splits)
         assert verdicts == expected, (d, mutation)
         if mutation == "row-1-gains-row-2":
             assert expected == [not (1 in s.members and 2 not in s.members)
                                 for s in splits]
-        if mutation in ("row-1-gains-row-2", "relabel-does-nothing"):
-            # every split but the representatives is expanded on its own
-            assert expanded == len(splits)
-        else:
-            assert d + 2 < expanded < len(splits)
+        elif mutation != "row-1-entry-doubled":
+            assert expected == [not affected(s) for s in splits]
+        assert expanded == (sum(map(affected, splits)) if falls_back else 0)
 
 
-def test_orbit_route_refuses_a_split_of_another_degree():
+@pytest.mark.parametrize("point", [
+    (1, 1, 3, 4, 5, 6), (1, 2, 3, 4, 5, 2), (1, 2, 3, 4, 5)])
+def test_proof_route_refuses_an_evaluation_point_with_equal_labels(
+        point, monkeypatch):
+    """Two equal labels put a predicted factor to zero at the point, where
+    the constant cannot be read: the route gives no verdict there."""
+    monkeypatch.setattr(identities, "_evaluation_point", lambda d: point)
+    with pytest.raises(ValueError, match="needs 6 distinct labels"):
+        FactorizationProofs(2)
+
+
+def test_proof_route_refuses_a_split_of_another_degree():
     with pytest.raises(ValueError, match="split of degree 2, not 3"):
-        FactorizationOrbits(3).verify(SubsetSplit(2, (1, 2, 3)))
+        FactorizationProofs(3).verify(SubsetSplit(2, (1, 2, 3)))
 
 
-def test_sym_factorization_expands_once_per_orbit_in_each_run(
-        monkeypatch, capsys):
-    """Two full d = 4 runs in one process expand d + 2 = 6 splits each: no
-    cache outlives a run, and no run expands per subset."""
+def test_integer_evaluation_matches_oracle(rng):
+    """The proof route's evaluation at a_i = x_i, b_i = 1, against the
+    Fraction oracle, on vertex rows and on factored brackets."""
+    for d in (2, 3, 4):
+        n = 2 * d + 2
+        polys = [p for k in range(1, n + 1) for p in vertex_polys(d, k)]
+        polys += [factored_bracket(split) for split in all_splits(d)[:5]]
+        polys += [MultiPoly.zero(n), MultiPoly.constant(n, -7)]
+        for _ in range(3):
+            xs = [rng.randint(-9, 9) for _ in range(n)]
+            for p in polys:
+                assert _at_point(p, xs) == evaluate(
+                    p, [(x, 1) for x in xs]), (d, str(p), xs)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_sym_factorization_expands_nothing_in_each_run(
+        d, monkeypatch, capsys):
+    """Two full runs in one process call neither poly_det nor
+    verify_factorization, and each run checks the facts of every row
+    again: no cache outlives a run."""
     expanded = []
-    verify = identities.verify_factorization
+    monkeypatch.setattr(identities, "poly_det",
+                        lambda *args, **kwargs: expanded.append(args))
     monkeypatch.setattr(identities, "verify_factorization",
-                        lambda split: expanded.append(split) or verify(split))
+                        lambda split: expanded.append(split))
+    facts = identities._row_facts
+    checked = []
+    monkeypatch.setattr(identities, "_row_facts", lambda degree, k, row: (
+        checked.append(k) or facts(degree, k, row)))
     for _ in range(2):
-        expanded.clear()
-        assert main(["sym-factorization", "--d", "4"]) == 0
+        checked.clear()
+        assert main(["sym-factorization", "--d", str(d)]) == 0
         assert capsys.readouterr().err == (
-            "subsets=252 failed=0 expanded=6\n")
-        assert sorted(len(split.group1) for split in expanded) == [
-            0, 1, 2, 3, 4, 5]
+            f"subsets={comb(2 * d + 2, d + 1)} failed=0 expanded=0\n")
+        assert sorted(checked) == list(range(1, 2 * d + 3))
+    assert expanded == []
 
 
 def test_vertex_bracket_vanishes_on_repeated_parameter(rng):

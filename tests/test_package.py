@@ -1,7 +1,7 @@
 """Whole-package guards: the standard library only, no worker processes
 or threads, one integer kernel for exact linear algebra, polynomials over
-Z only, no inverse frame map for curve containment, and an explicit public
-API."""
+Z only, no inverse frame map for curve containment, factorizations by
+proof rather than by orbit, and an explicit public API."""
 
 import ast
 import dataclasses
@@ -52,11 +52,12 @@ def test_no_linear_algebra_over_field_scalars():
 
 def test_polynomials_are_over_the_integers_only():
     """MultiPoly keeps the ring operations the package runs; the Fraction
-    path, scalar products, powers and hashing stay out."""
+    path, scalar products, powers, hashing and the renaming of points
+    that only the orbit route used stay out."""
     import rncgeom.polynomials
 
     multipoly = rncgeom.polynomials.MultiPoly
-    for name in ("scale", "__pow__", "__rmul__"):
+    for name in ("scale", "__pow__", "__rmul__", "relabel"):
         assert not hasattr(multipoly, name), name
     assert multipoly.__hash__ is None  # __eq__ with no __hash__ of its own
     path = Path(rncgeom.polynomials.__file__)
@@ -72,6 +73,15 @@ def test_curve_containment_needs_no_inverse_frame_map():
     assert not hasattr(rncgeom.curve, "curve_point")
     assert [f.name for f in dataclasses.fields(rncgeom.curve.RNCModel)] == \
         ["dim", "field", "frame_map", "alphas"]
+
+
+def test_factorizations_are_proved_not_carried_along_orbits():
+    """sym-factorization proves each split by divisibility; the orbit
+    route, which expanded one split per orbit and renamed its verdict to
+    the rest, stays out."""
+    import rncgeom.identities
+
+    assert not hasattr(rncgeom.identities, "FactorizationOrbits")
 
 
 def test_public_api_is_an_explicit_list():

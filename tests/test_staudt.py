@@ -504,6 +504,51 @@ def test_instance_json_keeps_stored_vertices():
     assert not verify_instance(loaded).verdict
 
 
+def test_verify_builds_a_loaded_instance_once(monkeypatch, capsys):
+    """The load's build is kept for the construction check, so one verify
+    run builds the instance once; an instance made in Python is still
+    rebuilt."""
+    import rncgeom.staudt as staudt
+    from rncgeom.cli import main
+
+    builds = []
+    build = staudt.build_instance
+    monkeypatch.setattr(staudt, "build_instance", lambda *args, **kwargs: (
+        builds.append(args) or build(*args, **kwargs)))
+    assert main(["verify", "--input", str(DATA / "d5.json")]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    builds.clear()
+    assert verify_instance(small_instance(2)).construction_ok
+    assert len(builds) == 2  # sample_instance's, then the check's
+
+
+@pytest.mark.parametrize("name", ["d3", "d3-tampered", "d3-mod101-tampered"])
+def test_kept_build_gives_the_certificate_of_a_fresh_one(name):
+    """A loaded instance, honest or tampered, certifies as its copy that
+    has no build attached and is rebuilt."""
+    obj = json.loads((DATA / f"{name}.json").read_text())
+    loaded = instance_from_json(obj)
+    assert loaded.rebuilt is not None
+    assert certificate_to_json(verify_instance(loaded)) == certificate_to_json(
+        verify_instance(dataclasses.replace(loaded)))
+
+
+def test_kept_build_is_not_used_for_other_parameters():
+    """replace() drops the kept build, so a loaded instance given other
+    parameters is checked against their construction: false while the
+    stored data is the old build, true once it is the new one."""
+    loaded = instance_from_json(instance_to_json(small_instance(2, seed=1)))
+    other = small_instance(2, seed=2)
+    moved = dataclasses.replace(loaded, params=other.params)
+    assert verify_instance(moved).construction_ok is False
+    rebuilt = dataclasses.replace(
+        moved, curve_points=other.curve_points, planes=other.planes,
+        vertices=other.vertices)
+    assert rebuilt.rebuilt is None
+    assert verify_instance(rebuilt).construction_ok is True
+
+
 def test_instance_json_prime_round_trip():
     inst = sample_instance(2, PrimeField(101), seed=2)
     assert instance_from_json(instance_to_json(inst)) == inst
