@@ -12,7 +12,9 @@ hyperplane at [a0 : b0] take the closed form
 i.e. coefficient (-1)^i a0^i b0^(d-i) on X_i.  Everything downstream
 (simplex vertices, fitted curves) assumes this normalization.  Parameters
 are ProjectivePoints of P^1, and an osculating hyperplane is the point of
-the dual P^d given by its coefficient vector.
+the dual P^d given by its coefficient vector.  linear_product_coeffs is
+the one recurrence behind the curve points, the simplex vertices and
+identities.vertex_polys.
 
 Fitting moves the first d+2 of d+3 points in general position to the
 standard frame by ratios of brackets; the failure modes of that
@@ -54,16 +56,12 @@ def _require_distinct(qs: Sequence[ProjectivePoint]) -> None:
 # embedding, osculating hyperplanes, vertices
 
 
-def veronese_coords(q: ProjectivePoint, d: int) -> tuple:
-    """Raw curve coordinates C(d,i) a^(d-i) b^i, not canonicalized: the
-    coefficients of (a x + b y)^d."""
-    return linear_product_coeffs([q.coords] * d, q.field.one)
-
-
 def veronese_embed(q: ProjectivePoint, d: int) -> ProjectivePoint:
-    """The point of the standard degree-d curve at parameter q."""
+    """The point of the standard degree-d curve at parameter q: the
+    coefficients C(d,i) a^(d-i) b^i of (a x + b y)^d."""
     require_characteristic_over(q.field, d)
-    return ProjectivePoint(veronese_coords(q, d), q.field)
+    return ProjectivePoint(linear_product_coeffs([q.coords] * d, q.field.one),
+                           q.field)
 
 
 def osculating_coeffs(q: ProjectivePoint, d: int) -> tuple:
@@ -91,8 +89,8 @@ def linear_product_coeffs(pairs: Sequence[tuple], one) -> tuple:
     """The coefficients of prod (a_i x + b_i y) over the pairs (a_i, b_i),
     x^d y^0 first, for d = len(pairs).
 
-    Works over any commutative ring given its one: field scalars here,
-    MultiPoly for the symbolic vertices.
+    Works over any commutative ring given its one: field scalars in
+    veronese_embed and simplex_vertex, MultiPoly in vertex_polys.
     """
     coeffs = [one]   # coeffs[m] multiplies x^(len(coeffs) - 1 - m) y^m
     for a, b in pairs:
@@ -102,16 +100,9 @@ def linear_product_coeffs(pairs: Sequence[tuple], one) -> tuple:
     return tuple(coeffs)
 
 
-def vertex_coords(qs: Sequence[ProjectivePoint]) -> tuple:
-    """Raw coordinates r_k = sum over (d-k)-subsets S' of a_{S'} b_{rest},
-    for d = len(qs); equivalently the coefficients of prod (a_i x + b_i y).
-    """
-    return linear_product_coeffs([q.coords for q in qs], qs[0].field.one)
-
-
 def simplex_vertex(qs: Sequence[ProjectivePoint]) -> ProjectivePoint:
     """The common point of the d osculating hyperplanes at d distinct
-    parameters, for d = len(qs)."""
+    parameters, for d = len(qs): the coefficients of prod (a_i x + b_i y)."""
     d = len(qs)
     if d < 1:
         raise ValueError("need at least one parameter point")
@@ -121,7 +112,8 @@ def simplex_vertex(qs: Sequence[ProjectivePoint]) -> ProjectivePoint:
             raise MismatchError("parameter points from different fields")
     require_characteristic_over(field, d)
     _require_distinct(qs)
-    return ProjectivePoint(vertex_coords(qs), field)
+    return ProjectivePoint(
+        linear_product_coeffs([q.coords for q in qs], field.one), field)
 
 
 # ---------------------------------------------------------------------------

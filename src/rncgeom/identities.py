@@ -56,15 +56,11 @@ def second_group(d: int) -> tuple[int, ...]:
     return tuple(range(d + 2, 2 * d + 3))
 
 
-def group_of(d: int, k: int) -> int:
-    if not 1 <= k <= 2 * d + 2:
-        raise ValueError(f"label {k} outside 1..{2 * d + 2}")
-    return 1 if k <= d + 1 else 2
-
-
 def group_others(d: int, k: int) -> tuple[int, ...]:
     """The labels of k's group other than k: the parameters of R_k."""
-    group = first_group(d) if group_of(d, k) == 1 else second_group(d)
+    if not 1 <= k <= 2 * d + 2:
+        raise ValueError(f"label {k} outside 1..{2 * d + 2}")
+    group = first_group(d) if k <= d + 1 else second_group(d)
     return tuple(i for i in group if i != k)
 
 
@@ -119,7 +115,8 @@ def vertex_polys(d: int, omit: int) -> tuple[MultiPoly, ...]:
 
     With S the label set of omit's group minus omit, coordinate k is
     sum over (d-k)-subsets S' of S of a_{S'} b_{S \\ S'}; equivalently the
-    x^(d-k) y^k coefficient of prod_{i in S} (a_i x + b_i y).
+    x^(d-k) y^k coefficient of prod_{i in S} (a_i x + b_i y), which
+    curve.linear_product_coeffs computes here as in simplex_vertex.
     """
     n = 2 * d + 2
     return linear_product_coeffs(
@@ -175,11 +172,6 @@ def _at_point(poly: MultiPoly, xs: Sequence[int]) -> int:
                for exps, c in poly.exponents().items())
 
 
-def _evaluation_point(d: int) -> tuple[int, ...]:
-    """The a_i of the points Q_i = [a_i : 1] where constants are read."""
-    return tuple(range(1, 2 * d + 3))
-
-
 def _row_facts(d: int, k: int, row: Sequence[MultiPoly]) -> bool:
     """Whether the vertex row R_k passes the shape and osculation facts of
     FactorizationProofs."""
@@ -212,25 +204,23 @@ class FactorizationProofs:
     with i and j absent from different halves, every row lies on the
     osculating hyperplane at Q_i), so a_i b_j - a_j b_i divides B_K and, by
     degree, B_K = c * the product of the predicted factors.  The integer c
-    is read from the determinant of the rows at _evaluation_point(d).  By
-    unique factorization B_K = F_K exactly when factor_pairs(K) are the
-    predicted pairs, unordered, and c is split_sign(K) times their
-    orientation sign.  A split with a failing row, or with c = 0, is
-    expanded instead; expanded counts those.
+    is read from the determinant of the rows at the fixed point
+    Q_i = [i : 1], where every factor i - j is nonzero.  By unique
+    factorization B_K = F_K exactly when factor_pairs(K) are the predicted
+    pairs, unordered, and c is split_sign(K) times their orientation sign.
+    A split with a failing row, or with c = 0, falls back to expansion;
+    expanded counts those.
     """
 
     def __init__(self, d: int):
-        n = 2 * d + 2
         self.d = d
         self.expanded = 0
-        self.point = _evaluation_point(d)
-        if len(set(self.point)) != n:
-            raise ValueError(f"the evaluation point needs {n} distinct labels")
-        self._rows = {}  # R_k at the point, for each k whose row passes
-        for k in range(1, n + 1):
+        self._rows = {}  # R_k at the Q_i, for each k whose row passes
+        labels = range(1, 2 * d + 3)  # the a_i of the Q_i = [i : 1]
+        for k in labels:
             row = vertex_polys(d, k)
             if _row_facts(d, k, row):
-                self._rows[k] = [_at_point(p, self.point) for p in row]
+                self._rows[k] = [_at_point(p, labels) for p in row]
 
     def verify(self, split: SubsetSplit) -> bool:
         if split.d != self.d:
@@ -247,9 +237,7 @@ class FactorizationProofs:
                             *product(split.absent1, split.absent2)])
         if sorted(tuple(sorted(pair)) for pair in claimed) != predicted:
             return False
-        xs = self.point
-        return value == split_sign(split) * prod(
-            xs[i - 1] - xs[j - 1] for i, j in claimed)
+        return value == split_sign(split) * prod(i - j for i, j in claimed)
 
 
 def factorization_record(split: SubsetSplit, ok: bool) -> dict:
@@ -349,17 +337,14 @@ class SignAnalysis:
     """The combinatorial facts that make the two monomials agree in sign.
 
     parity sums: the summed column-permutation parities of each monomial's
-    four brackets, always even.  The split signs then match case by case
-    according to how the sextet distributes over the two groups; m3_* hold
-    the closed forms of the balanced case (sextet_in_first = 3), where p is
-    the number of shared labels in the first group.
+    four brackets, always even.  case_ok: the split signs of the brackets
+    match case by case according to how many sextet labels lie in the
+    first group, with closed forms in the balanced case of three.  total
+    signs: each monomial's parity sign times its four split signs.
     """
 
-    sextet_in_first: int
     parity_sum_1: int
     parity_sum_2: int
-    signs_1: tuple[int, int, int, int]
-    signs_2: tuple[int, int, int, int]
     case_ok: bool
     total_sign_1: int
     total_sign_2: int
@@ -402,6 +387,5 @@ def equation_sign_analysis(eq: BracketEquation) -> SignAnalysis:
     for s in signs2:
         total2 *= s
     return SignAnalysis(
-        sextet_in_first=m, parity_sum_1=par1, parity_sum_2=par2,
-        signs_1=signs1, signs_2=signs2, case_ok=case_ok,
+        parity_sum_1=par1, parity_sum_2=par2, case_ok=case_ok,
         total_sign_1=total1, total_sign_2=total2)

@@ -97,9 +97,6 @@ class Configuration:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, i: int) -> ProjectivePoint:
-        return self.points[i]
-
     @cached_property
     def bracket_table(self) -> "BracketTable":
         """The integer brackets of these points, filled as they are read."""

@@ -109,17 +109,15 @@ class Certificate:
 
 
 def build_instance(d: int, params: Sequence[ProjectivePoint],
-                   field: Optional[Field] = None,
                    seed: Optional[int] = None) -> VonStaudtInstance:
     """Derive the full instance from 2d+2 pairwise-distinct parameters,
-    points of P^1."""
+    points of P^1 over one field, which is the instance's."""
     require_degree(d)
     params = tuple(params)
     if len(params) != 2 * d + 2:
         raise MismatchError(
             f"need {2 * d + 2} parameter points, got {len(params)}")
-    if field is None:
-        field = params[0].field
+    field = params[0].field
     for q in params:
         if q.field != field:
             raise MismatchError("parameter points from different fields")
@@ -175,7 +173,7 @@ def sample_instance(d: int, field: Field = QQ, seed: int = 0,
         seen.add(value)
         values.append(value)
     params = tuple(ProjectivePoint((v, field.one), field) for v in values)
-    return build_instance(d, params, field, seed=seed)
+    return build_instance(d, params, seed=seed)
 
 
 Evaluator = Callable[[Configuration, list], list]
@@ -218,8 +216,11 @@ def verify_instance(inst: VonStaudtInstance,
     n = 2 * d + 2
     config = inst.vertices
     # the stored points, planes and vertices are what the parameters build
-    construction_ok = inst == (inst.rebuilt or build_instance(
-        d, inst.params, inst.field, inst.seed))
+    try:
+        construction_ok = inst == (inst.rebuilt or build_instance(
+            d, inst.params, seed=inst.seed))
+    except ValueError:  # the parameters build no instance
+        construction_ok = False
     glp_ok = is_general_linear_position(config)
     check_match(config, d, n)
     if evaluator is None:
@@ -266,7 +267,7 @@ def reduce_instance_mod(inst: VonStaudtInstance, p: int) -> VonStaudtInstance:
     # the point at infinity instead of failing
     params = tuple(ProjectivePoint(tuple(map(field.from_int, q.primitive[0])),
                                    field) for q in inst.params)
-    return build_instance(inst.d, params, field, seed=inst.seed)
+    return build_instance(inst.d, params, seed=inst.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
         d = json_int(obj["d"], "d")
         seed = json_typed(obj.get("seed"), "seed", int, NoneType)
         params = points_from_json(obj["params"], field)
-        inst = built = build_instance(d, params, field, seed=seed)
+        inst = built = build_instance(d, params, seed=seed)
         n = 2 * d + 2
 
         def shaped(key: str, points: tuple) -> tuple:

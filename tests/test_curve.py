@@ -29,14 +29,13 @@ from rncgeom.curve import (
     RNCModel,
     curve_contains,
     fit_rnc,
+    linear_product_coeffs,
     model_to_json,
     osculating_coeffs,
     osculating_hyperplane,
     param_point,
     simplex_vertex,
-    veronese_coords,
     veronese_embed,
-    vertex_coords,
 )
 from rncgeom.errors import CharacteristicError, DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, PrimeField
@@ -107,7 +106,8 @@ def test_veronese_known_points():
 @given(param_values, st.integers(1, 6))
 def test_veronese_matches_binomial_expansion(ab, d):
     q = qq_param(*ab)
-    assert veronese_coords(q, d) == binomial_coords(*q.coords, d)
+    assert linear_product_coeffs([q.coords] * d, QQ.one) == binomial_coords(
+        *q.coords, d)
 
 
 def test_veronese_rejects_small_characteristic():
@@ -140,7 +140,7 @@ def test_osculating_pairing_closed_form(ab0, ab, d):
     q0 = qq_param(*ab0)
     q = qq_param(*ab)
     h = osculating_coeffs(q0, d)
-    v = veronese_coords(q, d)
+    v = linear_product_coeffs([q.coords] * d, QQ.one)
     pair = sum((hc * vc for hc, vc in zip(h, v)), Fraction(0))
     (a, b), (a0, b0) = q.coords, q0.coords
     assert pair == (a * b0 - b * a0) ** d
@@ -181,7 +181,7 @@ def test_vertex_coordinates_match_product_expansion(rng):
         qs = [qq_param(t) for t in ts]
         coeffs = product_form_coords([q.coords for q in qs])
         # r_k is the coefficient of x^(d-k) y^k, which the oracle lists at k
-        assert vertex_coords(qs) == coeffs
+        assert linear_product_coeffs([q.coords for q in qs], QQ.one) == coeffs
 
 
 def test_vertex_known_value():
@@ -368,7 +368,7 @@ def test_fit_transformed_frame(rng):
     ts = rand_distinct_fractions(rng, d + 4)
     pts = []
     for t in ts:
-        v = veronese_coords(qq_param(t), d)
+        v = linear_product_coeffs([qq_param(t).coords] * d, QQ.one)
         pts.append(ProjectivePoint(
             tuple(sum((m[i][j] * v[j] for j in range(d + 1)), Fraction(0))
                   for i in range(d + 1)), QQ))
@@ -420,8 +420,9 @@ def random_model(rng, field, d):
         ts = [qq_param(t) for t in rand_distinct_fractions(rng, d + 3)]
     else:
         ts = rng.sample(parameter_line(field), d + 3)
-    pts = tuple(ProjectivePoint(tuple(mat_vec(m, veronese_coords(t, d))),
-                                field) for t in ts)
+    pts = tuple(ProjectivePoint(
+        tuple(mat_vec(m, linear_product_coeffs([t.coords] * d, field.one))),
+        field) for t in ts)
     return fit_rnc(Configuration(field=field, dim=d, points=pts))
 
 

@@ -16,7 +16,7 @@ from oracles import (
     rand_distinct_fractions,
     rand_fraction,
 )
-from rncgeom.curve import param_point, veronese_coords, veronese_embed
+from rncgeom.curve import param_point, veronese_embed
 from rncgeom.equations import (
     BracketEquation,
     _template,

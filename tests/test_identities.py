@@ -20,7 +20,7 @@ from oracles import (
 )
 from rncgeom import equations, identities
 from rncgeom.cli import main
-from rncgeom.curve import param_point, simplex_vertex, vertex_coords
+from rncgeom.curve import linear_product_coeffs, param_point, simplex_vertex
 from rncgeom.equations import (
     BracketEquation,
     _unrank_combination,
@@ -41,7 +41,6 @@ from rncgeom.identities import (
     factored_bracket,
     factorization_record,
     first_group,
-    group_of,
     group_others,
     identity_record,
     second_group,
@@ -77,8 +76,6 @@ def rand_params(rng, n, height=12):
 def test_group_partition():
     assert first_group(3) == (1, 2, 3, 4)
     assert second_group(3) == (5, 6, 7, 8)
-    assert group_of(3, 4) == 1
-    assert group_of(3, 5) == 2
 
 
 def test_group_others():
@@ -177,8 +174,8 @@ def test_vertex_polys_specialize_to_numeric_vertices(rng):
         for group in (first_group(d), second_group(d)):
             for omit in group:
                 sym = vertex_polys(d, omit)
-                numeric = vertex_coords(
-                    [qs[i - 1] for i in group if i != omit])
+                numeric = linear_product_coeffs(
+                    [values[i - 1] for i in group if i != omit], QQ.one)
                 assert tuple(evaluate(p, values) for p in sym) == numeric
 
 
@@ -404,17 +401,6 @@ def test_proof_route_matches_per_subset_route_under_mutation(
         assert expanded == (sum(map(affected, splits)) if falls_back else 0)
 
 
-@pytest.mark.parametrize("point", [
-    (1, 1, 3, 4, 5, 6), (1, 2, 3, 4, 5, 2), (1, 2, 3, 4, 5)])
-def test_proof_route_refuses_an_evaluation_point_with_equal_labels(
-        point, monkeypatch):
-    """Two equal labels put a predicted factor to zero at the point, where
-    the constant cannot be read: the route gives no verdict there."""
-    monkeypatch.setattr(identities, "_evaluation_point", lambda d: point)
-    with pytest.raises(ValueError, match="needs 6 distinct labels"):
-        FactorizationProofs(2)
-
-
 def test_proof_route_refuses_a_split_of_another_degree():
     with pytest.raises(ValueError, match="split of degree 2, not 3"):
         FactorizationProofs(3).verify(SubsetSplit(2, (1, 2, 3)))
@@ -485,8 +471,8 @@ def test_vertex_bracket_matches_numeric_bracket(rng):
             raw_cols = []
             for k in members:
                 group = first_group(d) if k <= d + 1 else second_group(d)
-                raw_cols.append(vertex_coords(
-                    [qs[i - 1] for i in group if i != k]))
+                raw_cols.append(linear_product_coeffs(
+                    [values[i - 1] for i in group if i != k], QQ.one))
             scale = Fraction(1)
             for col, p in zip(raw_cols, pts):
                 lead = next(c for c in col if c)

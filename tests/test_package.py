@@ -1,10 +1,12 @@
 """Whole-package guards: the standard library only, no worker processes
 or threads, one integer kernel for exact linear algebra, polynomials over
 Z only, no inverse frame map for curve containment, factorizations by
-proof rather than by orbit, and an explicit public API."""
+proof rather than by orbit, no single-use layers or dead surface, and an
+explicit public API."""
 
 import ast
 import dataclasses
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -82,6 +84,28 @@ def test_factorizations_are_proved_not_carried_along_orbits():
     import rncgeom.identities
 
     assert not hasattr(rncgeom.identities, "FactorizationOrbits")
+
+
+def test_no_single_use_layers_or_dead_surface():
+    """The curve points, simplex vertices and symbolic vertices call
+    linear_product_coeffs directly; the group rule lives in group_others;
+    the proof route reads its constants at a fixed point; build_instance
+    takes its field from the parameters; and a sign analysis holds what
+    the acceptance suite reads."""
+    import rncgeom.curve
+    import rncgeom.identities
+    import rncgeom.projective
+
+    for name in ("veronese_coords", "vertex_coords"):
+        assert not hasattr(rncgeom.curve, name), name
+    for name in ("group_of", "_evaluation_point"):
+        assert not hasattr(rncgeom.identities, name), name
+    assert "__getitem__" not in vars(rncgeom.projective.Configuration)
+    assert "field" not in inspect.signature(rncgeom.build_instance).parameters
+    assert [f.name for f in dataclasses.fields(
+        rncgeom.identities.SignAnalysis)] == [
+            "parity_sum_1", "parity_sum_2", "case_ok",
+            "total_sign_1", "total_sign_2"]
 
 
 def test_public_api_is_an_explicit_list():

@@ -549,6 +549,21 @@ def test_kept_build_is_not_used_for_other_parameters():
     assert verify_instance(rebuilt).construction_ok is True
 
 
+@pytest.mark.parametrize("change", [
+    lambda inst: {"field": PrimeField(101)},
+    lambda inst: {"params": (inst.params[0],) + inst.params[:5]},
+    lambda inst: {"params": inst.params[:5]},
+], ids=["other-field", "repeated-parameter", "missing-parameter"])
+def test_parameters_that_build_no_instance_fail_the_construction(change):
+    """Parameters over another field than the instance's, repeated or too
+    few do not rebuild it: a failed construction check and a false
+    verdict, recorded rather than thrown."""
+    inst = small_instance(2)
+    cert = verify_instance(dataclasses.replace(inst, **change(inst)))
+    assert cert.construction_ok is False
+    assert not cert.verdict
+
+
 def test_instance_json_prime_round_trip():
     inst = sample_instance(2, PrimeField(101), seed=2)
     assert instance_from_json(instance_to_json(inst)) == inst
