@@ -43,7 +43,7 @@ from .projective import (
     is_general_linear_position,
 )
 from .staudt import (
-    certificate_to_json,
+    certificate_text,
     dual_configuration,
     instance_from_json,
     instance_to_json,
@@ -125,7 +125,8 @@ def _cmd_verify(args) -> int:
     cert = verify_instance(
         inst, with_castelnuovo=args.castelnuovo, sample=args.sample,
         sample_seed=args.seed)
-    _write_json(certificate_to_json(cert), args.output)
+    with _output_stream(args.output) as fh:
+        fh.write(certificate_text(cert) + "\n")
     cast = "skipped" if cert.castelnuovo_ok is None else cert.castelnuovo_ok
     _note(f"verdict={cert.verdict} construction={cert.construction_ok} "
           f"glp={cert.glp_ok} psi={cert.psi_zero}/{cert.psi_total} "

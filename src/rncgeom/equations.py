@@ -384,10 +384,13 @@ def equation_picks(dim: int, n: int, sample: Optional[int] = None,
 def equation_products(config: Configuration, sample: Optional[int] = None,
                       seed: int = 0) -> Iterator[tuple]:
     """The support stream of the equation_picks on the configuration's
-    bracket table, reduced mod p over Z/p; a sample reads only the
-    brackets its equations use."""
+    bracket table, reduced mod p over Z/p.  Every equation reads every
+    bracket, so that run fills the table first by its shared walk; a
+    sample reads only the brackets its equations use, one by one."""
     picks = equation_picks(config.dim, len(config), sample, seed)
     table = config.bracket_table
+    if sample is None or sample >= count_equations(config.dim, len(config)):
+        table.fill()
     return support_products(table.minor, config.dim, picks, table.modulus)
 
 

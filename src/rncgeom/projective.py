@@ -14,7 +14,10 @@ Z/p its residues), a bracket is the integer determinant of those
 reduced mod p, and the full-rank test of a few points reads minors of the
 same vectors.  A configuration keeps a table of these integer brackets,
 so each is computed once however often the general-position test and the
-bracket equations read it.
+bracket equations read it.  A reader of every bracket (the general-position
+test, a run over every equation) fills the whole table by one Bareiss walk
+that shares each prefix's elimination among all the subsets extending it;
+a reader of a few brackets computes each lazily, one determinant apiece.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ class Configuration:
 
     @cached_property
     def bracket_table(self) -> "BracketTable":
-        """The integer brackets of these points, filled as they are read."""
+        """The integer brackets of these points, computed as they are read
+        or all at once by its fill()."""
         return BracketTable(self)
 
 
@@ -136,6 +140,64 @@ def _det_int(m: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _maximal_minors(vectors: Sequence[Sequence[int]],
+                    modulus: int = 0) -> dict:
+    """Every maximal minor of the integer vectors, keyed by sorted 1-based
+    labels: _det_int of the labelled vectors as rows, reduced mod a
+    nonzero modulus.
+
+    One fraction-free Bareiss walk over the combinations tree.  After k
+    steps a row's reduced form depends only on the k pivot rows and on the
+    row itself, so each prefix eliminates once for every subset extending
+    it.  The pivot column is the pivot row's first nonzero entry, the sign
+    following the column moved to the front; a pivot row that is all zero
+    is dependent on its prefix, which zeroes its whole subtree.  The tree
+    is walked by an explicit stack, never by recursion.
+    """
+    n = len(vectors)
+    size = len(vectors[0]) if n else 0
+    out: dict = {}
+    if not size or size > n:
+        return out
+    # (prefix labels, sign, previous pivot, [(label, reduced row)] after it)
+    stack = [((), 1, 1, [(k, list(v)) for k, v in enumerate(vectors, 1)])]
+    while stack:
+        prefix, sign, prev, rows = stack.pop()
+        left = size - len(prefix)   # labels still to pick, at least 1
+        if left == 1:
+            for label, row in rows:
+                value = sign * row[0]
+                out[prefix + (label,)] = value % modulus if modulus else value
+            continue
+        children = []
+        for at in range(len(rows) - left + 1):
+            label, row = rows[at]
+            head = prefix + (label,)
+            q = next((c for c, x in enumerate(row) if x), None)
+            if q is None:
+                for rest in combinations([k for k, _ in rows[at + 1:]],
+                                         left - 1):
+                    out[head + rest] = 0
+                continue
+            pivot = row.pop(q)
+            sgn = -sign if q & 1 else sign
+            if left == 2:   # one column stays: the reduced entries are leaves
+                (other,) = row
+                for k, r in rows[at + 1:]:
+                    value = sgn * ((pivot * r[1 - q] - r[q] * other) // prev)
+                    out[head + (k,)] = value % modulus if modulus else value
+                continue
+            reduced = []
+            for k, r in rows[at + 1:]:
+                x = r[q]
+                r = r[:q] + r[q + 1:]
+                reduced.append((k, [(pivot * a - x * b) // prev
+                                    for a, b in zip(r, row)]))
+            children.append((head, sgn, pivot, reduced))
+        stack.extend(reversed(children))
+    return out
+
+
 def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
     """Bracket of d+1 points of P^d: the determinant of their canonical
     coordinates as columns.  Zero iff the points fail to span.  Computed
@@ -168,6 +230,11 @@ class BracketTable:
     (``scales``), over Z/p it is already reduced mod p.  A configuration
     holds one table (``Configuration.bracket_table``), so the
     general-position test and every bracket equation share it.
+
+    fill() computes every bracket at once by the prefix-shared walk of
+    _maximal_minors; the general-position test and a run over every
+    equation call it.  Without a fill, minor() computes each bracket
+    lazily by its own determinant, as a sample of equations wants.
     """
 
     def __init__(self, config: Configuration):
@@ -178,6 +245,7 @@ class BracketTable:
         self.vectors = [vec for vec, _ in reps]
         self.scales = [s for _, s in reps]
         self._cache: dict = {}
+        self._filled = False
 
     def _compute(self, cols: tuple[int, ...]) -> int:
         vectors = self.vectors
@@ -191,18 +259,17 @@ class BracketTable:
             value = self._cache[cols] = self._compute(cols)
         return value
 
+    def fill(self) -> dict:
+        """The table holding every (d+1)-subset's bracket, filled on the
+        first call."""
+        if not self._filled:
+            self._cache.update(_maximal_minors(self.vectors, self.modulus))
+            self._filled = True
+        return self._cache
+
     def all_nonzero(self) -> bool:
-        """Whether every (d+1)-subset has a nonzero bracket, filling the
-        table up to the first that does not."""
-        cache = self._cache
-        for cols in combinations(range(1, len(self.config) + 1),
-                                 self.config.dim + 1):
-            value = cache.get(cols)
-            if value is None:
-                value = cache[cols] = self._compute(cols)
-            if not value:
-                return False
-        return True
+        """Whether every (d+1)-subset has a nonzero bracket."""
+        return all(self.fill().values())
 
 
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list:
@@ -219,7 +286,8 @@ def is_general_linear_position(config: Configuration) -> bool:
     For n <= d+1 this is full rank: some n x n minor of the points' integer
     representatives is nonzero (mod p over Z/p).  For larger n it is
     equivalent to every (d+1)-subset having nonzero bracket, since any
-    dependent subset extends to a dependent one of size d+1.
+    dependent subset extends to a dependent one of size d+1; those are
+    read from the configuration's bracket table, filled whole.
     """
     n = len(config)
     d = config.dim

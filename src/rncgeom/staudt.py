@@ -15,6 +15,7 @@ counterexamples must surface, not crash.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .curve import (
 from .equations import (
     BracketEquation,
     _equation,
-    check_match,
     count_equations,
     equation_from_json,
     equation_products,
@@ -181,10 +181,11 @@ Evaluator = Callable[[Configuration, list], list]
 
 def castelnuovo_check(inst: VonStaudtInstance) -> bool:
     """Fit a curve through the first d+3 vertices and test the remaining
-    d-1 for containment; False on any general-position failure."""
+    d-1 for containment; False on any general-position failure, and on
+    stored vertices too few to fit."""
     try:
         return all(fit_and_test(inst.vertices)[1])
-    except DegenerateInputError:
+    except (DegenerateInputError, MismatchError):
         return False
 
 
@@ -204,9 +205,12 @@ def verify_instance(inst: VonStaudtInstance,
     """Certify one instance: the stored data rebuilt from its parameters,
     general linear position of the vertices, then vanishing of every (or
     every sampled) equation, then optionally the fitted-curve cross-check.
-    The middle two read one bracket table of the vertices, so each bracket
-    is computed once.  A sampled run records its sample seed.  Equations
-    are streamed: only a failing one becomes a BracketEquation.
+    The general-position test fills the vertices' bracket table in one
+    shared walk and the equations read it, so each bracket is computed
+    once.  A sampled run records its sample seed.  Equations are
+    streamed: only a failing one becomes a BracketEquation.  Stored
+    vertices of the wrong shape are recorded as a failed construction
+    with no equation evaluated.
 
     The evaluator hook, used by the benchmark's traced pass, lets a caller
     observe or replace the evaluation: it gets the selected equations and
@@ -222,16 +226,18 @@ def verify_instance(inst: VonStaudtInstance,
     except ValueError:  # the parameters build no instance
         construction_ok = False
     glp_ok = is_general_linear_position(config)
-    check_match(config, d, n)
-    if evaluator is None:
-        total = 0
-        failures = []
+    total = 0
+    failures = []
+    # vertices of another shape than 2d+2 points of P^d have no equations
+    # to evaluate, and differ from the rebuild (construction_ok is false)
+    shaped = config.dim == d and len(config) == n
+    if shaped and evaluator is None:
         for support, rows in equation_products(config, sample, sample_seed):
             for pick, n1, n2 in rows:
                 total += 1
                 if n1 != n2:
                     failures.append(_equation(d, n, support, pick(support)))
-    else:
+    elif shaped:
         reports = evaluator(config, sample_equations(d, n, sample,
                                                      sample_seed))
         total = len(reports)
@@ -340,6 +346,32 @@ def certificate_to_json(cert: Certificate) -> dict:
         "castelnuovo_ok": cert.castelnuovo_ok,
         "verdict": cert.verdict,
     }
+
+
+def certificate_text(cert: Certificate) -> str:
+    """json.dumps(certificate_to_json(cert), indent=2), with the failures
+    formed straight from their labels: the indented encoder is pure
+    Python, and a tampered instance can fail many thousand equations.  A
+    support's lines form once, however many of its equations fail."""
+    text = json.dumps(certificate_to_json(replace(cert, psi_failures=())),
+                      indent=2)
+    if not cert.psi_failures:
+        return text
+    sep = ",\n        "
+    labels = [str(k) for k in range(2 * cert.d + 3)]
+    heads: dict = {}
+    blocks = []
+    for eq in cert.psi_failures:
+        head = heads.get(eq.support)
+        if head is None:
+            head = heads[eq.support] = (
+                '    {\n      "J": [\n        '
+                + sep.join([labels[k] for k in eq.support])
+                + '\n      ],\n      "I": [\n        ')
+        blocks.append(head + sep.join([labels[k] for k in eq.sextet])
+                      + "\n      ]\n    }")
+    return text.replace('"psi_failures": []', '"psi_failures": [\n'
+                        + ",\n".join(blocks) + "\n  ]", 1)
 
 
 def certificate_from_json(obj: dict) -> Certificate:

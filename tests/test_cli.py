@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from rncgeom import (
     QQ,
     PrimeField,
+    certificate_to_json,
     identities,
     instance_from_json,
     sample_instance,
+    verify_instance,
 )
 from rncgeom import cli
 from rncgeom.cli import main
@@ -148,6 +150,23 @@ def test_verify_tampered_instance(tmp_path, capsys):
     cert = json.loads(out)
     assert cert["verdict"] is False
     assert cert["psi_zero"] < cert["psi_total"] or not cert["glp_ok"]
+
+
+@pytest.mark.parametrize("name", ["d3.json", "d3-tampered.json",
+                                  "d3-mod101-tampered.json"])
+def test_verify_output_file_is_the_indented_certificate(name, tmp_path,
+                                                        capsys):
+    """verify --output writes json.dumps(certificate, indent=2) and a
+    newline, what stdout gets without the flag."""
+    path = tmp_path / "cert.json"
+    argv = ["verify", "--castelnuovo", "--input", str(DATA / name)]
+    code, out, err = run_cli(argv + ["--output", str(path)], capsys)
+    cert = verify_instance(instance_from_json(
+        json.loads((DATA / name).read_text())), with_castelnuovo=True)
+    text = json.dumps(certificate_to_json(cert), indent=2) + "\n"
+    assert (code, out, path.read_text()) == (0 if cert.verdict else 1, "",
+                                             text)
+    assert run_cli(argv, capsys) == (code, text, err)
 
 
 @pytest.mark.parametrize("key", ["vertices", "planes", "points"])

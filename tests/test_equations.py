@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from rncgeom.equations import (
 )
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ, PrimeField
+from rncgeom import projective
 from rncgeom.cli import main
 from rncgeom.projective import BracketTable, Configuration, ProjectivePoint
 from rncgeom.staudt import (
@@ -584,30 +586,57 @@ def test_prime_field_membership_matches_reduction(rng):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """The sorted column sets each bracket table computes, in order."""
-    log = []
+    """What the bracket tables compute: the size of each filling walk and
+    each column set computed on its own."""
+    log = SimpleNamespace(walks=[], single=[])
+    walk = projective._maximal_minors
     compute = BracketTable._compute
 
+    def logged_walk(vectors, modulus=0):
+        out = walk(vectors, modulus)
+        log.walks.append(len(out))
+        return out
+
     def logged(self, cols):
-        log.append((id(self), cols))
+        log.single.append(cols)
         return compute(self, cols)
 
+    monkeypatch.setattr(projective, "_maximal_minors", logged_walk)
     monkeypatch.setattr(BracketTable, "_compute", logged)
     return log
+
+
+def filled_once(computed) -> bool:
+    """One table, filled by one walk with every bracket of 8 points of P^3,
+    and no bracket computed on its own."""
+    return computed.walks == [comb(8, 4)] and not computed.single
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])
 def test_verify_computes_each_bracket_once(computed, field):
     cert = verify_instance(sample_instance(3, field, seed=2))
     assert cert.glp_ok and cert.verdict
-    assert len(computed) == len(set(computed)) == comb(8, 4)
+    assert filled_once(computed)
 
 
 def test_lies_on_rnc_and_dual_check_share_one_table(computed, capsys):
     ts = list(range(1, 9))
     assert lies_on_rnc(curve_config(3, ts))
-    assert len(computed) == len(set(computed)) == comb(8, 4)
-    computed.clear()
+    assert filled_once(computed)
+    computed.walks.clear()
     assert main(["dual-check", "--d", "3", "--seed", "1"]) == 0
     capsys.readouterr()
-    assert len(computed) == len(set(computed)) == comb(8, 4)
+    assert filled_once(computed)
+
+
+def test_every_equation_fills_the_table_and_a_sample_does_not(computed):
+    """A run over every equation fills the table before its first support;
+    a sample on an unfilled table computes only the brackets it reads."""
+    config = curve_config(3, list(range(1, 9)))
+    assert membership(config).member
+    assert filled_once(computed)
+    computed.walks.clear()
+    config = curve_config(3, list(range(1, 9)))
+    assert membership(config, sample=3, seed=1).member
+    assert not computed.walks
+    assert 0 < len(computed.single) == len(set(computed.single)) <= 3 * 8

@@ -1,5 +1,8 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +24,15 @@ from rncgeom.fields import QQ, PrimeField
 from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
+    _det_int,
+    _maximal_minors,
     bracket,
     canonical_coords,
     config_from_json,
     config_to_json,
     is_general_linear_position,
 )
+from rncgeom.staudt import sample_instance
 
 FP = PrimeField(101)
 
@@ -253,6 +259,104 @@ def test_glp_small_configs_match_sympy(rng):
             config = Configuration(field=field, dim=d, points=points)
             full = sympy_rank([p.coords for p in points], field) == n
             assert is_general_linear_position(config) == full
+
+
+# ---------------------------------------------------------------------------
+# the filled bracket table
+
+
+def per_minor(vectors, d, modulus=0):
+    """Each maximal minor by its own _det_int: the slow path fill replaces."""
+    minors = {cols: _det_int([vectors[c - 1] for c in cols])
+              for cols in combinations(range(1, len(vectors) + 1), d + 1)}
+    if modulus:
+        return {cols: m % modulus for cols, m in minors.items()}
+    return minors
+
+
+@st.composite
+def integer_vectors(draw):
+    """n integer vectors of length d+1, d in 0..6 and n in d+1..d+6, with
+    many zeros, sometimes a zero first column, repeated rows and a row
+    that depends on the ones before it."""
+    d = draw(st.integers(0, 6))
+    n = draw(st.integers(d + 1, d + 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=d + 1, max_size=d + 1),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        for row in rows:
+            row[0] = 0
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[j] = list(rows[i])
+    if n > 2 and draw(st.booleans()):
+        # a dependent prefix: row 2 is a combination of rows 0 and 1
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return d, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_vectors(), st.sampled_from([0, 2, 7, 101]))
+def test_filled_minors_match_each_determinant(case, modulus):
+    d, rows = case
+    assert _maximal_minors(rows, modulus) == per_minor(rows, d, modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_vectors(), st.sampled_from([QQ, PrimeField(7), FP]))
+def test_filled_table_matches_each_determinant(case, field):
+    """Through a configuration: the table holds every subset's bracket,
+    reduced mod p over Z/p, and the general-position test is the
+    per-minor rule."""
+    d, rows = case
+    # a point needs a nonzero vector in the field
+    rows = [row if any(field.from_int(x) for x in row) else [1] + row[1:]
+            for row in rows]
+    points = tuple(ProjectivePoint(tuple(map(field.from_int, row)), field)
+                   for row in rows)
+    config = Configuration(field=field, dim=d, points=points)
+    table = config.bracket_table
+    expected = per_minor(table.vectors, d, field.characteristic)
+    assert table.fill() == expected
+    if len(rows) > d + 1:
+        assert is_general_linear_position(config) == all(expected.values())
+
+
+def test_fill_needs_no_recursion():
+    """The walk keeps its own stack: a table 41 levels deep fills within a
+    recursion limit 20 frames above the caller's."""
+    rng = random.Random(4)
+    d = 40
+    rows = [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(d + 2)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 20)
+    try:
+        filled = _maximal_minors(rows)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert filled == per_minor(rows, d)
+
+
+def test_glp_agrees_with_the_per_minor_rule():
+    """Honest vertices, a repeated vertex and a tampered vertex: the test
+    that reads the filled table gives what each minor on its own gives."""
+    for field, d in ((QQ, 3), (QQ, 5), (FP, 4), (FP, 6)):
+        inst = sample_instance(d, field, seed=d, height=6)
+        points = list(inst.vertices.points)
+        repeated = points[:-1] + [points[0]]
+        tampered = list(points)
+        vec = list(tampered[2].coords)
+        vec[-1] += field.one
+        tampered[2] = ProjectivePoint(tuple(vec), field)
+        for pts, general in ((points, True), (repeated, False),
+                             (tampered, None)):
+            config = Configuration(field=field, dim=d, points=tuple(pts))
+            vectors = [p.primitive[0] for p in pts]
+            rule = all(per_minor(vectors, d, field.characteristic).values())
+            assert is_general_linear_position(config) == rule
+            assert general is None or rule == general
 
 
 def test_degenerate_requires_enough_points():

@@ -23,6 +23,7 @@ from rncgeom.staudt import (
     build_instance,
     castelnuovo_check,
     certificate_from_json,
+    certificate_text,
     certificate_to_json,
     dual_configuration,
     instance_from_json,
@@ -602,6 +603,69 @@ def test_certificate_json_keeps_failures():
     assert cert.psi_failures
     restored = certificate_from_json(certificate_to_json(cert))
     assert restored == cert
+
+
+def shifted(inst, label, coord, delta):
+    """The instance with one vertex coordinate moved by delta, the way the
+    benchmark tampers an instance file."""
+    points = list(inst.vertices.points)
+    coords = list(points[label - 1].coords)
+    coords[coord] += inst.field.from_int(delta)
+    points[label - 1] = ProjectivePoint(tuple(coords), inst.field)
+    return dataclasses.replace(inst, vertices=Configuration(
+        field=inst.field, dim=inst.d, points=tuple(points)))
+
+
+def loaded(name):
+    return instance_from_json(json.loads((DATA / name).read_text()))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_instance(small_instance(3, seed=1)),
+    lambda: verify_instance(small_instance(3, seed=1), sample=5,
+                            sample_seed=2),
+    lambda: verify_instance(small_instance(2, seed=1), with_castelnuovo=True),
+    lambda: verify_instance(shifted(sample_instance(5, QQ, 9, height=6),
+                                    3, 2, 4), with_castelnuovo=True),
+    lambda: verify_instance(shifted(sample_instance(
+        6, PrimeField(101), 9, height=6), 9, 0, 3), sample=2000,
+        sample_seed=5),
+    lambda: verify_instance(loaded("d3-tampered.json")),
+    lambda: verify_instance(loaded("d3-mod101-tampered.json"),
+                            with_castelnuovo=True),
+    lambda: verify_instance(dataclasses.replace(
+        small_instance(2), vertices=Configuration(
+            field=QQ, dim=2, points=small_instance(2).vertices.points[:5]))),
+], ids=["honest", "honest-sampled", "castelnuovo", "tampered-d5",
+        "tampered-d6-F101-sampled", "tampered-d3", "tampered-d3-F101",
+        "no-equations"])
+def test_certificate_text_is_the_indented_json(run):
+    """The certificate verify writes is byte for byte the indented JSON
+    encoder's, failures or none, castelnuovo_ok null or not."""
+    cert = run()
+    assert certificate_text(cert) == json.dumps(certificate_to_json(cert),
+                                                indent=2)
+
+
+@pytest.mark.parametrize("vertices", [
+    lambda inst: inst.vertices.points[:5],
+    lambda inst: inst.vertices.points[:4],
+    lambda inst: inst.vertices.points + inst.vertices.points[:1],
+    lambda inst: small_instance(3).vertices.points,
+], ids=["5-of-6", "4-of-6", "7-points", "points-of-P3"])
+def test_vertices_of_the_wrong_shape_fail_the_construction(vertices):
+    """Stored vertices that are not 2d+2 points of P^d have no equations to
+    evaluate: a failed construction check, no equation and a false
+    verdict, recorded rather than thrown."""
+    inst = small_instance(2)
+    points = vertices(inst)
+    config = Configuration(field=QQ, dim=points[0].dim, points=points)
+    cert = verify_instance(dataclasses.replace(inst, vertices=config),
+                           with_castelnuovo=True)
+    assert cert.construction_ok is False
+    assert (cert.psi_total, cert.psi_zero, cert.psi_failures) == (0, 0, ())
+    assert not cert.verdict
+    assert certificate_from_json(certificate_to_json(cert)) == cert
 
 
 @pytest.mark.parametrize("key,bad", [
