@@ -231,9 +231,7 @@ class _Template(dict):
         return [self[s] for s in combinations(range(self.dim + 4), 6)]
 
 
-@cache
-def _template(dim: int) -> _Template:
-    return _Template(dim)
+_template = cache(_Template)
 
 
 @dataclass(slots=True)
@@ -326,14 +324,6 @@ def report_lines(table: BracketTable, support: Sequence[int],
     return lines, nonzero
 
 
-def check_match(config: Configuration, dim: int, n_points: int) -> None:
-    """Refuse a configuration that is not n_points points in P^dim."""
-    if config.dim != dim or len(config) != n_points:
-        raise MismatchError(
-            f"equation for {n_points} points in P^{dim} does not match "
-            f"{len(config)} points in P^{config.dim}")
-
-
 def support_products(minor: Callable, dim: int, picks: Iterable[tuple],
                      modulus: int = 0) -> Iterator[tuple]:
     """The support stream: (support, rows) once per pick, a support and
@@ -400,7 +390,10 @@ def evaluate_many(config: Configuration,
     read bracket by bracket: the slow path the streaming evaluation of
     equation_products is pinned against."""
     for eq in eqs:
-        check_match(config, eq.dim, eq.n_points)
+        if eq.dim != config.dim or eq.n_points != len(config):
+            raise MismatchError(
+                f"equation for {eq.n_points} points in P^{eq.dim} does not "
+                f"match {len(config)} points in P^{config.dim}")
     table = config.bracket_table
     stream = support_products(table.minor, config.dim, (
         (eq.support, eq.sextet) for eq in eqs), table.modulus)
@@ -417,13 +410,12 @@ class MembershipResult:
     member: bool
 
 
-def membership(config: Configuration, sample: Optional[int] = None,
-               seed: int = 0) -> MembershipResult:
-    """Whether every (or every sampled) equation vanishes, stopping at the
-    first that does not.  Degenerate configurations pass trivially: every
-    bracket of d+1 dependent points is zero."""
+def membership(config: Configuration) -> MembershipResult:
+    """Whether every equation vanishes, stopping at the first that does
+    not.  Degenerate configurations pass trivially: every bracket of d+1
+    dependent points is zero."""
     return MembershipResult(member=all(
-        n1 == n2 for _, rows in equation_products(config, sample, seed)
+        n1 == n2 for _, rows in equation_products(config)
         for _, n1, n2 in rows))
 
 

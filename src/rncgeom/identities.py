@@ -286,9 +286,7 @@ class _FactorCodes(dict):
         return value
 
 
-@cache
-def _factor_table(d: int) -> _FactorCodes:
-    return _FactorCodes(d)
+_factor_table = cache(_FactorCodes)
 
 
 def identity_minor(d: int, method: str = "auto") -> Callable:

@@ -13,11 +13,12 @@ Z/p its residues), a bracket is the integer determinant of those
 (fraction-free Bareiss elimination) divided by the points' scales over Q or
 reduced mod p, and the full-rank test of a few points reads minors of the
 same vectors.  A configuration keeps a table of these integer brackets,
-so each is computed once however often the general-position test and the
-bracket equations read it.  A reader of every bracket (the general-position
-test, a run over every equation) fills the whole table by one Bareiss walk
-that shares each prefix's elimination among all the subsets extending it;
-a reader of a few brackets computes each lazily, one determinant apiece.
+a dict keyed by sorted column labels, so each is computed once however
+often the general-position test and the bracket equations read it.  A
+reader of every bracket (the general-position test, a run over every
+equation) fills the whole table by one Bareiss walk that shares each
+prefix's elimination among all the subsets extending it; a bracket read
+before that is computed when it is missing, one determinant apiece.
 """
 
 from __future__ import annotations
@@ -221,55 +222,46 @@ def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
     return Fraction(value, prod(scale for _, scale in reps))
 
 
-class BracketTable:
+class BracketTable(dict):
     """The brackets of one configuration as integers, each computed once.
 
-    minor(cols) takes sorted 1-based column labels and returns the integer
-    determinant of the points' integer representatives: over Q the bracket
-    is that integer divided by the product of the points' scales
-    (``scales``), over Z/p it is already reduced mod p.  A configuration
-    holds one table (``Configuration.bracket_table``), so the
-    general-position test and every bracket equation share it.
+    A dict keyed by sorted 1-based column labels: table[cols], or its
+    named read minor(cols), is the integer determinant of the points'
+    integer representatives.  Over Q the bracket is that integer divided
+    by the product of the points' scales (``scales``), over Z/p it is
+    already reduced mod p.  A configuration holds one table
+    (``Configuration.bracket_table``), so the general-position test and
+    every bracket equation share it.
 
-    fill() computes every bracket at once by the prefix-shared walk of
-    _maximal_minors; the general-position test and a run over every
-    equation call it.  Without a fill, minor() computes each bracket
-    lazily by its own determinant, as a sample of equations wants.
+    A missing bracket is computed on its own by _det_int, as a sample of
+    equations wants.  fill() computes every bracket at once by the
+    prefix-shared walk of _maximal_minors; the general-position test and
+    a run over every equation call it.
     """
 
     def __init__(self, config: Configuration):
-        self.config = config
+        super().__init__()
         self.field = config.field
         self.modulus = config.field.characteristic
         reps = [p.primitive for p in config.points]
         self.vectors = [vec for vec, _ in reps]
         self.scales = [s for _, s in reps]
-        self._cache: dict = {}
         self._filled = False
 
-    def _compute(self, cols: tuple[int, ...]) -> int:
-        vectors = self.vectors
-        value = _det_int([vectors[c - 1] for c in cols])
-        return value % self.modulus if self.modulus else value
-
-    def minor(self, cols: tuple[int, ...]) -> int:
-        """Integer bracket of the 1-based sorted column labels."""
-        value = self._cache.get(cols)
-        if value is None:
-            value = self._cache[cols] = self._compute(cols)
+    def __missing__(self, cols: tuple[int, ...]) -> int:
+        value = _det_int([self.vectors[c - 1] for c in cols])
+        value = self[cols] = value % self.modulus if self.modulus else value
         return value
 
-    def fill(self) -> dict:
-        """The table holding every (d+1)-subset's bracket, filled on the
-        first call."""
-        if not self._filled:
-            self._cache.update(_maximal_minors(self.vectors, self.modulus))
-            self._filled = True
-        return self._cache
+    minor = dict.__getitem__
 
-    def all_nonzero(self) -> bool:
-        """Whether every (d+1)-subset has a nonzero bracket."""
-        return all(self.fill().values())
+    def fill(self) -> "BracketTable":
+        """The table holding every (d+1)-subset's bracket, filled in
+        place on the first call."""
+        if not self._filled:
+            self.update(_maximal_minors(self.vectors, self.modulus))
+            self._filled = True
+        return self
 
 
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list:
@@ -297,7 +289,7 @@ def is_general_linear_position(config: Configuration) -> bool:
         minors = (_det_int([[v[c] for c in cols] for v in vectors])
                   for cols in combinations(range(d + 1), n))
         return any(m % p if p else m for m in minors)
-    return config.bracket_table.all_nonzero()
+    return all(config.bracket_table.fill().values())
 
 
 # ---------------------------------------------------------------------------

@@ -544,7 +544,6 @@ def test_membership_needs_enough_points(rng):
 def test_membership_sampling(rng):
     ts = rand_distinct_fractions(rng, 10)
     config = curve_config(3, ts)
-    assert membership(config, sample=12, seed=1).member
     products = flat(equation_products(config, 12, seed=1))
     assert len(products) == 12
     assert all(n1 == n2 for _, _, n1, n2 in products)
@@ -590,7 +589,7 @@ def computed(monkeypatch):
     each column set computed on its own."""
     log = SimpleNamespace(walks=[], single=[])
     walk = projective._maximal_minors
-    compute = BracketTable._compute
+    compute = BracketTable.__missing__
 
     def logged_walk(vectors, modulus=0):
         out = walk(vectors, modulus)
@@ -602,7 +601,7 @@ def computed(monkeypatch):
         return compute(self, cols)
 
     monkeypatch.setattr(projective, "_maximal_minors", logged_walk)
-    monkeypatch.setattr(BracketTable, "_compute", logged)
+    monkeypatch.setattr(BracketTable, "__missing__", logged)
     return log
 
 
@@ -637,6 +636,8 @@ def test_every_equation_fills_the_table_and_a_sample_does_not(computed):
     assert filled_once(computed)
     computed.walks.clear()
     config = curve_config(3, list(range(1, 9)))
-    assert membership(config, sample=3, seed=1).member
+    products = flat(equation_products(config, 3, seed=1))
+    assert len(products) == 3
+    assert all(n1 == n2 for _, _, n1, n2 in products)
     assert not computed.walks
     assert 0 < len(computed.single) == len(set(computed.single)) <= 3 * 8

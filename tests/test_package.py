@@ -138,3 +138,30 @@ def test_cli_reads_no_per_equation_layer():
                  "EquationReport", "verify_equation_identity",
                  "monomial_products", "report_line", "identity_line"):
         assert name not in imported | used, name
+
+
+def test_per_run_tables_are_dicts_that_fill_when_missing():
+    """The bracket table is a dict whose named read is the dict read, and
+    whose memo scaffolding (a private cache, a compute hook, a
+    general-position reader, a back-reference to the configuration) stays
+    out; the per-degree memos are cached constructors of their dicts; the
+    readers keep no single-use guard or sampling options."""
+    import rncgeom.equations
+    import rncgeom.identities
+    from rncgeom.fields import QQ
+    from rncgeom.projective import BracketTable, Configuration
+
+    assert issubclass(BracketTable, dict)
+    assert BracketTable.minor is dict.__getitem__
+    table = Configuration(field=QQ, dim=1, points=(
+        rncgeom.param_point(QQ, 0), rncgeom.param_point(QQ, 1))).bracket_table
+    for name in ("_compute", "_cache", "all_nonzero", "config"):
+        assert not hasattr(table, name), name
+    assert table[(1, 2)] == table.minor((1, 2)) != 0
+    assert not hasattr(rncgeom.equations, "check_match")
+    assert rncgeom.equations._template.__wrapped__ \
+        is rncgeom.equations._Template
+    assert rncgeom.identities._factor_table.__wrapped__ \
+        is rncgeom.identities._FactorCodes
+    assert list(inspect.signature(
+        rncgeom.equations.membership).parameters) == ["config"]

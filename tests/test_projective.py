@@ -305,11 +305,12 @@ def test_filled_minors_match_each_determinant(case, modulus):
 
 
 @settings(max_examples=60, deadline=None)
-@given(integer_vectors(), st.sampled_from([QQ, PrimeField(7), FP]))
-def test_filled_table_matches_each_determinant(case, field):
+@given(integer_vectors(), st.sampled_from([QQ, PrimeField(7), FP]),
+       st.lists(st.integers(0, 10 ** 6), max_size=6))
+def test_filled_table_matches_each_determinant(case, field, lazy):
     """Through a configuration: the table holds every subset's bracket,
-    reduced mod p over Z/p, and the general-position test is the
-    per-minor rule."""
+    reduced mod p over Z/p, whether or not some were read lazily before
+    the fill, and the general-position test is the per-minor rule."""
     d, rows = case
     # a point needs a nonzero vector in the field
     rows = [row if any(field.from_int(x) for x in row) else [1] + row[1:]
@@ -319,7 +320,12 @@ def test_filled_table_matches_each_determinant(case, field):
     config = Configuration(field=field, dim=d, points=points)
     table = config.bracket_table
     expected = per_minor(table.vectors, d, field.characteristic)
-    assert table.fill() == expected
+    keys = list(expected)
+    for i in lazy:
+        cols = keys[i % len(keys)]
+        assert table[cols] == table.minor(cols) == expected[cols]
+    assert table.fill() is table
+    assert table == expected
     if len(rows) > d + 1:
         assert is_general_linear_position(config) == all(expected.values())
 
