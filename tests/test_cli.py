@@ -271,6 +271,38 @@ def test_check_psi_golden_output(capsys, name, expected):
     assert out == (DATA / f"{name}.check-psi.jsonl").read_text()
 
 
+@pytest.mark.parametrize("argv,name,expected,summary", [
+    (["verify", "--sample", "40", "--seed", "3", "--input",
+      str(DATA / "d3-tampered.json")],
+     "d3-tampered.verify-sample40-seed3.json", 1,
+     "verdict=False construction=False glp=True psi=4/40 "
+     "castelnuovo=skipped"),
+    (["check-psi", "--sample", "30", "--seed", "1", "--input",
+      str(DATA / "d3-mod101-tampered.json")],
+     "d3-mod101-tampered.check-psi-sample30-seed1.jsonl", 1,
+     "equations=30 nonzero=25 member=False"),
+    (["verify", "--sample", "40", "--seed", "2", "--input", None],
+     "d6-mod101-tampered.verify-sample40-seed2.json", 1,
+     "verdict=False construction=False glp=False psi=9/40 "
+     "castelnuovo=skipped"),
+], ids=["verify-d3", "check-psi-d3-mod101", "verify-d6-mod101"])
+def test_sampled_golden_output(tmp_path, capsys, argv, name, expected,
+                               summary):
+    """A seeded sample picks the same equations and prints them byte for
+    byte as recorded, over Q and Z/101; the d=6 instance, written here
+    with its first vertex replaced, samples 40 of 210,210 equations."""
+    if argv[-1] is None:
+        path = gen_instance_file(tmp_path, capsys, d=6, extra=(
+            "--field", "prime:101", "--height", "6"))
+        obj = json.loads(path.read_text())
+        obj["vertices"]["points"][0] = ["1", "3", "5", "7", "11", "13", "17"]
+        path.write_text(json.dumps(obj))
+        argv = [*argv[:-1], str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (expected, summary + "\n")
+    assert out == (DATA / name).read_text()
+
+
 @pytest.mark.parametrize("argv,name", [
     (["gen-instance", "--d", "3", "--seed", "11"],
      "gen-instance-d3-seed11.json"),
