@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, count, repeat
 from math import comb, gcd, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -94,6 +94,12 @@ class BracketEquation:
         """Column labels of the 4+4 brackets, in written (unsorted) order."""
         return _monomial_columns(self.sextet, self.shared)
 
+    @property
+    def pick(self) -> tuple[tuple[int, ...], int]:
+        """This equation's support_products pick: (support, sextet rank)."""
+        local = tuple(map(self.support.index, self.sextet))
+        return self.support, _template(self.dim).rank[local]
+
     def to_json(self) -> dict:
         return {"J": list(self.support), "I": list(self.sextet)}
 
@@ -103,10 +109,7 @@ def _equation(dim: int, n_points: int, support: tuple[int, ...],
     """An equation whose indices are valid by construction, built without
     the checks of BracketEquation's constructor."""
     eq = object.__new__(BracketEquation)
-    object.__setattr__(eq, "dim", dim)
-    object.__setattr__(eq, "n_points", n_points)
-    object.__setattr__(eq, "support", support)
-    object.__setattr__(eq, "sextet", sextet)
+    vars(eq).update(dim=dim, n_points=n_points, support=support, sextet=sextet)
     return eq
 
 
@@ -140,24 +143,12 @@ def _unrank_combination(n: int, k: int, r: int) -> tuple[int, ...]:
     out = []
     x = 1
     for slot in range(k, 0, -1):
-        while comb(n - x, slot - 1) <= r:
-            r -= comb(n - x, slot - 1)
+        while r >= (skip := comb(n - x, slot - 1)):
+            r -= skip
             x += 1
         out.append(x)
         x += 1
     return tuple(out)
-
-
-def equation_at(dim: int, n: int, index: int) -> BracketEquation:
-    """The equation at a given position of the enumeration order."""
-    total = count_equations(dim, n)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} outside [0, {total})")
-    per_support = comb(dim + 4, 6)
-    support = _unrank_combination(n, dim + 4, index // per_support)
-    positions = _unrank_combination(dim + 4, 6, index % per_support)
-    sextet = tuple(support[p - 1] for p in positions)
-    return _equation(dim, n, support, sextet)
 
 
 def sample_ranks(total: int, k: Optional[int] = None,
@@ -181,9 +172,9 @@ def sample_equations(dim: int, n: int, k: Optional[int] = None,
     not below the total; otherwise a seeded uniform sample of k equations,
     in enumeration order."""
     return [_equation(dim, n, support, sextet)
-            for support, pick in equation_picks(dim, n, k, seed)
-            for sextet in (combinations(support, 6) if pick is None
-                           else (pick,))]
+            for support, i in equation_picks(dim, n, k, seed)
+            for sextet in (combinations(support, 6) if i is None
+                           else (_template(dim)[i][0](support),))]
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +191,12 @@ class _Template(dict):
     """Where each equation's eight brackets sit among its support's.
 
     ``columns`` picks each sorted (dim+1)-subset of the support's local
-    positions 0..dim+3 out of a support tuple, in combinations order.  For
-    each sextet I of local positions the template holds a picker for I's
-    labels and, per monomial, the indices into ``columns`` of its four
-    brackets.  Entries are built on first lookup, so a sample compiles only
-    the sextets its equations use; ``every`` holds all of them, in
-    enumeration order, for a walk over whole supports.
+    positions 0..dim+3 out of a support tuple, in combinations order.  Entry
+    i, for the i-th sextet I of local positions in that order, holds a
+    picker for I's labels and, per monomial, the indices into ``columns``
+    of its four brackets; ``rank`` maps I back to i.  Entries are built on
+    first lookup, so a sample compiles only the sextets its equations use;
+    ``every`` holds all of them, in order, for a walk over whole supports.
 
     Sorting needs no sign: the triples are written in increasing order, and
     a sextet label crosses a smaller shared label in two brackets of each
@@ -219,16 +210,21 @@ class _Template(dict):
         self.columns = [itemgetter(*cols) for cols in local]
         self._index = {cols: i for i, cols in enumerate(local)}
 
-    def __missing__(self, sextet: tuple[int, ...]) -> tuple:
+    def __missing__(self, i: int) -> tuple:
+        sextet = [k - 1 for k in _unrank_combination(self.dim + 4, 6, i)]
         shared = tuple(k for k in range(self.dim + 4) if k not in sextet)
-        value = self[sextet] = (itemgetter(*sextet),) + tuple(
+        value = self[i] = (itemgetter(*sextet),) + tuple(
             tuple(self._index[tuple(sorted(cols))] for cols in monomial)
             for monomial in _monomial_columns(sextet, shared))
         return value
 
     @cached_property
     def every(self) -> list[tuple]:
-        return [self[s] for s in combinations(range(self.dim + 4), 6)]
+        return [self[i] for i in range(comb(self.dim + 4, 6))]
+
+    @cached_property
+    def rank(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(combinations(range(self.dim + 4), 6), count()))
 
 
 _template = cache(_Template)
@@ -327,23 +323,23 @@ def report_lines(table: BracketTable, support: Sequence[int],
 def support_products(minor: Callable, dim: int, picks: Iterable[tuple],
                      modulus: int = 0) -> Iterator[tuple]:
     """The support stream: (support, rows) once per pick, a support and
-    one sextet of it or the support and None for all its sextets.  rows
-    lazily yields (pick, n1, n2) per equation, in enumeration order: pick
-    is the template's itemgetter of the sextet's positions, so it applies
-    to the support or any sequence as long (labels, scales); n1, n2 are the
-    products of minor(sorted cols) over each monomial, reduced mod a
-    nonzero modulus.  A whole support reads its C(dim+4, dim+1) minors
-    once, one sextet only its eight; a row's products form when it is
-    drawn, so an expanded pair can be freed before the next one forms."""
+    the rank i of one of its sextets, or the support and None for all of
+    them.  rows lazily yields (pick, n1, n2) per equation, in enumeration
+    order: pick is the template's itemgetter of the sextet's positions, so
+    it applies to the support or any sequence as long (labels, scales); n1,
+    n2 are the products of minor(sorted cols) over each monomial, reduced
+    mod a nonzero modulus.  A whole support reads its C(dim+4, dim+1)
+    minors once, one sextet only its eight; a row's products form when it
+    is drawn, so an expanded pair can be freed before the next one forms."""
     template = _template(dim)
     columns = template.columns
-    for support, sextet in picks:
-        if sextet is None:
+    for support, i in picks:
+        if i is None:
             m = [minor(cols(support)) for cols in columns]
             entries = template.every
         else:
-            entry = template[tuple(map(support.index, sextet))]
-            m = {i: minor(columns[i](support)) for i in entry[1] + entry[2]}
+            entry = template[i]
+            m = {c: minor(columns[c](support)) for c in entry[1] + entry[2]}
             entries = (entry,)
         yield support, _rows(m, entries, modulus)
 
@@ -360,15 +356,15 @@ def _rows(m, entries: Iterable[tuple], p: int) -> Iterator[tuple]:
 
 def equation_picks(dim: int, n: int, sample: Optional[int] = None,
                    seed: int = 0) -> Iterator[tuple]:
-    """The support_products picks of every equation, each support once
-    with sextet None, or of a seeded sample of them, one (support, sextet)
-    each; checked before the first pick."""
+    """The support_products picks: each support once with None, or for a
+    seeded sample one (support, i) per equation, its rank split by divmod
+    into the support's and the sextet's; checked before the first pick."""
     ranks = sample_ranks(count_equations(dim, n), sample, seed)
     if isinstance(ranks, range):
         return ((support, None)
                 for support in combinations(range(1, n + 1), dim + 4))
-    eqs = (equation_at(dim, n, r) for r in ranks)
-    return ((eq.support, eq.sextet) for eq in eqs)
+    return ((_unrank_combination(n, dim + 4, j), i)
+            for j, i in map(divmod, ranks, repeat(comb(dim + 4, 6))))
 
 
 def equation_products(config: Configuration, sample: Optional[int] = None,
@@ -395,8 +391,8 @@ def evaluate_many(config: Configuration,
                 f"equation for {eq.n_points} points in P^{eq.dim} does not "
                 f"match {len(config)} points in P^{config.dim}")
     table = config.bracket_table
-    stream = support_products(table.minor, config.dim, (
-        (eq.support, eq.sextet) for eq in eqs), table.modulus)
+    stream = support_products(table.minor, config.dim,
+                              (eq.pick for eq in eqs), table.modulus)
     return [EquationReport(eq, n1, n2, table)
             for eq, (_, [(_, n1, n2)]) in zip(eqs, stream)]
 

@@ -317,7 +317,7 @@ def verify_equation_identity(
     zero polynomial: the two monomials of the method's brackets agree."""
     d = _require_symbolic(eq)
     [(_, [(_, n1, n2)])] = support_products(identity_minor(d, method), d,
-                                            [(eq.support, eq.sextet)])
+                                            [eq.pick])
     return n1 == n2
 
 

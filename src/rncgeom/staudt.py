@@ -298,8 +298,10 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
     parameters, present ones are taken as stored (they may legitimately
     disagree with the construction, e.g. in negative controls) but must
     have the instance's shape: 2d+2 points of P^d, the vertices over the
-    instance's field.  A wrong shape raises ValueError."""
+    instance's field.  A wrong shape or schema raises ValueError."""
     with malformed_input("instance"):
+        if obj.get("schema", INSTANCE_SCHEMA) != INSTANCE_SCHEMA:
+            raise ValueError(f"unknown instance schema {obj['schema']!r}")
         field = field_from_json(obj["field"])
         d = json_int(obj["d"], "d")
         seed = json_typed(obj.get("seed"), "seed", int, NoneType)

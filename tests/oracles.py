@@ -4,8 +4,10 @@ Everything here goes through sympy or first-principles formulas, never
 through the package's own linear algebra, so a bug cannot cancel out of
 both sides of an assertion.  sympy is a test dependency only.
 
-The last sections hold helpers only the tests use: polynomial evaluation
-and degrees over MultiPoly.exponents(), powers by repeated product, the
+The last sections hold helpers only the tests use: the equation at a
+rank of the enumeration order, unranked subset by subset, polynomial
+evaluation and degrees over MultiPoly.exponents(), powers by repeated
+product, the
 vertex bracket by the plain row DP, the raw vector bracket, the degeneracy
 predicate, model decoding (which calls the package's scalar parsers) and
 the fitted curve's parametrization; then the incidence of hyperplanes,
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Union
 
 import sympy
@@ -27,7 +30,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from rncgeom import identities
 from rncgeom.curve import RNCModel
-from rncgeom.equations import inversion_count
+from rncgeom.equations import BracketEquation, count_equations, inversion_count
 from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, Field, Residue, Scalar
 from rncgeom.polynomials import MultiPoly, poly_det
@@ -217,6 +220,33 @@ def factor_route_oracle(eq) -> bool:
 
 # ---------------------------------------------------------------------------
 # test-only helpers
+
+
+def _nth_subset(items, k: int, r: int) -> tuple:
+    """The r-th (0-based) k-subset of items in combinations order: the
+    first item leads the first C(len - 1, k - 1) of them."""
+    items, out = list(items), []
+    while k:
+        lead = comb(len(items) - 1, k - 1)
+        if r < lead:
+            out.append(items[0])
+            k -= 1
+        else:
+            r -= lead
+        items = items[1:]
+    return tuple(out)
+
+
+def equation_at(dim: int, n: int, index: int) -> BracketEquation:
+    """The equation at a position of the enumeration order: a support's
+    C(dim+4, 6) equations have consecutive ranks, in sextet order."""
+    total = count_equations(dim, n)
+    if not 0 <= index < total:
+        raise ValueError(f"index {index} outside [0, {total})")
+    j, i = divmod(index, comb(dim + 4, 6))
+    support = _nth_subset(range(1, n + 1), dim + 4, j)
+    return BracketEquation(dim=dim, n_points=n, support=support,
+                           sextet=_nth_subset(support, 6, i))
 
 
 def evaluate(p, values) -> Fraction:

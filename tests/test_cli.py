@@ -858,6 +858,27 @@ def test_instance_seed_must_be_an_integer(tmp_path, capsys, argv, seed):
                    f"or null, got {seed!r}\n")
 
 
+@pytest.mark.parametrize("schema", [1, "x", None, []],
+                         ids=["int", "string", "null", "list"])
+@pytest.mark.parametrize("command", [
+    "verify", "check-psi", "fit-curve", "dual-check"])
+def test_instance_schema_is_refused_unless_known(tmp_path, capsys, command,
+                                                 schema):
+    """An instance names its schema, vonstaudt-inst/1, or none at all; any
+    other value is an input error with one line, as for a certificate."""
+    obj = json.loads((DATA / "d5.json").read_text())
+    path = tmp_path / "inst.json"
+    obj["schema"] = schema
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown instance schema {schema!r}\n"
+    if command == "fit-curve":  # the quickest command on d5.json
+        del obj["schema"]
+        path.write_text(json.dumps(obj))
+        assert run_cli([command, "--input", str(path)], capsys)[0] == 0
+
+
 @pytest.mark.parametrize("command", [
     "verify", "check-psi", "fit-curve", "dual-check"])
 def test_deeply_nested_json_exits_two(tmp_path, capsys, command):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    equation_at,
     evaluate_equation_vectors,
     rand_distinct_fractions,
     rand_fraction,
@@ -23,7 +24,6 @@ from rncgeom.equations import (
     _template,
     count_equations,
     enumerate_equations,
-    equation_at,
     equation_from_json,
     equation_picks,
     equation_products,
@@ -34,6 +34,7 @@ from rncgeom.equations import (
     membership,
     report_to_json,
     sample_equations,
+    sample_ranks,
     support_products,
 )
 from rncgeom.errors import MismatchError
@@ -172,8 +173,9 @@ def test_template_parities_match_inversion_count(d):
     template = _template(d)
     support = tuple(range(1, d + 5))
     odd_brackets = 0
-    for local in combinations(range(d + 4), 6):
-        pick, *monomials = template[local]
+    for i, local in enumerate(combinations(range(d + 4), 6)):
+        assert template.rank[local] == i
+        pick, *monomials = template[i]
         eq = BracketEquation(dim=d, n_points=d + 4, support=support,
                              sextet=tuple(k + 1 for k in local))
         assert pick(support) == eq.sextet
@@ -501,13 +503,22 @@ def test_verify_peak_memory_stays_small():
 
 
 def test_equation_picks_are_checked_when_asked_for():
-    """Full picks are the supports, each once; sampled picks are the
-    sampled equations; bad counts and samples raise before any pick."""
+    """Full picks are the supports, each once; a sampled pick is the
+    sampled equation's support and its sextet's rank in the support, which
+    indexes the template entry that picks that sextet; bad counts and
+    samples raise before any pick."""
     d, n = 3, 9
     assert list(equation_picks(d, n)) == [
         (support, None) for support in combinations(range(1, n + 1), 7)]
-    assert list(equation_picks(d, n, 17, seed=4)) == [
-        (eq.support, eq.sextet) for eq in sample_equations(d, n, 17, 4)]
+    ranks = sample_ranks(count_equations(d, n), 17, 4)
+    eqs = [equation_at(d, n, r) for r in ranks]
+    picks = list(equation_picks(d, n, 17, seed=4))
+    assert picks == [(eq.support, r % comb(d + 4, 6))
+                     for eq, r in zip(eqs, ranks)]
+    assert [_template(d)[i][0](support) for support, i in picks] == [
+        eq.sextet for eq in eqs]
+    assert [eq.pick for eq in eqs] == picks
+    assert sample_equations(d, n, 17, 4) == eqs
     with pytest.raises(MismatchError):
         equation_picks(d, 6)
     with pytest.raises(ValueError, match="cannot sample"):

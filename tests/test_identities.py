@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    equation_at,
     evaluate,
     factor_route_oracle,
     monomial_summary,
@@ -25,7 +26,6 @@ from rncgeom.equations import (
     BracketEquation,
     _unrank_combination,
     enumerate_equations,
-    equation_at,
     evaluate_many,
     sample_equations,
     sample_ranks,

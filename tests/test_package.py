@@ -1,8 +1,8 @@
 """Whole-package guards: the standard library only, no worker processes
 or threads, one integer kernel for exact linear algebra, polynomials over
 Z only, no inverse frame map for curve containment, factorizations by
-proof rather than by orbit, no single-use layers or dead surface, and an
-explicit public API."""
+proof rather than by orbit, sampled equations picked by rank, no
+single-use layers or dead surface, and an explicit public API."""
 
 import ast
 import dataclasses
@@ -138,6 +138,24 @@ def test_cli_reads_no_per_equation_layer():
                  "EquationReport", "verify_equation_identity",
                  "monomial_products", "report_line", "identity_line"):
         assert name not in imported | used, name
+
+
+def test_sampled_picks_are_ranks_not_equations():
+    """A sampled pick carries its sextet's rank in the support, split from
+    the equation's rank by divmod: the package unranks no equation (that
+    oracle lives in the tests), and the support stream maps no sextet
+    back to its positions."""
+    import rncgeom.equations
+
+    [(support, i)] = rncgeom.equations.equation_picks(3, 9, 1, seed=2)
+    assert type(support) is tuple and type(i) is int
+    for path in SOURCES:
+        defined = {node.name for node in ast.walk(ast.parse(
+            path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef)}
+        assert "equation_at" not in defined, path.name
+    assert ".index(" not in inspect.getsource(
+        rncgeom.equations.support_products)
 
 
 def test_per_run_tables_are_dicts_that_fill_when_missing():
