@@ -7,12 +7,11 @@ both sides of an assertion.  sympy is a test dependency only.
 The last sections hold helpers only the tests use: the equation at a
 rank of the enumeration order, unranked subset by subset, polynomial
 evaluation and degrees over MultiPoly.exponents(), powers by repeated
-product, the
-vertex bracket by the plain row DP, the raw vector bracket, the degeneracy
-predicate, model decoding (which calls the package's scalar parsers) and
-the fitted curve's parametrization; then the incidence of hyperplanes,
-given as points of the dual space, and the apolarity pairing of binary
-forms, which the package itself never needs.
+product, the vertex bracket by the plain row DP, the raw vector bracket,
+the degeneracy predicate, model decoding (which calls the package's
+scalar parsers) and the fitted curve's parametrization; then the
+incidence of hyperplanes, given as points of the dual space, and the
+apolarity pairing of binary forms, which the package itself never needs.
 """
 
 from __future__ import annotations
