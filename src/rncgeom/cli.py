@@ -147,11 +147,10 @@ def _cmd_check_psi(args) -> int:
         raise ValueError(
             f"configuration has {len(config)} points, --n said {args.n}")
     products = equation_products(config, args.sample, args.seed)
-    table = config.bracket_table
     total = nonzero = 0
     with _output_stream(args.output) as fh:
         for support, rows in products:
-            lines, bad = report_lines(table, support, rows)
+            lines, bad = report_lines(config, support, rows)
             total += len(lines)
             nonzero += bad
             fh.write("".join(lines))
@@ -187,6 +186,8 @@ def _cmd_sym_factorization(args) -> int:
     n = 2 * d + 2
     ranks = sample_ranks(comb(n, d + 1), args.sample, args.seed)
     proofs = FactorizationProofs(d)
+    if isinstance(ranks, range):  # every split is read: fill by one walk
+        proofs.table.fill()
     bad = 0
     with _output_stream(args.output) as fh:
         for r in ranks:

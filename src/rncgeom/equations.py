@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import MismatchError, json_int
 from .fields import Field, Scalar
+# BracketTable stays importable from here: perfbench/tracing.py reads it
 from .projective import BracketTable, Configuration, is_general_linear_position
 
 # positions within the sorted 6-subset whose triples make up each monomial
@@ -242,7 +243,7 @@ class EquationReport:
     equation: BracketEquation
     n1: int
     n2: int
-    table: BracketTable
+    config: Configuration
     _scale: Optional[int] = None
 
     @property
@@ -250,16 +251,17 @@ class EquationReport:
         return self.n1 != self.n2
 
     def _scalar(self, n: int) -> Scalar:
-        table = self.table
-        if table.modulus:
-            return table.field.from_int(n)
+        field = self.config.field
+        if field.characteristic:
+            return field.from_int(n)
         if not n:
             return Fraction(0)
         if self._scale is None:
             # the common denominator of both monomials (module docstring)
-            eq, scales = self.equation, table.scales
-            self._scale = (prod(scales[k - 1] for k in eq.support) ** 2
-                           // prod(scales[k - 1] for k in eq.sextet)) ** 2
+            eq, points = self.equation, self.config.points
+            scale = {k: points[k - 1].primitive[1] for k in eq.support}
+            self._scale = (prod(scale.values()) ** 2
+                           // prod(map(scale.get, eq.sextet))) ** 2
         return Fraction(n, self._scale)
 
     @property
@@ -295,15 +297,15 @@ def format_ratio(n: int, scale: int) -> str:
     return f"{n // g}/{scale // g}"
 
 
-def report_lines(table: BracketTable, support: Sequence[int],
+def report_lines(config: Configuration, support: Sequence[int],
                  rows: Iterable[tuple]) -> tuple[list[str], int]:
     """The check-psi lines of one support's rows, each the JSON line
     json.dumps(report_to_json(...)) gives with its newline, formed straight
     from the integers; and how many rows are nonzero."""
     head = f'{{"J": {list(support)}, "I": ['
     labels = [str(k) for k in support]
-    p = table.modulus
-    scales = [table.scales[k - 1] for k in support]
+    p = config.field.characteristic
+    scales = [config.points[k - 1].primitive[1] for k in support]
     whole = prod(scales) ** 2
     lines, nonzero = [], 0
     for pick, n1, n2 in rows:
@@ -393,7 +395,7 @@ def evaluate_many(config: Configuration,
     table = config.bracket_table
     stream = support_products(table.minor, config.dim,
                               (eq.pick for eq in eqs), table.modulus)
-    return [EquationReport(eq, n1, n2, table)
+    return [EquationReport(eq, n1, n2, config)
             for eq, (_, [(_, n1, n2)]) in zip(eqs, stream)]
 
 

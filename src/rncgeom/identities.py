@@ -15,7 +15,7 @@ bracket of any d+1 vertices factors completely into 2x2 brackets
 with K1 = K cap T1, K2 = K cap T2 and sign(K) = (-1)^(C(|K1|,2)+C(|K2|,2)).
 verify_factorization checks this by full expansion; FactorizationProofs
 proves it by divisibility, from two facts about each vertex row and one
-integer determinant per split.  On top of it, each curve equation
+table of the rows' integer minors.  On top of it, each curve equation
 evaluated on the vertices is a difference of two products of four such
 brackets, multiplied by the same kernel that evaluates equations
 numerically (equations.support_products).  The factor route feeds it each
@@ -40,7 +40,7 @@ from .equations import BracketEquation, inversion_count, support_products
 from .errors import MismatchError
 from .fields import is_prime
 from .polynomials import MultiPoly, poly_det
-from .projective import _det_int
+from .projective import BracketTable
 
 
 def require_degree(d: int) -> None:
@@ -205,29 +205,27 @@ class FactorizationProofs:
     osculating hyperplane at Q_i), so a_i b_j - a_j b_i divides B_K and, by
     degree, B_K = c * the product of the predicted factors.  The integer c
     is read from the determinant of the rows at the fixed point
-    Q_i = [i : 1], where every factor i - j is nonzero.  By unique
+    Q_i = [i : 1], where every factor i - j is nonzero: table[K], of the
+    2d+2 rows there, a row that fails a fact being zero.  By unique
     factorization B_K = F_K exactly when factor_pairs(K) are the predicted
     pairs, unordered, and c is split_sign(K) times their orientation sign.
-    A split with a failing row, or with c = 0, falls back to expansion;
-    expanded counts those.
+    A split with a failing row, or with c = 0, reads 0 and falls back to
+    expansion; expanded counts those.  A full run fills the table first.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.expanded = 0
-        self._rows = {}  # R_k at the Q_i, for each k whose row passes
         labels = range(1, 2 * d + 3)  # the a_i of the Q_i = [i : 1]
-        for k in labels:
-            row = vertex_polys(d, k)
-            if _row_facts(d, k, row):
-                self._rows[k] = [_at_point(p, labels) for p in row]
+        rows = [(k, vertex_polys(d, k)) for k in labels]
+        self.table = BracketTable([
+            [_at_point(p, labels) for p in row] if _row_facts(d, k, row)
+            else [0] * (d + 1) for k, row in rows])
 
     def verify(self, split: SubsetSplit) -> bool:
         if split.d != self.d:
             raise ValueError(f"split of degree {split.d}, not {self.d}")
-        value = 0  # c times the predicted factors, at the point
-        if set(split.members) <= self._rows.keys():
-            value = _det_int([self._rows[k] for k in split.members])
+        value = self.table[split.members]  # c times the factors, at the point
         if value == 0:
             self.expanded += 1
             return verify_factorization(split)

@@ -12,12 +12,13 @@ point caches an integer representative (over Q its primitive vector, over
 Z/p its residues), a bracket is the integer determinant of those
 (fraction-free Bareiss elimination) divided by the points' scales over Q or
 reduced mod p, and the full-rank test of a few points reads minors of the
-same vectors.  A configuration keeps a table of these integer brackets,
-a dict keyed by sorted column labels, so each is computed once however
-often the general-position test and the bracket equations read it.  A
-reader of every bracket (the general-position test, a run over every
+same vectors.  Every family of maximal minors of one integer matrix is a
+BracketTable, a dict keyed by sorted row labels, so each minor is computed
+once however often it is read: a configuration keeps one of its points'
+brackets for the general-position test and the bracket equations.  A
+reader of every minor (the general-position test, a run over every
 equation) fills the whole table by one Bareiss walk that shares each
-prefix's elimination among all the subsets extending it; a bracket read
+prefix's elimination among all the subsets extending it; a minor read
 before that is computed when it is missing, one determinant apiece.
 """
 
@@ -105,7 +106,8 @@ class Configuration:
     def bracket_table(self) -> "BracketTable":
         """The integer brackets of these points, computed as they are read
         or all at once by its fill()."""
-        return BracketTable(self)
+        return BracketTable([p.primitive[0] for p in self.points],
+                            self.field.characteristic)
 
 
 # ---------------------------------------------------------------------------
@@ -223,29 +225,23 @@ def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
 
 
 class BracketTable(dict):
-    """The brackets of one configuration as integers, each computed once.
+    """The maximal minors of one integer matrix, each computed once.
 
-    A dict keyed by sorted 1-based column labels: table[cols], or its
-    named read minor(cols), is the integer determinant of the points'
-    integer representatives.  Over Q the bracket is that integer divided
-    by the product of the points' scales (``scales``), over Z/p it is
-    already reduced mod p.  A configuration holds one table
-    (``Configuration.bracket_table``), so the general-position test and
-    every bracket equation share it.
+    A dict keyed by sorted 1-based row labels: table[cols], or its named
+    read minor(cols), is _det_int of the labelled vectors as rows, reduced
+    mod a nonzero modulus.  A configuration holds the table of its points'
+    integer representatives (``Configuration.bracket_table``), so the
+    general-position test and every bracket equation share it.
 
-    A missing bracket is computed on its own by _det_int, as a sample of
-    equations wants.  fill() computes every bracket at once by the
-    prefix-shared walk of _maximal_minors; the general-position test and
-    a run over every equation call it.
+    A missing minor is computed on its own by _det_int, as a sample wants.
+    fill() computes every minor at once by the prefix-shared walk of
+    _maximal_minors, as a reader of every minor wants.
     """
 
-    def __init__(self, config: Configuration):
+    def __init__(self, vectors: Sequence[Sequence[int]], modulus: int = 0):
         super().__init__()
-        self.field = config.field
-        self.modulus = config.field.characteristic
-        reps = [p.primitive for p in config.points]
-        self.vectors = [vec for vec, _ in reps]
-        self.scales = [s for _, s in reps]
+        self.vectors = vectors
+        self.modulus = modulus
         self._filled = False
 
     def __missing__(self, cols: tuple[int, ...]) -> int:
@@ -256,8 +252,8 @@ class BracketTable(dict):
     minor = dict.__getitem__
 
     def fill(self) -> "BracketTable":
-        """The table holding every (d+1)-subset's bracket, filled in
-        place on the first call."""
+        """The table holding every maximal minor, filled in place on the
+        first call."""
         if not self._filled:
             self.update(_maximal_minors(self.vectors, self.modulus))
             self._filled = True
@@ -276,7 +272,8 @@ def is_general_linear_position(config: Configuration) -> bool:
     """Whether every subset of at most d+1 points spans projectively.
 
     For n <= d+1 this is full rank: some n x n minor of the points' integer
-    representatives is nonzero (mod p over Z/p).  For larger n it is
+    representatives is nonzero (mod p over Z/p), read from a table of their
+    d+1 coordinate rows up to the first nonzero one.  For larger n it is
     equivalent to every (d+1)-subset having nonzero bracket, since any
     dependent subset extends to a dependent one of size d+1; those are
     read from the configuration's bracket table, filled whole.
@@ -284,11 +281,10 @@ def is_general_linear_position(config: Configuration) -> bool:
     n = len(config)
     d = config.dim
     if n <= d + 1:
-        p = config.field.characteristic
-        vectors = [pt.primitive[0] for pt in config.points]
-        minors = (_det_int([[v[c] for c in cols] for v in vectors])
-                  for cols in combinations(range(d + 1), n))
-        return any(m % p if p else m for m in minors)
+        rows = BracketTable(list(zip(*(pt.primitive[0]
+                                       for pt in config.points))),
+                            config.field.characteristic)
+        return any(map(rows.__getitem__, combinations(range(1, d + 2), n)))
     return all(config.bracket_table.fill().values())
 
 

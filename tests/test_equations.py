@@ -6,7 +6,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +38,6 @@ from rncgeom.equations import (
 )
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ, PrimeField
-from rncgeom import projective
 from rncgeom.cli import main
 from rncgeom.projective import BracketTable, Configuration, ProjectivePoint
 from rncgeom.staudt import (
@@ -594,32 +592,10 @@ def test_prime_field_membership_matches_reduction(rng):
 # one bracket table per configuration
 
 
-@pytest.fixture
-def computed(monkeypatch):
-    """What the bracket tables compute: the size of each filling walk and
-    each column set computed on its own."""
-    log = SimpleNamespace(walks=[], single=[])
-    walk = projective._maximal_minors
-    compute = BracketTable.__missing__
-
-    def logged_walk(vectors, modulus=0):
-        out = walk(vectors, modulus)
-        log.walks.append(len(out))
-        return out
-
-    def logged(self, cols):
-        log.single.append(cols)
-        return compute(self, cols)
-
-    monkeypatch.setattr(projective, "_maximal_minors", logged_walk)
-    monkeypatch.setattr(BracketTable, "__missing__", logged)
-    return log
-
-
 def filled_once(computed) -> bool:
     """One table, filled by one walk with every bracket of 8 points of P^3,
     and no bracket computed on its own."""
-    return computed.walks == [comb(8, 4)] and not computed.single
+    return computed.walks == [(8, comb(8, 4))] and not computed.single
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])

@@ -292,40 +292,98 @@ def test_sym_factorization_cli_rejects_mutations(mutated_factorization,
         assert record["ok"] is not (1 in record["K"]), record
 
 
+def test_full_sym_factorization_walks_once_and_a_sample_never(computed,
+                                                              capsys):
+    """A full run fills the proof table by one walk over the 2d+2 vertex
+    rows and computes no minor on its own; a sample never walks and
+    computes each sampled split's minor on its own, once."""
+    assert main(["sym-factorization", "--d", "4"]) == 0
+    capsys.readouterr()
+    assert computed.walks == [(10, comb(10, 5))]
+    assert not computed.single
+    computed.walks.clear()
+    assert main(["sym-factorization", "--d", "4", "--sample", "40",
+                 "--seed", "1"]) == 0
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 40
+    assert not computed.walks
+    assert computed.single == [tuple(record["K"]) for record in records]
+
+
 def all_splits(d):
     return [SubsetSplit(d, members)
             for members in combinations(range(1, 2 * d + 3), d + 1)]
 
 
-def proof_verdicts(d, splits):
+def proof_verdicts(d, splits, filled=False):
     """The proof route's verdicts on the splits, in order, and the number
-    of splits it expanded."""
+    of splits it expanded; its table filled by one walk first, as a full
+    run does, or each split's minor computed on its own, as a sample's."""
     proofs = FactorizationProofs(d)
+    if filled:
+        proofs.table.fill()
     return [proofs.verify(split) for split in splits], proofs.expanded
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_proof_route_matches_per_subset_route(d):
+def lazy_then_filled(argname, values):
+    """Parametrize argname over the values with the proof table unfilled,
+    each under its own id, then filled, under the id and "-filled"."""
+    return pytest.mark.parametrize(f"{argname},filled", [
+        pytest.param(value, filled, id=f"{value}-filled" if filled
+                     else str(value))
+        for filled in (False, True) for value in values])
+
+
+@lazy_then_filled("d", [2, 3, 4, 5])
+def test_proof_route_matches_per_subset_route(d, filled):
     """Every split at d = 2..4 and a seeded sample of 40 at d = 5: the
     verdicts of expanding every split on its own, with no expansion."""
     splits = all_splits(d)
     if d == 5:
         splits = random.Random(5).sample(splits, 40)
-    verdicts, expanded = proof_verdicts(d, splits)
+    verdicts, expanded = proof_verdicts(d, splits, filled)
     assert verdicts == per_subset_factorizations(splits)
     assert all(verdicts)
     assert expanded == 0
 
 
-def mutated_row_1(change):
+def mutated_row(hit, change):
     """A vertex_polys replacement that applies change(row, vertex_polys, d)
-    to the row of R_1 and leaves every other row alone."""
+    to the row of R_hit(d) and leaves every other row alone."""
     def replace(vertex_polys):
         def mutated(d, omit):
             row = vertex_polys(d, omit)
-            return change(row, vertex_polys, d) if omit == 1 else row
+            return change(row, vertex_polys, d) if omit == hit(d) else row
         return mutated
     return replace
+
+
+# the labels whose rows the mutations change: the first; the first of the
+# second group, whose row the walk meets mid-tree; the last, whose row it
+# meets at the leaves
+def first(d):
+    return 1
+
+
+def mid(d):
+    return d + 2
+
+
+def last(d):
+    return 2 * d + 2
+
+
+def mutated_row_1(change):
+    return mutated_row(first, change)
+
+
+def row_times_own_b(hit):
+    """Every entry of R_hit(d) times b_hit(d): the osculation holds, the
+    shape fails, so the row enters the proof table as a zero row, and
+    the bracket of every split holding the label gains that factor."""
+    return mutated_row(hit, lambda row, vertex_polys, d: tuple(
+        p * MultiPoly.var_b(2 * d + 2, hit(d)) for p in row))
 
 
 # the row of R_1 becomes the sum of the rows of R_1 and R_2: the shape
@@ -366,39 +424,45 @@ def shift_first_pair(factor_pairs):
 
 # faults the proof route must answer like the per-subset route:
 # name -> (replacement of that name in identities, whether the splits
-# holding 1 fall back to their own expansion)
+# holding the faulty label fall back to their own expansion, that label
+# as a function of d)
 PROOF_MUTATIONS = {
-    **{key: (*fault, False)
+    **{key: (*fault, False, first)
        for key, fault in FACTORIZATION_MUTATIONS.items()},
-    "row-1-gains-row-2": ("vertex_polys", row_1_gains_row_2, True),
-    "row-1-entry-doubled": ("vertex_polys", row_1_entry_doubled, True),
-    "row-1-doubled": ("vertex_polys", row_1_doubled, False),
-    "row-1-times-b-1": ("vertex_polys", row_1_times_b_1, True),
-    "row-1-zeroed": ("vertex_polys", row_1_zeroed, True),
-    "shift-first-pair": ("factor_pairs", shift_first_pair, False),
+    "row-1-gains-row-2": ("vertex_polys", row_1_gains_row_2, True, first),
+    "row-1-entry-doubled": ("vertex_polys", row_1_entry_doubled, True,
+                            first),
+    "row-1-doubled": ("vertex_polys", row_1_doubled, False, first),
+    "row-1-times-b-1": ("vertex_polys", row_1_times_b_1, True, first),
+    "row-1-zeroed": ("vertex_polys", row_1_zeroed, True, first),
+    "row-mid-times-b": ("vertex_polys", row_times_own_b(mid), True, mid),
+    "row-last-times-b": ("vertex_polys", row_times_own_b(last), True, last),
+    "shift-first-pair": ("factor_pairs", shift_first_pair, False, first),
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(PROOF_MUTATIONS))
+@lazy_then_filled("mutation", sorted(PROOF_MUTATIONS))
 def test_proof_route_matches_per_subset_route_under_mutation(
-        mutation, monkeypatch):
+        mutation, filled, monkeypatch):
     """A row that fails a fact sends its splits back to their own
     expansion; where both facts hold, the factor pairs, the sign and the
     constant decide without expanding, never to a verdict that expansion
-    would not give."""
-    name, replace, falls_back = PROOF_MUTATIONS[mutation]
+    would not give.  A filled table, whose walk meets the zero row of a
+    failing row, decides as the minors computed one by one do."""
+    name, replace, falls_back, hit = PROOF_MUTATIONS[mutation]
     monkeypatch.setattr(identities, name, replace(getattr(identities, name)))
     for d in (2, 3, 4):
         splits = all_splits(d)
-        verdicts, expanded = proof_verdicts(d, splits)
+        verdicts, expanded = proof_verdicts(d, splits, filled)
         expected = per_subset_factorizations(splits)
         assert verdicts == expected, (d, mutation)
+        holds = [hit(d) in s.members for s in splits]
         if mutation == "row-1-gains-row-2":
             assert expected == [not (1 in s.members and 2 not in s.members)
                                 for s in splits]
         elif mutation != "row-1-entry-doubled":
-            assert expected == [not affected(s) for s in splits]
-        assert expanded == (sum(map(affected, splits)) if falls_back else 0)
+            assert expected == [not h for h in holds]
+        assert expanded == (sum(holds) if falls_back else 0)
 
 
 def test_proof_route_refuses_a_split_of_another_degree():

@@ -1,8 +1,9 @@
 """Whole-package guards: the standard library only, no worker processes
 or threads, one integer kernel for exact linear algebra, polynomials over
 Z only, no inverse frame map for curve containment, factorizations by
-proof rather than by orbit, sampled equations picked by rank, no
-single-use layers or dead surface, and an explicit public API."""
+proof rather than by orbit, sampled equations picked by rank, one table
+for every family of integer minors, no single-use layers or dead surface,
+and an explicit public API."""
 
 import ast
 import dataclasses
@@ -183,3 +184,28 @@ def test_per_run_tables_are_dicts_that_fill_when_missing():
         is rncgeom.identities._FactorCodes
     assert list(inspect.signature(
         rncgeom.equations.membership).parameters) == ["config"]
+
+
+def test_every_family_of_integer_minors_is_one_bracket_table():
+    """A bracket table holds the minors of one integer matrix and nothing
+    about a field; the proof of the factorizations reads one over its
+    vertex rows; only projective names the determinant kernel."""
+    from rncgeom.fields import QQ
+    from rncgeom.identities import FactorizationProofs
+    from rncgeom.projective import BracketTable, Configuration
+
+    assert list(inspect.signature(BracketTable).parameters) == [
+        "vectors", "modulus"]
+    table = Configuration(field=QQ, dim=1, points=(
+        rncgeom.param_point(QQ, 0), rncgeom.param_point(QQ, 1))).bracket_table
+    for name in ("field", "scales"):
+        assert not hasattr(table, name), name
+    for path in SOURCES:
+        names = {node.id if isinstance(node, ast.Name) else
+                 node.attr if isinstance(node, ast.Attribute) else node.name
+                 for node in ast.walk(ast.parse(
+                     path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+        assert ("_det_int" in names) == (path.name == "projective.py"), \
+            path.name
+    assert isinstance(FactorizationProofs(2).table, BracketTable)
