@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -188,10 +189,13 @@ def _cmd_sym_factorization(args) -> int:
     proofs = FactorizationProofs(d)
     if isinstance(ranks, range):  # every split is read: fill by one walk
         proofs.table.fill()
+        subsets = combinations(range(1, n + 1), d + 1)
+    else:
+        subsets = (_unrank_combination(n, d + 1, r) for r in ranks)
     bad = 0
     with _output_stream(args.output) as fh:
-        for r in ranks:
-            split = SubsetSplit(d, _unrank_combination(n, d + 1, r))
+        for members in subsets:
+            split = SubsetSplit(d, members)
             ok = proofs.verify(split)
             bad += not ok
             fh.write(json.dumps(factorization_record(split, ok)) + "\n")

@@ -67,37 +67,26 @@ def group_others(d: int, k: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SubsetSplit:
     """A (d+1)-subset K of the 2d+2 labels, remembered with its split
-    K1 = K cap T1, K2 = K cap T2."""
+    K1 = K cap T1 (group1), K2 = K cap T2 (group2) and the labels absent
+    from each group (absent1, absent2).  The halves are worked out once,
+    on construction; ==, hash and repr see only (d, members)."""
 
     d: int
     members: tuple[int, ...]
 
     def __post_init__(self):
         require_degree(self.d)
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        if len(members) != self.d + 1 or list(members) != sorted(set(members)):
-            raise ValueError(f"need a sorted ({self.d + 1})-subset")
-        if members[0] < 1 or members[-1] > 2 * self.d + 2:
-            raise ValueError(f"labels outside 1..{2 * self.d + 2}")
-
-    @property
-    def group1(self) -> tuple[int, ...]:
-        return tuple(k for k in self.members if k <= self.d + 1)
-
-    @property
-    def group2(self) -> tuple[int, ...]:
-        return tuple(k for k in self.members if k > self.d + 1)
-
-    @property
-    def absent1(self) -> tuple[int, ...]:
-        inside = set(self.members)
-        return tuple(k for k in first_group(self.d) if k not in inside)
-
-    @property
-    def absent2(self) -> tuple[int, ...]:
-        inside = set(self.members)
-        return tuple(k for k in second_group(self.d) if k not in inside)
+        d, members = self.d, tuple(self.members)
+        if len(members) != d + 1 or list(members) != sorted(set(members)):
+            raise ValueError(f"need a sorted ({d + 1})-subset")
+        if members[0] < 1 or members[-1] > 2 * d + 2:
+            raise ValueError(f"labels outside 1..{2 * d + 2}")
+        inside = set(members)
+        group1 = tuple(k for k in members if k <= d + 1)
+        vars(self).update(
+            members=members, group1=group1, group2=members[len(group1):],
+            absent1=tuple(k for k in first_group(d) if k not in inside),
+            absent2=tuple(k for k in second_group(d) if k not in inside))
 
 
 def two_bracket(n_points: int, i: int, j: int) -> MultiPoly:
@@ -230,10 +219,11 @@ class FactorizationProofs:
             self.expanded += 1
             return verify_factorization(split)
         claimed = factor_pairs(split)
-        predicted = sorted([*combinations(split.group1, 2),
-                            *combinations(split.group2, 2),
-                            *product(split.absent1, split.absent2)])
-        if sorted(tuple(sorted(pair)) for pair in claimed) != predicted:
+        predicted = [*combinations(split.group1, 2),
+                     *combinations(split.group2, 2),
+                     *product(split.absent1, split.absent2)]
+        if sorted(1 << i | 1 << j for i, j in claimed) != sorted(
+                1 << i | 1 << j for i, j in predicted):
             return False
         return value == split_sign(split) * prod(i - j for i, j in claimed)
 

@@ -18,8 +18,9 @@ once however often it is read: a configuration keeps one of its points'
 brackets for the general-position test and the bracket equations.  A
 reader of every minor (the general-position test, a run over every
 equation) fills the whole table by one Bareiss walk that shares each
-prefix's elimination among all the subsets extending it; a minor read
-before that is computed when it is missing, one determinant apiece.
+prefix's elimination among all the subsets extending it and streams each
+minor into the table as it is found; a minor read before that is computed
+when it is missing, one determinant apiece.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import MismatchError, json_int, malformed_input
 from .fields import Field, PrimeField, Scalar, field_from_json, field_to_json
@@ -143,52 +144,54 @@ def _det_int(m: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _maximal_minors(vectors: Sequence[Sequence[int]],
-                    modulus: int = 0) -> dict:
-    """Every maximal minor of the integer vectors, keyed by sorted 1-based
-    labels: _det_int of the labelled vectors as rows, reduced mod a
-    nonzero modulus.
+def _maximal_minors(vectors: Sequence[Sequence[int]], modulus: int = 0
+                    ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every maximal minor of the integer vectors, as (labels, minor) in
+    combinations order: the sorted 1-based labels and _det_int of the
+    labelled vectors as rows, reduced mod a nonzero modulus.
 
     One fraction-free Bareiss walk over the combinations tree.  After k
     steps a row's reduced form depends only on the k pivot rows and on the
     row itself, so each prefix eliminates once for every subset extending
     it.  The pivot column is the pivot row's first nonzero entry, the sign
     following the column moved to the front; a pivot row that is all zero
-    is dependent on its prefix, which zeroes its whole subtree.  The tree
-    is walked by an explicit stack, never by recursion.
+    is dependent on its prefix, which zeroes its whole subtree (sign 0).
+    The tree is walked by an explicit stack, never by recursion, and only
+    the stack's reduced rows are held: the minors are yielded, not kept.
     """
     n = len(vectors)
     size = len(vectors[0]) if n else 0
-    out: dict = {}
     if not size or size > n:
-        return out
+        return
     # (prefix labels, sign, previous pivot, [(label, reduced row)] after it)
     stack = [((), 1, 1, [(k, list(v)) for k, v in enumerate(vectors, 1)])]
     while stack:
         prefix, sign, prev, rows = stack.pop()
         left = size - len(prefix)   # labels still to pick, at least 1
+        if not sign:
+            for rest in combinations([k for k, _ in rows], left):
+                yield prefix + rest, 0
+            continue
         if left == 1:
             for label, row in rows:
                 value = sign * row[0]
-                out[prefix + (label,)] = value % modulus if modulus else value
+                yield prefix + (label,), value % modulus if modulus else value
             continue
         children = []
         for at in range(len(rows) - left + 1):
             label, row = rows[at]
             head = prefix + (label,)
-            q = next((c for c, x in enumerate(row) if x), None)
-            if q is None:
-                for rest in combinations([k for k, _ in rows[at + 1:]],
-                                         left - 1):
-                    out[head + rest] = 0
-                continue
-            pivot = row.pop(q)
+            q = next((c for c, x in enumerate(row) if x), 0)
+            pivot = row.pop(q)   # 0 for a zero row, which zeroes each leaf
             sgn = -sign if q & 1 else sign
             if left == 2:   # one column stays: the reduced entries are leaves
                 (other,) = row
                 for k, r in rows[at + 1:]:
                     value = sgn * ((pivot * r[1 - q] - r[q] * other) // prev)
-                    out[head + (k,)] = value % modulus if modulus else value
+                    yield head + (k,), value % modulus if modulus else value
+                continue
+            if not pivot:
+                children.append((head, 0, prev, rows[at + 1:]))
                 continue
             reduced = []
             for k, r in rows[at + 1:]:
@@ -198,7 +201,6 @@ def _maximal_minors(vectors: Sequence[Sequence[int]],
                                     for a, b in zip(r, row)]))
             children.append((head, sgn, pivot, reduced))
         stack.extend(reversed(children))
-    return out
 
 
 def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
@@ -234,8 +236,8 @@ class BracketTable(dict):
     general-position test and every bracket equation share it.
 
     A missing minor is computed on its own by _det_int, as a sample wants.
-    fill() computes every minor at once by the prefix-shared walk of
-    _maximal_minors, as a reader of every minor wants.
+    fill() streams every minor into the table from the prefix-shared walk
+    of _maximal_minors, as a reader of every minor wants.
     """
 
     def __init__(self, vectors: Sequence[Sequence[int]], modulus: int = 0):

@@ -28,9 +28,9 @@ def computed(monkeypatch):
     compute = projective.BracketTable.__missing__
 
     def logged_walk(vectors, modulus=0):
-        out = walk(vectors, modulus)
+        out = dict(walk(vectors, modulus))
         log.walks.append((len(vectors), len(out)))
-        return out
+        return out.items()
 
     def logged(self, cols):
         log.single.append(cols)

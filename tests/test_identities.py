@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -19,7 +21,7 @@ from oracles import (
     total_degree,
     transposed_vertex_bracket,
 )
-from rncgeom import equations, identities
+from rncgeom import cli, equations, identities
 from rncgeom.cli import main
 from rncgeom.curve import linear_product_coeffs, param_point, simplex_vertex
 from rncgeom.equations import (
@@ -92,6 +94,19 @@ def test_subset_split_parts():
     assert s.group2 == (7,)
     assert s.absent1 == (4,)
     assert s.absent2 == (5, 6, 8)
+    # the halves are worked out once; equality, hash and repr see only
+    # (d, members), and replace() works the halves out again
+    assert s == SubsetSplit(3, [1, 2, 3, 7])
+    assert hash(s) == hash(SubsetSplit(3, (1, 2, 3, 7))) == hash(
+        (3, (1, 2, 3, 7)))
+    assert repr(s) == "SubsetSplit(d=3, members=(1, 2, 3, 7))"
+    assert s != SubsetSplit(3, (1, 2, 3, 8))
+    t = dataclasses.replace(s, members=(2, 5, 6, 8))
+    assert (t.group1, t.group2, t.absent1, t.absent2) == (
+        (2,), (5, 6, 8), (1, 3, 4), (7,))
+    u = dataclasses.replace(s, d=4, members=(1, 2, 3, 7, 10))
+    assert (u.group1, u.group2, u.absent1, u.absent2) == (
+        (1, 2, 3), (7, 10), (4, 5), (6, 8, 9))
 
 
 def test_subset_split_validation():
@@ -292,15 +307,27 @@ def test_sym_factorization_cli_rejects_mutations(mutated_factorization,
         assert record["ok"] is not (1 in record["K"]), record
 
 
-def test_full_sym_factorization_walks_once_and_a_sample_never(computed,
-                                                              capsys):
+# SHA-256 of the stdout of a full sym-factorization --d 6 (3,432 lines)
+SYM_FACTORIZATION_D6_SHA256 = (
+    "d2ee8dd4d190a53a7c6ca4ad56a8a0987eb89881e263dd4bfdbb2bad877fb148")
+
+
+def test_full_sym_factorization_walks_once_and_a_sample_never(
+        computed, capsys, monkeypatch):
     """A full run fills the proof table by one walk over the 2d+2 vertex
-    rows and computes no minor on its own; a sample never walks and
-    computes each sampled split's minor on its own, once."""
+    rows, computes no minor on its own and enumerates its splits without
+    unranking any; a sample never walks, and unranks and computes each
+    sampled split's minor on its own, once.  A sample of every split, or
+    more, is a full run."""
+    unranked = []
+    unrank = cli._unrank_combination
+    monkeypatch.setattr(cli, "_unrank_combination", lambda *args: (
+        unranked.append(args) or unrank(*args)))
     assert main(["sym-factorization", "--d", "4"]) == 0
     capsys.readouterr()
     assert computed.walks == [(10, comb(10, 5))]
     assert not computed.single
+    assert not unranked
     computed.walks.clear()
     assert main(["sym-factorization", "--d", "4", "--sample", "40",
                  "--seed", "1"]) == 0
@@ -309,6 +336,22 @@ def test_full_sym_factorization_walks_once_and_a_sample_never(computed,
     assert len(records) == 40
     assert not computed.walks
     assert computed.single == [tuple(record["K"]) for record in records]
+    assert len(unranked) == 40
+    computed.single.clear()
+    unranked.clear()
+    golden = (DATA / "sym-factorization-d3.jsonl").read_text()
+    for sample in ("70", "71"):
+        assert main(["sym-factorization", "--d", "3",
+                     "--sample", sample]) == 0
+        assert capsys.readouterr().out == golden
+        assert computed.walks == [(8, comb(8, 4))]
+        assert not computed.single and not unranked
+        computed.walks.clear()
+    assert main(["sym-factorization", "--d", "6"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == comb(14, 7)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        SYM_FACTORIZATION_D6_SHA256)
 
 
 def all_splits(d):
@@ -425,7 +468,8 @@ def shift_first_pair(factor_pairs):
 # faults the proof route must answer like the per-subset route:
 # name -> (replacement of that name in identities, whether the splits
 # holding the faulty label fall back to their own expansion, that label
-# as a function of d)
+# as a function of d); a double fault names a tuple of names and their
+# replacements
 PROOF_MUTATIONS = {
     **{key: (*fault, False, first)
        for key, fault in FACTORIZATION_MUTATIONS.items()},
@@ -438,6 +482,11 @@ PROOF_MUTATIONS = {
     "row-mid-times-b": ("vertex_polys", row_times_own_b(mid), True, mid),
     "row-last-times-b": ("vertex_polys", row_times_own_b(last), True, last),
     "shift-first-pair": ("factor_pairs", shift_first_pair, False, first),
+    # one factor turned round and the sign flipped on the same split: the
+    # bracket is unchanged, so the pairs must be compared unordered
+    "flip-orientation-and-sign": tuple(zip(
+        FACTORIZATION_MUTATIONS["flip-orientation"],
+        FACTORIZATION_MUTATIONS["flip-sign"])) + (False, first),
 }
 
 
@@ -449,8 +498,12 @@ def test_proof_route_matches_per_subset_route_under_mutation(
     constant decide without expanding, never to a verdict that expansion
     would not give.  A filled table, whose walk meets the zero row of a
     failing row, decides as the minors computed one by one do."""
-    name, replace, falls_back, hit = PROOF_MUTATIONS[mutation]
-    monkeypatch.setattr(identities, name, replace(getattr(identities, name)))
+    names, replaces, falls_back, hit = PROOF_MUTATIONS[mutation]
+    if isinstance(names, str):
+        names, replaces = (names,), (replaces,)
+    for name, replace in zip(names, replaces):
+        monkeypatch.setattr(identities, name,
+                            replace(getattr(identities, name)))
     for d in (2, 3, 4):
         splits = all_splits(d)
         verdicts, expanded = proof_verdicts(d, splits, filled)
@@ -460,6 +513,8 @@ def test_proof_route_matches_per_subset_route_under_mutation(
         if mutation == "row-1-gains-row-2":
             assert expected == [not (1 in s.members and 2 not in s.members)
                                 for s in splits]
+        elif mutation == "flip-orientation-and-sign":
+            assert all(expected)
         elif mutation != "row-1-entry-doubled":
             assert expected == [not h for h in holds]
         assert expanded == (sum(holds) if falls_back else 0)

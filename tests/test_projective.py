@@ -1,11 +1,12 @@
 import inspect
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -21,6 +22,7 @@ from oracles import (
 )
 from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, PrimeField
+from rncgeom.identities import FactorizationProofs
 from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
@@ -301,7 +303,39 @@ def integer_vectors(draw):
 @given(integer_vectors(), st.sampled_from([0, 2, 7, 101]))
 def test_filled_minors_match_each_determinant(case, modulus):
     d, rows = case
-    assert _maximal_minors(rows, modulus) == per_minor(rows, d, modulus)
+    assert dict(_maximal_minors(rows, modulus)) == per_minor(rows, d, modulus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_vectors(), st.lists(st.integers(0, 20), max_size=3))
+# a zero row at the root, whose subtree is deferred behind its elder
+# siblings', and a row that depends on the two before it, mid-tree
+@example((3, [[1, 2, 0, 1], [0, 0, 0, 0], [2, 1, 1, 0], [0, 1, 3, 1],
+              [2, 2, 4, 1], [1, 0, 0, 5]]), [])
+def test_walk_streams_labels_in_combinations_order(case, zeroed):
+    """The walk yields each label set once, in combinations order, through
+    the zero subtrees of rows that are zero or depend on their prefix."""
+    d, rows = case
+    for i in zeroed:
+        rows[i % len(rows)] = [0] * (d + 1)
+    labels = [cols for cols, _ in _maximal_minors(rows)]
+    assert labels == list(combinations(range(1, len(rows) + 1), d + 1))
+
+
+def test_fill_holds_one_copy_of_the_minors():
+    """fill() streams the walk into the table: tracemalloc's peak during
+    the fill of the d = 6 proof table (3,432 minors) is within 10% of the
+    table it leaves.  Building a dict of every minor and copying it in
+    peaks at 1.24 times the table."""
+    proofs = FactorizationProofs(6)
+    tracemalloc.start()
+    try:
+        proofs.table.fill()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(proofs.table) == 3432
+    assert peak <= 1.10 * held, (peak, held)
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,7 +373,7 @@ def test_fill_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 20)
     try:
-        filled = _maximal_minors(rows)
+        filled = dict(_maximal_minors(rows))
     finally:
         sys.setrecursionlimit(limit)
     assert filled == per_minor(rows, d)
