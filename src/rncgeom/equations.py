@@ -34,12 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, count, repeat
-from math import comb, gcd, prod
+from math import comb, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import MismatchError, json_int
-from .fields import Field, Scalar
+from .fields import Field, format_ratio
 # BracketTable stays importable from here: perfbench/tracing.py reads it
 from .projective import BracketTable, Configuration, is_general_linear_position
 
@@ -250,7 +250,7 @@ class EquationReport:
     def nonzero(self) -> bool:
         return self.n1 != self.n2
 
-    def _scalar(self, n: int) -> Scalar:
+    def _scalar(self, n: int) -> Fraction | int:
         field = self.config.field
         if field.characteristic:
             return field.from_int(n)
@@ -259,42 +259,34 @@ class EquationReport:
         if self._scale is None:
             # the common denominator of both monomials (module docstring)
             eq, points = self.equation, self.config.points
-            scale = {k: points[k - 1].primitive[1] for k in eq.support}
+            scale = {k: points[k - 1].scale for k in eq.support}
             self._scale = (prod(scale.values()) ** 2
                            // prod(map(scale.get, eq.sextet))) ** 2
         return Fraction(n, self._scale)
 
     @property
-    def m1(self) -> Scalar:
+    def m1(self) -> Fraction | int:
         return self._scalar(self.n1)
 
     @property
-    def m2(self) -> Scalar:
+    def m2(self) -> Fraction | int:
         return self._scalar(self.n2)
 
     @property
-    def value(self) -> Scalar:
+    def value(self) -> Fraction | int:
         return self._scalar(self.n1 - self.n2)
 
 
 def report_to_json(report: EquationReport, field: Field) -> dict:
+    # both fields' scalars print as str; the field stays in the signature
+    # that perfbench/workloads.py calls
     return {
         "J": list(report.equation.support),
         "I": list(report.equation.sextet),
-        "m1": field.format(report.m1),
-        "m2": field.format(report.m2),
-        "value": field.format(report.value),
+        "m1": str(report.m1),
+        "m2": str(report.m2),
+        "value": str(report.value),
     }
-
-
-def format_ratio(n: int, scale: int) -> str:
-    """str(Fraction(n, scale)) for a positive scale, by one gcd."""
-    if not n:
-        return "0"
-    g = gcd(n, scale)
-    if g == scale:
-        return str(n // g)
-    return f"{n // g}/{scale // g}"
 
 
 def report_lines(config: Configuration, support: Sequence[int],
@@ -305,7 +297,7 @@ def report_lines(config: Configuration, support: Sequence[int],
     head = f'{{"J": {list(support)}, "I": ['
     labels = [str(k) for k in support]
     p = config.field.characteristic
-    scales = [config.points[k - 1].primitive[1] for k in support]
+    scales = [config.points[k - 1].scale for k in support]
     whole = prod(scales) ** 2
     lines, nonzero = [], 0
     for pick, n1, n2 in rows:

@@ -1,11 +1,12 @@
-"""Exact scalar arithmetic over the rationals and over prime fields.
+"""The two fields of the package: the rationals and the prime fields.
 
-Every computation in this package is exact.  Rational scalars are
-``fractions.Fraction``; prime-field scalars are :class:`Residue` values, thin
-wrappers around a least nonnegative representative mod p.  A "field" here is a
-small descriptor object (:class:`Rationals` or :class:`PrimeField`) that can
-construct, parse and format scalars of its kind; functions throughout the
-package take one and stay generic over it.
+Every computation in this package is exact and runs on integers.  Points
+hold integer vectors, and brackets are integer determinants reduced mod p
+over Z/p.  A "field" is a small descriptor object (:class:`Rationals` or
+:class:`PrimeField`) that coerces and parses scalars and formats a ratio of
+two integers; functions throughout the package take one and stay generic
+over it.  Rational scalars are ``fractions.Fraction``; prime-field scalars
+are plain ints in [0, p).
 
 Serialized scalars are strings: ``"5"``, ``"-3/7"`` for rationals (always in
 lowest terms, denominator positive), the least nonnegative representative for
@@ -15,73 +16,20 @@ prime fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import CharacteristicError, json_int
 
 
-class Residue:
-    """An element of Z/p for a prime p, stored as its least nonnegative
-    representative.
-
-    Arithmetic only combines residues with matching modulus; mixing moduli
-    raises.  Division is multiplication by the modular inverse.  Truthiness
-    is "nonzero", so ``if x:`` works the same for residues as for Fractions.
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"mixed moduli {self.modulus} and {other.modulus}")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __truediv__(self, other: "Residue") -> "Residue":
-        return self * other ** -1
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, exponent: int) -> "Residue":
-        if exponent < 0 and not self.value:
-            raise ZeroDivisionError(f"division by zero mod {self.modulus}")
-        return Residue(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Residue):
-            return NotImplemented
-        return self.modulus == other.modulus and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"Residue({self.value}, {self.modulus})"
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-Scalar = Union[Fraction, Residue]
+def format_ratio(n: int, scale: int) -> str:
+    """str(Fraction(n, scale)) for a positive scale, by one gcd."""
+    if not n:
+        return "0"
+    g = gcd(n, scale)
+    if g == scale:
+        return str(n // g)
+    return f"{n // g}/{scale // g}"
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below psi_13
@@ -124,22 +72,14 @@ class Rationals:
 
     kind = "rationals"
     characteristic = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
 
     def scalar(self, x) -> Fraction:
         """Coerce an int, Fraction or string to a rational scalar."""
-        if isinstance(x, Residue):
-            raise ValueError("cannot coerce a prime-field residue to Q")
         if isinstance(x, str):
             return self.parse(x)
         return Fraction(x)
@@ -147,8 +87,9 @@ class Rationals:
     def parse(self, text: str) -> Fraction:
         return Fraction(text.strip())
 
-    def format(self, x: Fraction) -> str:
-        return str(x)
+    def ratio(self, n: int, m: int) -> str:
+        """The string of n/m for integers n and m != 0."""
+        return format_ratio(n, m) if m > 0 else format_ratio(-n, -m)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Rationals)
@@ -161,9 +102,11 @@ class Rationals:
 
 
 class PrimeField:
-    """The finite field Z/p for a prime p."""
+    """The finite field Z/p for a prime p, its scalars ints in [0, p)."""
 
     kind = "prime"
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -174,45 +117,34 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    @property
-    def zero(self) -> Residue:
-        return Residue(0, self.p)
+    def from_int(self, k: int) -> int:
+        return k % self.p
 
-    @property
-    def one(self) -> Residue:
-        return Residue(1, self.p)
-
-    def from_int(self, k: int) -> Residue:
-        return Residue(k, self.p)
-
-    def scalar(self, x) -> Residue:
-        """Coerce an int, Fraction, Residue or string to a residue mod p.
+    def scalar(self, x) -> int:
+        """Coerce an int, Fraction or string to its residue mod p.
 
         Fractions reduce as numerator times inverse denominator; a
         denominator divisible by p has no image and raises.
         """
-        if isinstance(x, Residue):
-            if x.modulus != self.p:
-                raise ValueError(f"residue mod {x.modulus} is not mod {self.p}")
-            return x
         if isinstance(x, str):
             return self.parse(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(
                     f"denominator of {x} vanishes mod {self.p}")
-            return Residue(x.numerator, self.p) / Residue(x.denominator, self.p)
-        return Residue(int(x), self.p)
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        return int(x) % self.p
 
-    def parse(self, text: str) -> Residue:
+    def parse(self, text: str) -> int:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
             return self.scalar(Fraction(int(num), int(den)))
-        return Residue(int(text), self.p)
+        return int(text) % self.p
 
-    def format(self, x: Residue) -> str:
-        return str(x.value)
+    def ratio(self, n: int, m: int) -> str:
+        """The residue of n/m, for integers n and m != 0 mod p."""
+        return str(n * pow(m, -1, self.p) % self.p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

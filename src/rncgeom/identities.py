@@ -222,8 +222,9 @@ class FactorizationProofs:
         predicted = [*combinations(split.group1, 2),
                      *combinations(split.group2, 2),
                      *product(split.absent1, split.absent2)]
-        if sorted(1 << i | 1 << j for i, j in claimed) != sorted(
-                1 << i | 1 << j for i, j in predicted):
+        if len(claimed) != len(predicted) or {
+                1 << i | 1 << j for i, j in claimed} != {
+                1 << i | 1 << j for i, j in predicted}:
             return False
         return value == split_sign(split) * prod(i - j for i, j in claimed)
 

@@ -1,54 +1,66 @@
 """Projective points, configurations and exact linear algebra.
 
-Homogeneous coordinates are stored canonically: scaled so the first nonzero
-coordinate is 1.  Equality and hashing act on canonical tuples, so two points
-given by proportional coordinate vectors compare equal.  The one point type
-serves every projective space in the package: parameters are points of P^1,
-and a hyperplane of P^d is the point of the dual P^d given by its
+Homogeneous coordinates are stored canonically as one integer vector: over
+Q the primitive vector (content 1, first nonzero entry positive), over Z/p
+the residues scaled so the first nonzero entry is 1.  Equality and hashing
+act on that vector, so two points given by proportional coordinate
+vectors compare equal.  A point's scale is its first nonzero entry; the
+canonical coordinates that serialization prints, first nonzero one 1, are
+the vector divided by it (over Z/p the scale is 1).  The one point type
+serves every projective space in the package: parameters are points of
+P^1, and a hyperplane of P^d is the point of the dual P^d given by its
 coefficient vector.
 
-Linear algebra is exact and has one integer kernel for both fields: each
-point caches an integer representative (over Q its primitive vector, over
-Z/p its residues), a bracket is the integer determinant of those
-(fraction-free Bareiss elimination) divided by the points' scales over Q or
-reduced mod p, and the full-rank test of a few points reads minors of the
-same vectors.  Every family of maximal minors of one integer matrix is a
-BracketTable, a dict keyed by sorted row labels, so each minor is computed
-once however often it is read: a configuration keeps one of its points'
-brackets for the general-position test and the bracket equations.  A
-reader of every minor (the general-position test, a run over every
-equation) fills the whole table by one Bareiss walk that shares each
-prefix's elimination among all the subsets extending it and streams each
-minor into the table as it is found; a minor read before that is computed
-when it is missing, one determinant apiece.
+Linear algebra is exact and has one integer kernel for both fields: a
+bracket is the integer determinant of the points' vectors (fraction-free
+Bareiss elimination), reduced mod p over Z/p, and the full-rank test of a
+few points reads minors of the same vectors.  Every family of maximal
+minors of one integer matrix is a BracketTable, a dict keyed by sorted
+row labels, so each minor is computed once however often it is read: a
+configuration keeps one of its points' brackets for the general-position
+test and the bracket equations.  A reader of every minor (the
+general-position test, a run over every equation) fills the whole table
+by one Bareiss walk that shares each prefix's elimination among all the
+subsets extending it and streams each minor into the table as it is
+found; a minor read before that is computed when it is missing, one
+determinant apiece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm, prod
-from operator import add
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .errors import MismatchError, json_int, malformed_input
-from .fields import Field, PrimeField, Scalar, field_from_json, field_to_json
+from .fields import Field, field_from_json, field_to_json, format_ratio
 
 
-def canonical_coords(coords: Sequence[Scalar], field: Field) -> tuple:
-    """Scale so the first nonzero coordinate is 1; reject the zero vector."""
-    vals = tuple(field.scalar(c) for c in coords)
-    for v in vals:
-        if v:
-            return tuple(x / v for x in vals)
-    raise ValueError("zero vector has no projective class")
+def canonical_coords(coords: Sequence, field: Field) -> tuple[int, ...]:
+    """The canonical integer vector of the class of coords (ints,
+    Fractions or strings): primitive with positive first nonzero entry
+    over Q, first nonzero entry 1 over Z/p.  The zero vector raises."""
+    vals = [field.scalar(c) for c in coords]
+    lead = next((v for v in vals if v), None)
+    if lead is None:
+        raise ValueError("zero vector has no projective class")
+    p = field.characteristic
+    if p:
+        inverse = pow(lead, -1, p)
+        return tuple(v * inverse % p for v in vals)
+    den = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    g = gcd(*ints) if lead > 0 else -gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """A point of projective d-space, canonical homogeneous coordinates."""
+    """A point of projective d-space, held as its canonical integer
+    vector (module docstring); coords may be given as ints, Fractions or
+    strings, or as field scalars."""
 
     coords: tuple
     field: Field
@@ -62,24 +74,13 @@ class ProjectivePoint:
         return len(self.coords) - 1
 
     @cached_property
-    def primitive(self) -> tuple[tuple[int, ...], int]:
-        """Integer representative and its integer scale.
-
-        Over the rationals ints[i] == coords[i]*scale, the vector has content
-        1 and positive first nonzero entry, and the scale is that entry (the
-        canonical first nonzero coordinate is 1).  Over Z/p the
-        representative is the residues' least nonnegative values and the
-        scale is 1.  BracketTable divides out the scales afterwards.
-        """
-        if isinstance(self.field, PrimeField):
-            return tuple(c.value for c in self.coords), 1
-        dens = lcm(*(c.denominator for c in self.coords))
-        ints = [int(c * dens) for c in self.coords]
-        g = gcd(*ints)
-        return tuple(v // g for v in ints), dens // g
+    def scale(self) -> int:
+        """The first nonzero entry: the canonical coordinates are the
+        vector divided by it (1 over Z/p)."""
+        return next(c for c in self.coords if c)
 
     def __repr__(self) -> str:
-        inner = ":".join(str(c) for c in self.coords)
+        inner = ":".join(format_ratio(c, self.scale) for c in self.coords)
         return f"[{inner}]"
 
 
@@ -107,7 +108,7 @@ class Configuration:
     def bracket_table(self) -> "BracketTable":
         """The integer brackets of these points, computed as they are read
         or all at once by its fill()."""
-        return BracketTable([p.primitive[0] for p in self.points],
+        return BracketTable([p.coords for p in self.points],
                             self.field.characteristic)
 
 
@@ -203,11 +204,11 @@ def _maximal_minors(vectors: Sequence[Sequence[int]], modulus: int = 0
         stack.extend(reversed(children))
 
 
-def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
-    """Bracket of d+1 points of P^d: the determinant of their canonical
-    coordinates as columns.  Zero iff the points fail to span.  Computed
-    from the points' integer representatives, as in BracketTable.
-    """
+def bracket(points: Sequence[ProjectivePoint]) -> int:
+    """Bracket of d+1 points of P^d: the integer determinant of their
+    vectors, reduced mod p over Z/p.  Zero iff the points fail to span.
+    Over Q it is the determinant of their canonical coordinates times the
+    points' scales."""
     if not points:
         raise ValueError("bracket of no points")
     field = points[0].field
@@ -219,11 +220,8 @@ def bracket(points: Sequence[ProjectivePoint]) -> Scalar:
         raise MismatchError(
             f"bracket in P^{d} needs {d + 1} points, got {len(points)}")
     # a determinant is unchanged by transposition
-    reps = [p.primitive for p in points]
-    value = _det_int([vec for vec, _ in reps])
-    if field.characteristic:
-        return field.from_int(value)
-    return Fraction(value, prod(scale for _, scale in reps))
+    value = _det_int([p.coords for p in points])
+    return value % field.characteristic if field.characteristic else value
 
 
 class BracketTable(dict):
@@ -232,7 +230,7 @@ class BracketTable(dict):
     A dict keyed by sorted 1-based row labels: table[cols], or its named
     read minor(cols), is _det_int of the labelled vectors as rows, reduced
     mod a nonzero modulus.  A configuration holds the table of its points'
-    integer representatives (``Configuration.bracket_table``), so the
+    integer vectors (``Configuration.bracket_table``), so the
     general-position test and every bracket equation share it.
 
     A missing minor is computed on its own by _det_int, as a sample wants.
@@ -262,10 +260,6 @@ class BracketTable(dict):
         return self
 
 
-def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list:
-    return [reduce(add, (a * x for a, x in zip(row, v))) for row in m]
-
-
 # ---------------------------------------------------------------------------
 # position predicates
 
@@ -274,7 +268,7 @@ def is_general_linear_position(config: Configuration) -> bool:
     """Whether every subset of at most d+1 points spans projectively.
 
     For n <= d+1 this is full rank: some n x n minor of the points' integer
-    representatives is nonzero (mod p over Z/p), read from a table of their
+    vectors is nonzero (mod p over Z/p), read from a table of their
     d+1 coordinate rows up to the first nonzero one.  For larger n it is
     equivalent to every (d+1)-subset having nonzero bracket, since any
     dependent subset extends to a dependent one of size d+1; those are
@@ -283,8 +277,7 @@ def is_general_linear_position(config: Configuration) -> bool:
     n = len(config)
     d = config.dim
     if n <= d + 1:
-        rows = BracketTable(list(zip(*(pt.primitive[0]
-                                       for pt in config.points))),
+        rows = BracketTable(list(zip(*(pt.coords for pt in config.points))),
                             config.field.characteristic)
         return any(map(rows.__getitem__, combinations(range(1, d + 2), n)))
     return all(config.bracket_table.fill().values())
@@ -296,7 +289,7 @@ def is_general_linear_position(config: Configuration) -> bool:
 
 def points_to_json(points: Sequence[ProjectivePoint]) -> list:
     """Rows of canonical coordinate strings, one per point."""
-    return [[p.field.format(c) for c in p.coords] for p in points]
+    return [[format_ratio(c, p.scale) for c in p.coords] for p in points]
 
 
 def points_from_json(rows, field: Field) -> tuple[ProjectivePoint, ...]:

@@ -271,8 +271,7 @@ def reduce_instance_mod(inst: VonStaudtInstance, p: int) -> VonStaudtInstance:
     field = PrimeField(p)
     # reduce the primitive integer pair, so a parameter like 1/p lands on
     # the point at infinity instead of failing
-    params = tuple(ProjectivePoint(tuple(map(field.from_int, q.primitive[0])),
-                                   field) for q in inst.params)
+    params = tuple(ProjectivePoint(q.coords, field) for q in inst.params)
     return build_instance(inst.d, params, seed=inst.seed)
 
 

@@ -9,9 +9,16 @@ rank of the enumeration order, unranked subset by subset, polynomial
 evaluation and degrees over MultiPoly.exponents(), powers by repeated
 product, the vertex bracket by the plain row DP, the raw vector bracket,
 the degeneracy predicate, model decoding (which calls the package's
-scalar parsers) and the fitted curve's parametrization; then the
-incidence of hyperplanes, given as points of the dual space, and the
-apolarity pairing of binary forms, which the package itself never needs.
+scalar parsers), the Castelnuovo fit and containment by division in the
+field (the scalar route the integer brackets replaced) and the fitted
+curve's parametrization; then the incidence of hyperplanes, given as
+points of the dual space, and the apolarity pairing of binary forms,
+which the package itself never needs.
+
+Field scalars are Fractions over Q and ints in [0, p) over Z/p.  Where
+an oracle divides, it computes on elements that divide in the field:
+Fractions over Q, sympy's GF(p) elements over Z/p (to_element and
+to_scalar convert).
 """
 
 from __future__ import annotations
@@ -22,24 +29,45 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Union
+from operator import mul
+from typing import Optional, Union
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from rncgeom import identities
-from rncgeom.curve import RNCModel
+from rncgeom.curve import RNCModel, model_to_json
 from rncgeom.equations import BracketEquation, count_equations, inversion_count
 from rncgeom.errors import DegenerateInputError, MismatchError
-from rncgeom.fields import QQ, Field, Residue, Scalar
+from rncgeom.fields import QQ, Field
 from rncgeom.polynomials import MultiPoly, poly_det
-from rncgeom.projective import Configuration, ProjectivePoint, mat_vec
+from rncgeom.projective import Configuration, ProjectivePoint
 
 
 def to_sympy(x):
-    if isinstance(x, Residue):
-        return sympy.Integer(x.value)
+    """An int or Fraction as a sympy Rational."""
     return sympy.Rational(x.numerator, x.denominator)
+
+
+def to_element(x, field: Field):
+    """A scalar (an int, Fraction or string) as an element that divides
+    in the field: a Fraction over Q, sympy's GF(p) element over Z/p."""
+    if field.characteristic:
+        return sympy.GF(field.p)(field.scalar(x))
+    return field.scalar(x)
+
+
+def to_scalar(e, field: Field):
+    """An element back as the field's scalar."""
+    return field.from_int(int(e)) if field.characteristic else e
+
+
+def canonical_scalars(point: ProjectivePoint) -> tuple:
+    """The point's canonical coordinates, first nonzero one 1, as field
+    scalars."""
+    if point.field.characteristic:
+        return point.coords
+    return tuple(Fraction(c, point.scale) for c in point.coords)
 
 
 def sympy_det(rows, field: Field = QQ):
@@ -56,7 +84,7 @@ def domain_matrix(rows, field: Field = QQ) -> DomainMatrix:
     null space and inverse are taken in the field itself."""
     if field.kind == "prime":
         dom = sympy.GF(field.p)
-        vals = [[dom(x.value) for x in row] for row in rows]
+        vals = [[dom(int(x)) for x in row] for row in rows]
     else:
         dom = sympy.QQ
         vals = [[dom(x.numerator, x.denominator) for x in row]
@@ -142,16 +170,16 @@ def rand_distinct_fractions(rng, count, height=30):
     return out
 
 
-def field_det(rows, field: Field):
-    """Determinant of a square matrix of field scalars by Gaussian
-    elimination, dividing in the field (Fractions or residues)."""
-    m = [list(r) for r in rows]
+def element_det(rows, field: Field):
+    """Determinant of a square matrix of scalars by Gaussian elimination,
+    dividing in the field, as an element (to_element)."""
+    m = [[to_element(x, field) for x in r] for r in rows]
     n = len(m)
-    det = field.one
+    det = to_element(1, field)
     for c in range(n):
         pivot = next((r for r in range(c, n) if m[r][c]), None)
         if pivot is None:
-            return field.zero
+            return to_element(0, field)
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             det = -det
@@ -177,18 +205,18 @@ def evaluate_equation_vectors(field: Field, vectors, eq) -> VectorReport:
     assert len(vectors) == eq.n_points
 
     def monomial(cols_list):
-        total = field.one
+        total = to_element(1, field)
         for cols in cols_list:
             k = len(cols)
-            total = total * field_det(
-                [[field.scalar(vectors[c - 1][i]) for c in cols]
-                 for i in range(k)], field)
+            total = total * element_det(
+                [[vectors[c - 1][i] for c in cols] for i in range(k)], field)
         return total
 
     first, second = eq.monomial_columns()
     m1 = monomial(first)
     m2 = monomial(second)
-    return VectorReport(m1=m1, m2=m2, value=m1 - m2)
+    return VectorReport(m1=to_scalar(m1, field), m2=to_scalar(m2, field),
+                        value=to_scalar(m1 - m2, field))
 
 
 def monomial_summary(eq, which: int):
@@ -311,7 +339,7 @@ def bracket_vectors(field: Field, vectors):
             f"need {k} vectors of length {k} for a full bracket")
     # a determinant is unchanged by transposition, so the column vectors
     # serve as rows
-    return field_det([[field.scalar(x) for x in v] for v in vectors], field)
+    return to_scalar(element_det(vectors, field), field)
 
 
 def is_degenerate(config: Configuration) -> bool:
@@ -323,9 +351,20 @@ def is_degenerate(config: Configuration) -> bool:
                       config.field) <= config.dim
 
 
-def model_from_json(obj: dict, field: Field) -> RNCModel:
+@dataclass(frozen=True)
+class ScalarModel:
+    """A fitted curve in field scalars, as curve.model_to_json prints it:
+    the map to the standard frame and the alphas."""
+
+    dim: int
+    field: Field
+    frame_map: tuple
+    alphas: tuple
+
+
+def model_from_json(obj: dict, field: Field) -> ScalarModel:
     """The inverse of curve.model_to_json."""
-    return RNCModel(
+    return ScalarModel(
         dim=int(obj["dim"]),
         field=field,
         frame_map=tuple(
@@ -335,35 +374,111 @@ def model_from_json(obj: dict, field: Field) -> RNCModel:
 
 
 @lru_cache(maxsize=64)
-def _frame_inverse(model: RNCModel) -> tuple:
-    inverse = domain_matrix(model.frame_map, model.field).inv().to_list()
-    return tuple(from_domain(row, model.field) for row in inverse)
+def scalar_model(model: Union[RNCModel, ScalarModel]) -> ScalarModel:
+    """The model's printed scalars: a fitted RNCModel decoded from
+    model_to_json, a ScalarModel as it is."""
+    if isinstance(model, ScalarModel):
+        return model
+    return model_from_json(model_to_json(model), model.field)
 
 
-def from_frame(model: RNCModel, xs) -> ProjectivePoint:
+def reference_fit_rnc(config: Configuration) -> ScalarModel:
+    """The Castelnuovo fit by division in the field, the scalar route that
+    curve.fit_rnc's integer brackets replaced.  With [v@i] the determinant
+    of the canonical coordinates of the frame p_0..p_d with p_i replaced by
+    v: frame_map[i][j] = [e_j@i] / [p_{d+1}@i], q_i = [p_{d+2}@i] /
+    [p_{d+1}@i] and alphas_i = -1/q_i, the q_i nonzero and distinct."""
+    d, field = config.dim, config.field
+    if len(config) != d + 3:
+        raise MismatchError(
+            f"fitting in P^{d} needs exactly {d + 3} points, got {len(config)}")
+    cols = [canonical_scalars(p) for p in config.points]
+    frame = cols[:d + 1]
+
+    def at(v, i):
+        return element_det(frame[:i] + [v] + frame[i + 1:], field)
+
+    unit = [at(cols[d + 1], i) for i in range(d + 1)]
+    if not all(unit):
+        raise DegenerateInputError("unit point degenerates against the frame")
+    axes = [[int(k == j) for k in range(d + 1)] for j in range(d + 1)]
+    frame_map = [[at(e, i) / unit[i] for e in axes] for i in range(d + 1)]
+    q = [at(cols[d + 2], i) / unit[i] for i in range(d + 1)]
+    if not all(q):
+        raise DegenerateInputError("last point lies on a frame hyperplane")
+    if len(set(q)) != d + 1:
+        raise DegenerateInputError("last point has coincident frame ratios")
+    one = to_element(1, field)
+    return ScalarModel(
+        dim=d, field=field,
+        frame_map=tuple(tuple(to_scalar(x, field) for x in row)
+                        for row in frame_map),
+        alphas=tuple(to_scalar(-(one / qi), field) for qi in q))
+
+
+def reference_curve_contains(model, p: ProjectivePoint
+                             ) -> Optional[ProjectivePoint]:
+    """curve_contains by division in the field, the scalar route the
+    integer rank test replaced: x = frame_map . p, and p is on the curve
+    when x = e_i (parameter [alphas_i : 1]) or when x has no zero entry
+    and 1/x_i = c0 + c1 alphas_i for every i, c0 and c1 pinned by the
+    first two entries; the parameter is then [c0 : -c1]."""
+    model = scalar_model(model)
+    field = model.field
+    if p.field != field or p.dim != model.dim:
+        raise MismatchError("point does not match the model")
+    el = [to_element(c, field) for c in canonical_scalars(p)]
+    alphas = [to_element(a, field) for a in model.alphas]
+    x = [sum(to_element(a, field) * c for a, c in zip(row, el))
+         for row in model.frame_map]
+    nonzero = [i for i, xi in enumerate(x) if xi]
+    if len(nonzero) == 1:
+        return ProjectivePoint((model.alphas[nonzero[0]], 1), field)
+    if len(nonzero) <= model.dim:
+        return None
+    y = [1 / xi for xi in x]
+    c1 = (y[1] - y[0]) / (alphas[1] - alphas[0])
+    c0 = y[0] - c1 * alphas[0]
+    if any(yi != c0 + c1 * a for yi, a in zip(y, alphas)):
+        return None
+    return ProjectivePoint((to_scalar(c0, field), to_scalar(-c1, field)),
+                           field)
+
+
+@lru_cache(maxsize=64)
+def _frame_inverse(model: ScalarModel) -> DomainMatrix:
+    return domain_matrix(model.frame_map, model.field).inv()
+
+
+def from_frame(model, xs) -> ProjectivePoint:
     """The point with frame coordinates xs: xs mapped back through sympy's
     inverse of the frame map."""
-    return ProjectivePoint(tuple(mat_vec(_frame_inverse(model), xs)),
+    model = scalar_model(model)
+    column = domain_matrix([[x] for x in xs], model.field)
+    image = (_frame_inverse(model) * column).to_list()
+    return ProjectivePoint(from_domain([x for x, in image], model.field),
                            model.field)
 
 
-def curve_frame_coords(model: RNCModel, t: ProjectivePoint) -> list:
+def curve_frame_coords(model, t: ProjectivePoint) -> list:
     """The frame coordinates (prod_{j != i} (u - alphas_j v))_i of the
-    fitted curve at t = [u:v]."""
-    if t.field != model.field:
+    fitted curve at t = [u:v], as field scalars."""
+    model = scalar_model(model)
+    field = model.field
+    if t.field != field:
         raise MismatchError("parameter from a different field")
-    u, v = t.coords
-    factors = [u - alpha * v for alpha in model.alphas]
+    u, v = (to_element(c, field) for c in t.coords)
+    factors = [u - to_element(alpha, field) * v for alpha in model.alphas]
     xs = []
     for i in range(model.dim + 1):
-        x = model.field.one
+        x = to_element(1, field)
         for f in factors[:i] + factors[i + 1:]:
             x = x * f
-        xs.append(x)
+        xs.append(to_scalar(x, field))
     return xs
 
 
-def curve_point(model: RNCModel, t: ProjectivePoint) -> ProjectivePoint:
+def curve_point(model, t: ProjectivePoint) -> ProjectivePoint:
     """The fitted curve at t = [u:v]."""
     return from_frame(model, curve_frame_coords(model, t))
 
@@ -372,15 +487,12 @@ def curve_point(model: RNCModel, t: ProjectivePoint) -> ProjectivePoint:
 # hyperplanes as points of the dual space
 
 
-def pairing(plane: ProjectivePoint, point: ProjectivePoint) -> Scalar:
-    """The value of the plane's linear form on the point, zero iff the
-    point lies on the plane."""
+def pairing(plane: ProjectivePoint, point: ProjectivePoint):
+    """The value of the plane's linear form on the point's vector (mod p
+    over Z/p), zero iff the point lies on the plane."""
     if point.field != plane.field or point.dim != plane.dim:
         raise MismatchError("hyperplane and point do not match")
-    total = plane.field.zero
-    for c, x in zip(plane.coords, point.coords):
-        total = total + c * x
-    return total
+    return plane.field.scalar(sum(map(mul, plane.coords, point.coords)))
 
 
 def contains(plane: ProjectivePoint, point: ProjectivePoint) -> bool:
@@ -461,14 +573,14 @@ def apolar_operator(q: ProjectivePoint) -> BinaryForm:
     return BinaryForm((b, -a), q.field)
 
 
-def _falling(field: Field, n: int, k: int) -> Scalar:
+def _falling(field: Field, n: int, k: int):
     out = field.one
     for t in range(k):
         out = out * field.from_int(n - t)
     return out
 
 
-def apolarity_apply(op: BinaryForm, f: BinaryForm) -> Union[Scalar, BinaryForm]:
+def apolarity_apply(op: BinaryForm, f: BinaryForm):
     """Apply op, read as a differential operator, to the form f by formal
     differentiation.
 
@@ -493,5 +605,5 @@ def apolarity_apply(op: BinaryForm, f: BinaryForm) -> Union[Scalar, BinaryForm]:
                     * _falling(field, j, i)
         out[r] = acc
     if k == n:
-        return out[0]
+        return field.scalar(out[0])
     return BinaryForm(tuple(out), field)

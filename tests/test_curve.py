@@ -23,6 +23,9 @@ from oracles import (
     product_form_coords,
     rand_distinct_fractions,
     rand_fraction,
+    reference_curve_contains,
+    reference_fit_rnc,
+    scalar_model,
     sympy_det,
 )
 from rncgeom.curve import (
@@ -40,12 +43,12 @@ from rncgeom.curve import (
 from rncgeom.errors import CharacteristicError, DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, PrimeField
 from rncgeom.polynomials import MultiPoly
+from rncgeom.staudt import sample_instance
 from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
     bracket,
     is_general_linear_position,
-    mat_vec,
     points_from_json,
     points_to_json,
 )
@@ -106,7 +109,7 @@ def test_veronese_known_points():
 @given(param_values, st.integers(1, 6))
 def test_veronese_matches_binomial_expansion(ab, d):
     q = qq_param(*ab)
-    assert linear_product_coeffs([q.coords] * d, QQ.one) == binomial_coords(
+    assert linear_product_coeffs([q.coords] * d, 1) == binomial_coords(
         *q.coords, d)
 
 
@@ -140,8 +143,8 @@ def test_osculating_pairing_closed_form(ab0, ab, d):
     q0 = qq_param(*ab0)
     q = qq_param(*ab)
     h = osculating_coeffs(q0, d)
-    v = linear_product_coeffs([q.coords] * d, QQ.one)
-    pair = sum((hc * vc for hc, vc in zip(h, v)), Fraction(0))
+    v = linear_product_coeffs([q.coords] * d, 1)
+    pair = sum(hc * vc for hc, vc in zip(h, v))
     (a, b), (a0, b0) = q.coords, q0.coords
     assert pair == (a * b0 - b * a0) ** d
 
@@ -181,7 +184,7 @@ def test_vertex_coordinates_match_product_expansion(rng):
         qs = [qq_param(t) for t in ts]
         coeffs = product_form_coords([q.coords for q in qs])
         # r_k is the coefficient of x^(d-k) y^k, which the oracle lists at k
-        assert linear_product_coeffs([q.coords for q in qs], QQ.one) == coeffs
+        assert linear_product_coeffs([q.coords for q in qs], 1) == coeffs
 
 
 def test_vertex_known_value():
@@ -285,8 +288,9 @@ def test_fit_frame_example():
     model = fit_rnc(Configuration(field=QQ, dim=2, points=config.points[:5]))
     ident = tuple(
         tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
-    assert model.frame_map == ident
-    assert model.alphas == (Fraction(-1), Fraction(-1, 2), Fraction(-1, 4))
+    assert scalar_model(model).frame_map == ident
+    assert scalar_model(model).alphas == (
+        Fraction(-1), Fraction(-1, 2), Fraction(-1, 4))
     assert curve_point(model, qq_param(1, 0)) == pt(1, 1, 1)
     assert curve_point(model, qq_param(0, 1)) == pt(1, 2, 4)
     for p in config.points:
@@ -339,9 +343,10 @@ def test_curve_contains_frame_points(rng):
     ts = rand_distinct_fractions(rng, 5)
     model = fit_rnc(standard_config(2, ts))
     # frame points have a single nonzero frame coordinate
-    e1 = curve_point(model, qq_param(model.alphas[1]))
+    alpha = scalar_model(model).alphas[1]
+    e1 = curve_point(model, qq_param(alpha))
     t = curve_contains(model, e1)
-    assert t == qq_param(model.alphas[1])
+    assert t == qq_param(alpha)
     assert curve_contains(model, curve_point(model, qq_param(1, 0))) == \
         qq_param(1, 0)
 
@@ -368,9 +373,9 @@ def test_fit_transformed_frame(rng):
     ts = rand_distinct_fractions(rng, d + 4)
     pts = []
     for t in ts:
-        v = linear_product_coeffs([qq_param(t).coords] * d, QQ.one)
+        v = linear_product_coeffs([qq_param(t).coords] * d, 1)
         pts.append(ProjectivePoint(
-            tuple(sum((m[i][j] * v[j] for j in range(d + 1)), Fraction(0))
+            tuple(sum(m[i][j] * v[j] for j in range(d + 1))
                   for i in range(d + 1)), QQ))
     model = fit_rnc(Configuration(field=QQ, dim=d, points=tuple(pts[:d + 3])))
     for p in pts:
@@ -420,9 +425,12 @@ def random_model(rng, field, d):
         ts = [qq_param(t) for t in rand_distinct_fractions(rng, d + 3)]
     else:
         ts = rng.sample(parameter_line(field), d + 3)
-    pts = tuple(ProjectivePoint(
-        tuple(mat_vec(m, linear_product_coeffs([t.coords] * d, field.one))),
-        field) for t in ts)
+    pts = []
+    for t in ts:
+        v = linear_product_coeffs([t.coords] * d, 1)
+        pts.append(ProjectivePoint(
+            tuple(sum(a * x for a, x in zip(row, v)) for row in m), field))
+    pts = tuple(pts)
     return fit_rnc(Configuration(field=field, dim=d, points=pts))
 
 
@@ -485,7 +493,8 @@ def test_curve_contains_pins_the_oracle_parametrization(rng, field, d):
     nonzero = [x for x in (random_scalar(rng, field) for _ in range(50)) if x]
     for _ in range(3):
         model = random_model(rng, field, d)
-        frame_params = [param_point(field, a) for a in model.alphas]
+        frame_params = [param_point(field, a)
+                        for a in scalar_model(model).alphas]
         ts = frame_params + [param_point(field, 1, 0), param_point(field, 0, 1)]
         ts += [random_point(rng, field) for _ in range(20)]
         for t in ts:
@@ -531,9 +540,55 @@ def test_curve_contains_on_every_point_of_a_small_space(rng, q, d):
 
 
 def test_model_json_round_trip(rng):
+    """The printed model is the one the scalar fit computes by division."""
     ts = rand_distinct_fractions(rng, 6)
-    model = fit_rnc(standard_config(3, ts))
-    obj = model_to_json(model)
+    config = standard_config(3, ts)
+    obj = model_to_json(fit_rnc(config))
     assert set(obj) == {"dim", "frame_map", "alphas"}
-    back = model_from_json(obj, QQ)
-    assert back == model
+    assert model_from_json(obj, QQ) == reference_fit_rnc(config)
+
+
+def tamper(rng, config):
+    """The configuration with one random coordinate of one random point
+    moved by a nonzero amount."""
+    points = list(config.points)
+    k = rng.randrange(len(points))
+    coords = list(points[k].coords)
+    i = rng.randrange(len(coords))
+    coords[i] += rng.choice([-3, -2, -1, 1, 2, 3])
+    if not any(coords):
+        coords[i] = 1
+    points[k] = ProjectivePoint(tuple(coords), config.field)
+    return Configuration(field=config.field, dim=config.dim,
+                         points=tuple(points))
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Z101"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_integer_containment_pins_the_scalar_route(rng, field, d):
+    """fit_rnc and curve_contains agree with the scalar route they
+    replaced (reference_fit_rnc, reference_curve_contains): on sampled
+    vertex configurations, honest and with one coordinate tampered in
+    each of three ways, the fit raises on the same inputs, prints the
+    reference model, and finds the same parameter, or none, for every
+    point."""
+    outcomes = set()
+    for seed in range(3):
+        honest = sample_instance(d, field, seed=seed).vertices
+        for config in [honest] + [tamper(rng, honest) for _ in range(3)]:
+            fitted = Configuration(field=field, dim=d,
+                                   points=config.points[:d + 3])
+            try:
+                reference = reference_fit_rnc(fitted)
+            except DegenerateInputError as exc:
+                with pytest.raises(DegenerateInputError, match=str(exc)):
+                    fit_rnc(fitted)
+                outcomes.add("degenerate")
+                continue
+            model = fit_rnc(fitted)
+            assert model_from_json(model_to_json(model), field) == reference
+            for p in config.points:
+                found = curve_contains(model, p)
+                assert found == reference_curve_contains(reference, p)
+                outcomes.add(found is not None)
+    assert {True, False} <= outcomes

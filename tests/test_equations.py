@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    canonical_scalars,
     equation_at,
     evaluate_equation_vectors,
     rand_distinct_fractions,
@@ -192,7 +193,7 @@ def test_template_parities_match_inversion_count(d):
 def perturbed(config, label):
     """The configuration with one coordinate of one point shifted by 1."""
     points = list(config.points)
-    coords = list(points[label - 1].coords)
+    coords = list(canonical_scalars(points[label - 1]))
     coords[-1] = coords[-1] + config.field.one
     points[label - 1] = ProjectivePoint(tuple(coords), config.field)
     return Configuration(field=config.field, dim=config.dim,
@@ -222,7 +223,7 @@ def test_evaluate_many_matches_vector_oracle(field, d):
     for config, kind in ((honest, "honest"),
                          (perturbed(honest, 3), "tampered"),
                          (repeated(honest), "degenerate")):
-        vectors = [list(p.coords) for p in config.points]
+        vectors = [canonical_scalars(p) for p in config.points]
         reports = evaluate_many(config, eqs)
         assert [r.equation for r in reports] == eqs
         for r, eq in zip(reports, eqs):
@@ -267,7 +268,7 @@ def test_cached_and_raw_paths_agree(rng):
     for d in (2, 3):
         n = d + 4
         config = random_config(rng, d, n)
-        vectors = [list(p.coords) for p in config.points]
+        vectors = [canonical_scalars(p) for p in config.points]
         for eq in enumerate_equations(d, n):
             cached = evaluate_many(config, [eq])[0]
             raw = evaluate_equation_vectors(QQ, vectors, eq)

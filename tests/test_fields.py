@@ -12,7 +12,6 @@ from rncgeom.fields import (
     PRIME_LIMIT,
     PrimeField,
     Rationals,
-    Residue,
     field_from_json,
     field_to_json,
     is_prime,
@@ -25,58 +24,26 @@ FP = PrimeField(P)
 residues = st.integers(0, P - 1)
 
 
-@given(residues, residues)
-def test_residue_ring_ops_match_int_arithmetic(x, y):
-    a, b = Residue(x, P), Residue(y, P)
-    assert (a + b).value == (x + y) % P
-    assert (a - b).value == (x - y) % P
-    assert (a * b).value == (x * y) % P
-    assert (-a).value == (-x) % P
-
-
 @given(residues, residues.filter(lambda y: y != 0))
 def test_residue_division_inverts_multiplication(x, y):
-    a, b = Residue(x, P), Residue(y, P)
-    assert (a / b) * b == a
-
-
-@given(residues.filter(lambda x: x != 0), st.integers(-6, 6))
-def test_residue_pow_matches_repeated_multiplication(x, e):
-    a = Residue(x, P)
-    expected = FP.one
-    for _ in range(abs(e)):
-        expected = expected * (a if e >= 0 else FP.one / a)
-    assert a ** e == expected
-
-
-@given(residues.filter(lambda x: x != 0), st.integers(1, 6))
-def test_residue_negative_power_is_the_inverse_power(x, k):
-    a = Residue(x, P)
-    assert a ** -k == FP.one / a ** k
-    assert a ** -k * a ** k == FP.one
-
-
-def test_residue_zero_to_a_negative_power_raises():
-    for k in (1, 2):
-        with pytest.raises(ZeroDivisionError):
-            Residue(0, P) ** -k
-    assert Residue(0, P) ** 0 == FP.one
+    """Prime-field scalars are ints in [0, p); a fraction reduces to the
+    residue that y times gives x back, and a ratio prints it."""
+    q = FP.scalar(Fraction(x, y))
+    assert 0 <= q < P and q * y % P == x
+    assert FP.ratio(x, y) == str(q) == FP.ratio(x + P, y - P)
 
 
 def test_residue_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
-        Residue(1, P) / Residue(0, P)
-
-
-def test_residue_mixed_moduli_raise():
+        FP.scalar(Fraction(1, P))
     with pytest.raises(ValueError):
-        Residue(1, 7) + Residue(1, 11)
+        FP.ratio(1, P)
 
 
 def test_residue_truthiness():
-    assert not Residue(0, P)
-    assert Residue(3, P)
-    assert Residue(P, P) == Residue(0, P)
+    assert not FP.zero and not FP.from_int(P)
+    assert FP.from_int(3) and FP.one == 1
+    assert FP.from_int(P) == FP.from_int(0) == FP.scalar("0")
 
 
 def test_rationals_scalar_and_parse():
@@ -84,24 +51,24 @@ def test_rationals_scalar_and_parse():
     assert QQ.scalar("-3/7") == Fraction(-3, 7)
     assert QQ.scalar(Fraction(2, 4)) == Fraction(1, 2)
     assert QQ.parse(" 5/10 ") == Fraction(1, 2)
-    assert QQ.format(Fraction(-3, 7)) == "-3/7"
-    with pytest.raises(ValueError):
-        QQ.scalar(Residue(1, 7))
+    assert QQ.ratio(3, -7) == "-3/7" == QQ.ratio(-6, 14)
+    assert QQ.ratio(0, -5) == "0" and QQ.ratio(-8, -4) == "2"
 
 
 def test_prime_scalar_reduces_fractions():
     # 1/2 mod 101 is the inverse of 2
     half = FP.scalar(Fraction(1, 2))
-    assert half * FP.from_int(2) == FP.one
-    assert FP.scalar(Fraction(-3, 7)) == FP.from_int(-3) / FP.from_int(7)
+    assert half * 2 % P == FP.one
+    assert FP.scalar(Fraction(-3, 7)) * 7 % P == FP.from_int(-3)
+    assert FP.scalar(-1) == FP.from_int(-1) == P - 1
     with pytest.raises(ZeroDivisionError):
         FP.scalar(Fraction(1, P))
 
 
 def test_prime_parse_accepts_fraction_syntax():
-    assert FP.parse("3/4") == FP.from_int(3) / FP.from_int(4)
+    assert FP.parse("3/4") == FP.scalar(Fraction(3, 4))
     assert FP.parse("-1") == FP.from_int(-1)
-    assert FP.format(FP.from_int(-1)) == str(P - 1)
+    assert FP.ratio(-1, 1) == str(P - 1)
 
 
 def test_prime_field_rejects_composites():

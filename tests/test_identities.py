@@ -6,7 +6,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -586,17 +586,19 @@ def test_vertex_bracket_matches_numeric_bracket(rng):
                 group = first_group(d) if k <= d + 1 else second_group(d)
                 pts.append(simplex_vertex(
                     [qs[i - 1] for i in group if i != k]))
-            # numeric bracket canonicalizes each column; rescale to compare
+            # the integer bracket over the scales is the bracket of the
+            # canonical columns, first nonzero entry 1; rescale to compare
             raw_cols = []
             for k in members:
                 group = first_group(d) if k <= d + 1 else second_group(d)
                 raw_cols.append(linear_product_coeffs(
-                    [values[i - 1] for i in group if i != k], QQ.one))
+                    [values[i - 1] for i in group if i != k], 1))
             scale = Fraction(1)
             for col, p in zip(raw_cols, pts):
                 lead = next(c for c in col if c)
                 scale *= lead
-            assert sym == bracket(pts) * scale
+            canonical = Fraction(bracket(pts), prod(p.scale for p in pts))
+            assert sym == canonical * scale
 
 
 def test_factorization_record_shape():

@@ -1,6 +1,7 @@
 """Whole-package guards: the standard library only, no worker processes
-or threads, one integer kernel for exact linear algebra, polynomials over
-Z only, no inverse frame map for curve containment, factorizations by
+or threads, one integer kernel for exact linear algebra, geometry on
+integer vectors with no scalar type of its own, polynomials over Z only,
+no inverse frame map for curve containment, factorizations by
 proof rather than by orbit, sampled equations picked by rank, one table
 for every family of integer minors, no single-use layers or dead surface,
 and an explicit public API."""
@@ -29,6 +30,16 @@ def imported_top_modules(path: Path) -> set[str]:
     return out
 
 
+def named(path: Path) -> set[str]:
+    """Every name a source file reads, imports, or defines as a function
+    or class."""
+    return {node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else node.name
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias,
+                                 ast.FunctionDef, ast.ClassDef))}
+
+
 def test_package_imports_only_the_standard_library():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py"}
     for path in SOURCES:
@@ -53,6 +64,14 @@ def test_no_linear_algebra_over_field_scalars():
         assert not hasattr(rncgeom.projective, name), name
 
 
+def test_geometry_runs_on_integer_vectors():
+    """Points hold integer vectors, and construction, brackets, the fit and
+    containment run on them: no module names a residue class, a union of
+    field scalars, or a matrix-vector product over them."""
+    for path in SOURCES:
+        assert not named(path) & {"Residue", "Scalar", "mat_vec"}, path.name
+
+
 def test_polynomials_are_over_the_integers_only():
     """MultiPoly keeps the ring operations the package runs; the Fraction
     path, scalar products, powers, hashing and the renaming of points
@@ -68,14 +87,15 @@ def test_polynomials_are_over_the_integers_only():
 
 
 def test_curve_containment_needs_no_inverse_frame_map():
-    """Containment is decided in frame coordinates, so the curve module
-    has no parametrization to map back through, and a fitted model holds
-    what model_to_json prints plus its field."""
+    """Containment is decided on brackets against the frame, so the curve
+    module has no parametrization to map back through, and a fitted model
+    holds the integer brackets whose ratios model_to_json prints (the frame
+    map over unit, the alphas as -unit over last), plus its field."""
     import rncgeom.curve
 
     assert not hasattr(rncgeom.curve, "curve_point")
     assert [f.name for f in dataclasses.fields(rncgeom.curve.RNCModel)] == \
-        ["dim", "field", "frame_map", "alphas"]
+        ["dim", "field", "frame_map", "unit", "last"]
 
 
 def test_factorizations_are_proved_not_carried_along_orbits():
@@ -201,11 +221,6 @@ def test_every_family_of_integer_minors_is_one_bracket_table():
     for name in ("field", "scales"):
         assert not hasattr(table, name), name
     for path in SOURCES:
-        names = {node.id if isinstance(node, ast.Name) else
-                 node.attr if isinstance(node, ast.Attribute) else node.name
-                 for node in ast.walk(ast.parse(
-                     path.read_text(encoding="utf-8")))
-                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
-        assert ("_det_int" in names) == (path.name == "projective.py"), \
+        assert ("_det_int" in named(path)) == (path.name == "projective.py"), \
             path.name
     assert isinstance(FactorizationProofs(2).table, BracketTable)

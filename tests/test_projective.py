@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from rncgeom.projective import (
     config_from_json,
     config_to_json,
     is_general_linear_position,
+    points_to_json,
 )
 from rncgeom.staudt import sample_instance
 
@@ -56,10 +58,14 @@ def config_of(*rows):
 
 
 def test_canonical_scales_first_nonzero_to_one():
+    """Over Z/p the first nonzero entry becomes 1; over Q the vector
+    becomes primitive with a positive first nonzero entry."""
     assert canonical_coords((Fraction(2), Fraction(4), Fraction(6)), QQ) == \
-        (Fraction(1), Fraction(2), Fraction(3))
+        (1, 2, 3)
     assert canonical_coords((Fraction(0), Fraction(-3), Fraction(6)), QQ) == \
-        (Fraction(0), Fraction(1), Fraction(-2))
+        (0, 1, -2)
+    assert canonical_coords((Fraction(1, 2), "-1/3"), QQ) == (3, -2)
+    assert canonical_coords((0, 3, "6"), FP) == (0, 1, 2)
 
 
 def test_canonical_rejects_zero_vector():
@@ -81,14 +87,16 @@ def test_prime_field_canonicalization():
 
 
 def test_primitive_vector_is_integral_and_reduced():
-    p = pt(1, Fraction(3, 2), Fraction(3, 4), Fraction(1, 8))
-    vec, scale = p.primitive
-    assert vec == (8, 12, 6, 1)
-    assert all(v == c * scale for v, c in zip(vec, p.coords))
-    vec, _ = pt(0, Fraction(-1, 2), Fraction(1, 4)).primitive
+    """Over Q a point holds its primitive vector, and its scale is the
+    first nonzero entry, by which the canonical coordinates divide it."""
+    given = (1, Fraction(3, 2), Fraction(3, 4), Fraction(1, 8))
+    p = pt(*given)
+    assert p.coords == (8, 12, 6, 1) and p.scale == 8
+    assert all(Fraction(v, p.scale) == c for v, c in zip(p.coords, given))
     # first nonzero entry made positive, gcd cleared
-    assert vec == (0, 2, -1) or vec == (0, -2, 1)
-    assert vec[next(i for i, v in enumerate(vec) if v)] > 0
+    assert pt(0, Fraction(-1, 2), Fraction(1, 4)).coords == (0, 2, -1)
+    assert points_to_json([pt(0, -4, 6)]) == [["0", "1", "-3/2"]]
+    assert ProjectivePoint((0, 3, 6), FP).scale == 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +151,13 @@ def test_det_prime_agrees_with_rational_reduction(rng):
         rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
         if not all(any(row) for row in rows):
             continue
-        b_q = bracket([ProjectivePoint(tuple(map(Fraction, row)), QQ)
-                       for row in rows])
+        points = [ProjectivePoint(tuple(map(Fraction, row)), QQ)
+                  for row in rows]
+        b_q = bracket(points)
         b_p = bracket([ProjectivePoint(tuple(map(FP.from_int, row)), FP)
                        for row in rows])
-        assert FP.scalar(b_q) == b_p
+        # b_p is over the canonical coordinates, first nonzero entry 1
+        assert FP.scalar(Fraction(b_q, prod(p.scale for p in points))) == b_p
 
 
 @given(st.integers(2, 4), st.data())
@@ -393,7 +403,7 @@ def test_glp_agrees_with_the_per_minor_rule():
         for pts, general in ((points, True), (repeated, False),
                              (tampered, None)):
             config = Configuration(field=field, dim=d, points=tuple(pts))
-            vectors = [p.primitive[0] for p in pts]
+            vectors = [p.coords for p in pts]
             rule = all(per_minor(vectors, d, field.characteristic).values())
             assert is_general_linear_position(config) == rule
             assert general is None or rule == general

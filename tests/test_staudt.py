@@ -14,11 +14,7 @@ from rncgeom.curve import curve_contains, fit_rnc, param_point
 from rncgeom.equations import count_equations, evaluate_many, lies_on_rnc
 from rncgeom.fields import QQ, PrimeField
 from rncgeom.identities import first_group, second_group, vertex_polys
-from rncgeom.projective import (
-    Configuration,
-    ProjectivePoint,
-    mat_vec,
-)
+from rncgeom.projective import Configuration, ProjectivePoint
 from rncgeom.staudt import (
     build_instance,
     castelnuovo_check,
@@ -39,6 +35,7 @@ from rncgeom.errors import (
 )
 
 from oracles import (
+    canonical_scalars,
     contains,
     domain_matrix,
     evaluate,
@@ -215,7 +212,7 @@ def test_sample_distinct_parameters():
 def test_sample_respects_height():
     inst = sample_instance(2, QQ, seed=9, height=4)
     for q in inst.params:
-        value = q.coords[0]
+        value = Fraction(*q.coords)
         assert abs(value.numerator) <= 4 * 4
         assert value.denominator <= 4
 
@@ -382,15 +379,14 @@ def test_bracket_checks_invariant_under_projective_transformation(rng):
     inverse = [from_domain(row)
                for row in domain_matrix(matrix).inv().to_list()]
     inverse_t = [list(row) for row in zip(*inverse)]
-    points = tuple(
-        ProjectivePoint(tuple(mat_vec(matrix, p.coords)), QQ)
-        for p in inst.vertices.points)
-    curve_points = tuple(
-        ProjectivePoint(tuple(mat_vec(matrix, p.coords)), QQ)
-        for p in inst.curve_points)
-    planes = tuple(
-        ProjectivePoint(tuple(mat_vec(inverse_t, h.coords)), QQ)
-        for h in inst.planes)
+
+    def moved_by(m, p):
+        return ProjectivePoint(
+            tuple(sum(a * x for a, x in zip(row, p.coords)) for row in m), QQ)
+
+    points = tuple(moved_by(matrix, p) for p in inst.vertices.points)
+    curve_points = tuple(moved_by(matrix, p) for p in inst.curve_points)
+    planes = tuple(moved_by(inverse_t, h) for h in inst.planes)
     moved = dataclasses.replace(
         inst, curve_points=curve_points, planes=planes,
         vertices=Configuration(field=QQ, dim=2, points=points))
@@ -609,7 +605,7 @@ def shifted(inst, label, coord, delta):
     """The instance with one vertex coordinate moved by delta, the way the
     benchmark tampers an instance file."""
     points = list(inst.vertices.points)
-    coords = list(points[label - 1].coords)
+    coords = list(canonical_scalars(points[label - 1]))
     coords[coord] += inst.field.from_int(delta)
     points[label - 1] = ProjectivePoint(tuple(coords), inst.field)
     return dataclasses.replace(inst, vertices=Configuration(
