@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -33,7 +32,6 @@ from .errors import DegenerateInputError
 from .fields import QQ, Field, PrimeField, field_to_json
 from .identities import (
     FactorizationProofs,
-    SubsetSplit,
     factorization_record,
     identity_minor,
     require_degree,
@@ -186,20 +184,16 @@ def _cmd_sym_factorization(args) -> int:
     require_degree(d)
     n = 2 * d + 2
     ranks = sample_ranks(comb(n, d + 1), args.sample, args.seed)
+    picks = None if ranks is None else (
+        _unrank_combination(n, d + 1, r) for r in ranks)
     proofs = FactorizationProofs(d)
-    if isinstance(ranks, range):  # every split is read: fill by one walk
-        proofs.table.fill()
-        subsets = combinations(range(1, n + 1), d + 1)
-    else:
-        subsets = (_unrank_combination(n, d + 1, r) for r in ranks)
-    bad = 0
+    total = bad = 0
     with _output_stream(args.output) as fh:
-        for members in subsets:
-            split = SubsetSplit(d, members)
-            ok = proofs.verify(split)
+        for split, ok in proofs.verdicts(picks):
+            total += 1
             bad += not ok
             fh.write(json.dumps(factorization_record(split, ok)) + "\n")
-    _note(f"subsets={len(ranks)} failed={bad} expanded={proofs.expanded}")
+    _note(f"subsets={total} failed={bad} expanded={proofs.expanded}")
     return 0 if bad == 0 else 1
 
 

@@ -34,12 +34,8 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateInputError, MismatchError
 from .fields import Field, require_characteristic_over
-from .projective import (
-    BracketTable,
-    Configuration,
-    ProjectivePoint,
-    bracket,
-)
+from . import projective
+from .projective import Configuration, ProjectivePoint, bracket
 
 
 def param_point(field: Field, a, b=1) -> ProjectivePoint:
@@ -173,8 +169,8 @@ def fit_rnc(config: Configuration) -> RNCModel:
     last = [at(points[d + 2], i) for i in range(d + 1)]
     if not all(last):
         raise DegenerateInputError("last point lies on a frame hyperplane")
-    if not all(BracketTable(list(zip(unit, last)),
-                            field.characteristic).fill().values()):
+    if not all(value for _, value in projective._maximal_minors(
+            list(zip(unit, last)), field.characteristic)):
         raise DegenerateInputError("last point has coincident frame ratios")
     s, t = points[d + 1].scale, points[d + 2].scale
     axes = [ProjectivePoint(tuple(int(k == j) for k in range(d + 1)), field)
@@ -216,7 +212,7 @@ def curve_contains(model: RNCModel,
         return None
     rows = [(u * w, x * w, u * x)
             for u, x, w in zip(model.unit, v, model.last)]
-    if any(BracketTable(rows, modulus).fill().values()):
+    if any(value for _, value in projective._maximal_minors(rows, modulus)):
         return None
     (uw0, vw0, uv0), (uw1, vw1, uv1) = rows[:2]
     return ProjectivePoint((uv0 * uw1 - uw0 * uv1, uw0 * vw1 - vw0 * uw1),

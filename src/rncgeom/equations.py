@@ -153,14 +153,14 @@ def _unrank_combination(n: int, k: int, r: int) -> tuple[int, ...]:
 
 
 def sample_ranks(total: int, k: Optional[int] = None,
-                 seed: int = 0) -> Sequence[int]:
-    """The ranks 0..total-1 to check: all of them, as a range, when k is
-    None or not below total; otherwise a seeded uniform sample of k, in
+                 seed: int = 0) -> Optional[list[int]]:
+    """The ranks among 0..total-1 to check: None, for all of them, when k
+    is None or not below total; otherwise a seeded uniform sample of k, in
     increasing order.  The one place any command decides between
     everything and a sample; ranks follow combinations order, so sorted
     picks come out in enumeration order."""
     if k is None or k >= total:
-        return range(total)
+        return None
     if total > sys.maxsize:
         raise ValueError(f"cannot sample from {total} items; "
                          f"at most {sys.maxsize} are supported")
@@ -353,8 +353,11 @@ def equation_picks(dim: int, n: int, sample: Optional[int] = None,
     """The support_products picks: each support once with None, or for a
     seeded sample one (support, i) per equation, its rank split by divmod
     into the support's and the sextet's; checked before the first pick."""
-    ranks = sample_ranks(count_equations(dim, n), sample, seed)
-    if isinstance(ranks, range):
+    return _picks(dim, n, sample_ranks(count_equations(dim, n), sample, seed))
+
+
+def _picks(dim: int, n: int, ranks: Optional[list[int]]) -> Iterator[tuple]:
+    if ranks is None:
         return ((support, None)
                 for support in combinations(range(1, n + 1), dim + 4))
     return ((_unrank_combination(n, dim + 4, j), i)
@@ -367,11 +370,12 @@ def equation_products(config: Configuration, sample: Optional[int] = None,
     bracket table, reduced mod p over Z/p.  Every equation reads every
     bracket, so that run fills the table first by its shared walk; a
     sample reads only the brackets its equations use, one by one."""
-    picks = equation_picks(config.dim, len(config), sample, seed)
+    dim, n = config.dim, len(config)
+    ranks = sample_ranks(count_equations(dim, n), sample, seed)
     table = config.bracket_table
-    if sample is None or sample >= count_equations(config.dim, len(config)):
-        table.fill()
-    return support_products(table.minor, config.dim, picks, table.modulus)
+    table = table.fill() if ranks is None else table
+    return support_products(table.minor, dim, _picks(dim, n, ranks),
+                            table.modulus)
 
 
 def evaluate_many(config: Configuration,

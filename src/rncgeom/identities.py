@@ -15,7 +15,7 @@ bracket of any d+1 vertices factors completely into 2x2 brackets
 with K1 = K cap T1, K2 = K cap T2 and sign(K) = (-1)^(C(|K1|,2)+C(|K2|,2)).
 verify_factorization checks this by full expansion; FactorizationProofs
 proves it by divisibility, from two facts about each vertex row and one
-table of the rows' integer minors.  On top of it, each curve equation
+walk of the rows' integer minors.  On top of it, each curve equation
 evaluated on the vertices is a difference of two products of four such
 brackets, multiplied by the same kernel that evaluates equations
 numerically (equations.support_products).  The factor route feeds it each
@@ -33,14 +33,14 @@ from functools import cache
 from itertools import combinations, count, islice, product
 from math import comb, prod
 from operator import add
-from typing import Callable, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
+from . import projective
 from .curve import linear_product_coeffs
 from .equations import BracketEquation, inversion_count, support_products
 from .errors import MismatchError
 from .fields import is_prime
 from .polynomials import MultiPoly, poly_det
-from .projective import BracketTable
 
 
 def require_degree(d: int) -> None:
@@ -194,12 +194,12 @@ class FactorizationProofs:
     osculating hyperplane at Q_i), so a_i b_j - a_j b_i divides B_K and, by
     degree, B_K = c * the product of the predicted factors.  The integer c
     is read from the determinant of the rows at the fixed point
-    Q_i = [i : 1], where every factor i - j is nonzero: table[K], of the
-    2d+2 rows there, a row that fails a fact being zero.  By unique
+    Q_i = [i : 1], where every factor i - j is nonzero: the minor of K of
+    the 2d+2 rows there, a row that fails a fact being zero.  By unique
     factorization B_K = F_K exactly when factor_pairs(K) are the predicted
     pairs, unordered, and c is split_sign(K) times their orientation sign.
     A split with a failing row, or with c = 0, reads 0 and falls back to
-    expansion; expanded counts those.  A full run fills the table first.
+    expansion; expanded counts those.  Only a sample reads the table.
     """
 
     def __init__(self, d: int):
@@ -207,26 +207,32 @@ class FactorizationProofs:
         self.expanded = 0
         labels = range(1, 2 * d + 3)  # the a_i of the Q_i = [i : 1]
         rows = [(k, vertex_polys(d, k)) for k in labels]
-        self.table = BracketTable([
+        self.table = projective.BracketTable([
             [_at_point(p, labels) for p in row] if _row_facts(d, k, row)
             else [0] * (d + 1) for k, row in rows])
 
-    def verify(self, split: SubsetSplit) -> bool:
-        if split.d != self.d:
-            raise ValueError(f"split of degree {split.d}, not {self.d}")
-        value = self.table[split.members]  # c times the factors, at the point
-        if value == 0:
-            self.expanded += 1
-            return verify_factorization(split)
-        claimed = factor_pairs(split)
-        predicted = [*combinations(split.group1, 2),
-                     *combinations(split.group2, 2),
-                     *product(split.absent1, split.absent2)]
-        if len(claimed) != len(predicted) or {
-                1 << i | 1 << j for i, j in claimed} != {
-                1 << i | 1 << j for i, j in predicted}:
-            return False
-        return value == split_sign(split) * prod(i - j for i, j in claimed)
+    def verdicts(self, picks: Optional[Iterable] = None) -> Iterator[tuple]:
+        """(split, verdict) per picked sorted (d+1)-subset, else per split in
+        the walk's combinations order; a bad pick raises ValueError."""
+        if picks is None:
+            minors = ((SubsetSplit(self.d, labels), value) for labels, value
+                      in projective._maximal_minors(self.table.vectors))
+        else:
+            splits = (SubsetSplit(self.d, members) for members in picks)
+            minors = ((split, self.table[split.members]) for split in splits)
+        for split, value in minors:  # c times the factors, at the point
+            if value == 0:
+                self.expanded += 1
+                yield split, verify_factorization(split)
+                continue
+            claimed = factor_pairs(split)
+            predicted = [*combinations(split.group1, 2),
+                         *combinations(split.group2, 2),
+                         *product(split.absent1, split.absent2)]
+            yield split, len(claimed) == len(predicted) and {
+                1 << i | 1 << j for i, j in claimed} == {
+                1 << i | 1 << j for i, j in predicted} and value == (
+                    split_sign(split) * prod(i - j for i, j in claimed))
 
 
 def factorization_record(split: SubsetSplit, ok: bool) -> dict:

@@ -15,15 +15,15 @@ Linear algebra is exact and has one integer kernel for both fields: a
 bracket is the integer determinant of the points' vectors (fraction-free
 Bareiss elimination), reduced mod p over Z/p, and the full-rank test of a
 few points reads minors of the same vectors.  Every family of maximal
-minors of one integer matrix is a BracketTable, a dict keyed by sorted
-row labels, so each minor is computed once however often it is read: a
-configuration keeps one of its points' brackets for the general-position
-test and the bracket equations.  A reader of every minor (the
-general-position test, a run over every equation) fills the whole table
-by one Bareiss walk that shares each prefix's elimination among all the
-subsets extending it and streams each minor into the table as it is
-found; a minor read before that is computed when it is missing, one
-determinant apiece.
+minors of one integer matrix comes from one Bareiss walk, which shares
+each prefix's elimination among all the subsets extending it and yields
+the minors in combinations order.  A reader of each minor once (the
+small general-position test, the fit's checks, containment, a full
+sym-factorization) reads the walk up to the first deciding value.  Minors
+read again, or sampled, are a BracketTable, a dict keyed by sorted row
+labels that the walk fills whole or that computes a missing minor by one
+determinant: a configuration's brackets, shared by the general-position
+test and the bracket equations.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ class BracketTable(dict):
 
     A missing minor is computed on its own by _det_int, as a sample wants.
     fill() streams every minor into the table from the prefix-shared walk
-    of _maximal_minors, as a reader of every minor wants.
+    of _maximal_minors, for readers of every minor more than once.
     """
 
     def __init__(self, vectors: Sequence[Sequence[int]], modulus: int = 0):
@@ -268,18 +268,17 @@ def is_general_linear_position(config: Configuration) -> bool:
     """Whether every subset of at most d+1 points spans projectively.
 
     For n <= d+1 this is full rank: some n x n minor of the points' integer
-    vectors is nonzero (mod p over Z/p), read from a table of their
-    d+1 coordinate rows up to the first nonzero one.  For larger n it is
-    equivalent to every (d+1)-subset having nonzero bracket, since any
-    dependent subset extends to a dependent one of size d+1; those are
-    read from the configuration's bracket table, filled whole.
+    vectors is nonzero (mod p over Z/p), walked over their d+1 coordinate
+    rows up to the first nonzero one (no points: the empty minor, 1).  For
+    larger n it is equivalent to every (d+1)-subset having nonzero
+    bracket, since any dependent subset extends to a dependent one of size
+    d+1; those are read from the configuration's bracket table, filled
+    whole for the equations to read again.
     """
-    n = len(config)
-    d = config.dim
-    if n <= d + 1:
-        rows = BracketTable(list(zip(*(pt.coords for pt in config.points))),
-                            config.field.characteristic)
-        return any(map(rows.__getitem__, combinations(range(1, d + 2), n)))
+    if len(config) <= config.dim + 1:
+        rows = list(zip(*(pt.coords for pt in config.points)))
+        return not rows or any(value for _, value in _maximal_minors(
+            rows, config.field.characteristic))
     return all(config.bracket_table.fill().values())
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -314,11 +315,11 @@ SYM_FACTORIZATION_D6_SHA256 = (
 
 def test_full_sym_factorization_walks_once_and_a_sample_never(
         computed, capsys, monkeypatch):
-    """A full run fills the proof table by one walk over the 2d+2 vertex
-    rows, computes no minor on its own and enumerates its splits without
-    unranking any; a sample never walks, and unranks and computes each
-    sampled split's minor on its own, once.  A sample of every split, or
-    more, is a full run."""
+    """A full run reads its splits and their minors from one walk over the
+    2d+2 vertex rows, computes no minor on its own and unranks no split; a
+    sample never walks, and unranks and computes each sampled split's
+    minor on its own, once.  A sample of every split, or more, is a full
+    run."""
     unranked = []
     unrank = cli._unrank_combination
     monkeypatch.setattr(cli, "_unrank_combination", lambda *args: (
@@ -354,38 +355,65 @@ def test_full_sym_factorization_walks_once_and_a_sample_never(
         SYM_FACTORIZATION_D6_SHA256)
 
 
+def test_full_sym_factorization_holds_no_table(tmp_path, capsys):
+    """A full run streams each verdict from the walk to the output: with
+    the vertex rows cached beforehand, tracemalloc's peak over a full
+    --d 8 run (48,620 splits) stays under 2 MiB.  Filling a table of the
+    minors first, then reading it, peaked at about 11 MiB."""
+    d = 8
+    for k in range(1, 2 * d + 3):
+        vertex_polys(d, k)
+    out = tmp_path / "d8.jsonl"
+    tracemalloc.start()
+    try:
+        code = main(["sym-factorization", "--d", str(d),
+                     "--output", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "subsets=48620 failed=0 expanded=0" in capsys.readouterr().err
+    assert out.read_text().count("\n") == comb(2 * d + 2, d + 1)
+    assert peak < 2 * 2 ** 20, peak
+
+
 def all_splits(d):
     return [SubsetSplit(d, members)
             for members in combinations(range(1, 2 * d + 3), d + 1)]
 
 
-def proof_verdicts(d, splits, filled=False):
+def proof_verdicts(d, splits, walked=False):
     """The proof route's verdicts on the splits, in order, and the number
-    of splits it expanded; its table filled by one walk first, as a full
-    run does, or each split's minor computed on its own, as a sample's."""
+    of splits it expanded: each split's minor computed on its own, as a
+    sample's picks are, or every split's read from one walk, as a full
+    run reads them, and the splits' verdicts taken from that run."""
     proofs = FactorizationProofs(d)
-    if filled:
-        proofs.table.fill()
-    return [proofs.verify(split) for split in splits], proofs.expanded
+    if not walked:
+        picked = proofs.verdicts([split.members for split in splits])
+        return [ok for _, ok in picked], proofs.expanded
+    every = dict(proofs.verdicts())
+    assert list(every) == all_splits(d)
+    return [every[split] for split in splits], proofs.expanded
 
 
-def lazy_then_filled(argname, values):
-    """Parametrize argname over the values with the proof table unfilled,
-    each under its own id, then filled, under the id and "-filled"."""
-    return pytest.mark.parametrize(f"{argname},filled", [
-        pytest.param(value, filled, id=f"{value}-filled" if filled
+def picked_then_walked(argname, values):
+    """Parametrize argname over the values with the splits picked, each
+    under its own id, then walked, under the id and "-filled": the walk
+    yields every minor that filling a table would store."""
+    return pytest.mark.parametrize(f"{argname},walked", [
+        pytest.param(value, walked, id=f"{value}-filled" if walked
                      else str(value))
-        for filled in (False, True) for value in values])
+        for walked in (False, True) for value in values])
 
 
-@lazy_then_filled("d", [2, 3, 4, 5])
-def test_proof_route_matches_per_subset_route(d, filled):
+@picked_then_walked("d", [2, 3, 4, 5])
+def test_proof_route_matches_per_subset_route(d, walked):
     """Every split at d = 2..4 and a seeded sample of 40 at d = 5: the
     verdicts of expanding every split on its own, with no expansion."""
     splits = all_splits(d)
     if d == 5:
         splits = random.Random(5).sample(splits, 40)
-    verdicts, expanded = proof_verdicts(d, splits, filled)
+    verdicts, expanded = proof_verdicts(d, splits, walked)
     assert verdicts == per_subset_factorizations(splits)
     assert all(verdicts)
     assert expanded == 0
@@ -490,14 +518,15 @@ PROOF_MUTATIONS = {
 }
 
 
-@lazy_then_filled("mutation", sorted(PROOF_MUTATIONS))
+@picked_then_walked("mutation", sorted(PROOF_MUTATIONS))
 def test_proof_route_matches_per_subset_route_under_mutation(
-        mutation, filled, monkeypatch):
+        mutation, walked, monkeypatch):
     """A row that fails a fact sends its splits back to their own
     expansion; where both facts hold, the factor pairs, the sign and the
     constant decide without expanding, never to a verdict that expansion
-    would not give.  A filled table, whose walk meets the zero row of a
-    failing row, decides as the minors computed one by one do."""
+    would not give.  The walk, which meets the zero row of a failing row
+    mid-tree or at the leaves, decides as the picked minors computed one
+    by one do."""
     names, replaces, falls_back, hit = PROOF_MUTATIONS[mutation]
     if isinstance(names, str):
         names, replaces = (names,), (replaces,)
@@ -506,7 +535,7 @@ def test_proof_route_matches_per_subset_route_under_mutation(
                             replace(getattr(identities, name)))
     for d in (2, 3, 4):
         splits = all_splits(d)
-        verdicts, expanded = proof_verdicts(d, splits, filled)
+        verdicts, expanded = proof_verdicts(d, splits, walked)
         expected = per_subset_factorizations(splits)
         assert verdicts == expected, (d, mutation)
         holds = [hit(d) in s.members for s in splits]
@@ -521,8 +550,11 @@ def test_proof_route_matches_per_subset_route_under_mutation(
 
 
 def test_proof_route_refuses_a_split_of_another_degree():
-    with pytest.raises(ValueError, match="split of degree 2, not 3"):
-        FactorizationProofs(3).verify(SubsetSplit(2, (1, 2, 3)))
+    """A pick must be a sorted (d+1)-subset of the proof's own degree."""
+    proofs = FactorizationProofs(3)
+    for pick in ((1, 2, 3), (1, 2, 3, 4, 5), (2, 1, 3, 4)):
+        with pytest.raises(ValueError, match=r"need a sorted \(4\)-subset"):
+            list(proofs.verdicts([pick]))
 
 
 def test_integer_evaluation_matches_oracle(rng):

@@ -2,9 +2,10 @@
 or threads, one integer kernel for exact linear algebra, geometry on
 integer vectors with no scalar type of its own, polynomials over Z only,
 no inverse frame map for curve containment, factorizations by
-proof rather than by orbit, sampled equations picked by rank, one table
-for every family of integer minors, no single-use layers or dead surface,
-and an explicit public API."""
+proof rather than by orbit, sampled equations picked by rank, one kernel
+for integer minors and a table of them only where they are read again or
+sampled, no single-use layers or dead surface, and an explicit public
+API."""
 
 import ast
 import dataclasses
@@ -206,10 +207,11 @@ def test_per_run_tables_are_dicts_that_fill_when_missing():
         rncgeom.equations.membership).parameters) == ["config"]
 
 
-def test_every_family_of_integer_minors_is_one_bracket_table():
+def test_integer_minors_have_one_kernel_in_projective():
     """A bracket table holds the minors of one integer matrix and nothing
-    about a field; the proof of the factorizations reads one over its
-    vertex rows; only projective names the determinant kernel."""
+    about a field; the proof of the factorizations keeps one over its
+    vertex rows for a sample; only projective names the determinant
+    kernel."""
     from rncgeom.fields import QQ
     from rncgeom.identities import FactorizationProofs
     from rncgeom.projective import BracketTable, Configuration
@@ -224,3 +226,44 @@ def test_every_family_of_integer_minors_is_one_bracket_table():
         assert ("_det_int" in named(path)) == (path.name == "projective.py"), \
             path.name
     assert isinstance(FactorizationProofs(2).table, BracketTable)
+
+
+def calls_by_scope(path: Path) -> list[tuple[str, str]]:
+    """(called name, enclosing class and function names joined by dots)
+    for each call in one source file whose callee is a name or an
+    attribute."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, (ast.Name, ast.Attribute)):
+                out.append((func.id if isinstance(func, ast.Name)
+                            else func.attr, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def test_a_bracket_table_is_built_only_where_minors_are_read_again():
+    """A reader of each minor once (the small general-position test, the
+    fit's checks, containment, a full sym-factorization) reads the walk
+    itself: a table is built only for a configuration's brackets, which
+    the general-position test and the equations share, and for the
+    proof's sampled splits, and filled whole only by those two readers of
+    every bracket."""
+    built, filled = set(), set()
+    for path in SOURCES:
+        for name, scope in calls_by_scope(path):
+            if name == "BracketTable":
+                built.add(f"{path.stem}.{scope}")
+            elif name == "fill":
+                filled.add(f"{path.stem}.{scope}")
+    assert built == {"projective.Configuration.bracket_table",
+                     "identities.FactorizationProofs.__init__"}
+    assert filled == {"projective.is_general_linear_position",
+                      "equations.equation_products"}
