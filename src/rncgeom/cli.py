@@ -252,7 +252,7 @@ def _cmd_dual_check(args) -> int:
 
 
 def _add_common(sub, *, seed=False, field=False, height=False, sample=False,
-                inp=False, out=True):
+                inp=False):
     if seed:
         sub.add_argument("--seed", type=int, default=0,
                          help="random seed (default 0)")
@@ -268,9 +268,8 @@ def _add_common(sub, *, seed=False, field=False, height=False, sample=False,
                               "instead of everything")
     if inp:
         sub.add_argument("--input", required=True, help="input JSON file")
-    if out:
-        sub.add_argument("--output", default=None,
-                         help="write JSON here instead of stdout")
+    sub.add_argument("--output", default=None,
+                     help="write JSON here instead of stdout")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,12 +17,12 @@ division: linear_product_coeffs, the one recurrence behind the curve
 points, the simplex vertices and identities.vertex_polys, runs on the
 parameters' integer vectors, and each point takes its canonical form once.
 
-Fitting sends the first d+2 of d+3 points to the standard frame; the
-model is the integer brackets of the frame with one point replaced, and
-the failure modes of that normalization (zero or coincident ratios) are
-exactly general-position violations, so no other degeneracy detection is
-needed.  Containment is one integer rank test on a point's brackets
-against the frame.
+Fitting sends the first d+2 of d+3 points to the standard frame by one
+frame map, the integer cofactors of the frame: the bracket of the frame
+with one point p replaced is that map applied to p.  The failure modes of
+that normalization (zero or coincident ratios) are exactly
+general-position violations, so no other degeneracy detection is needed.
+Containment applies the same map and tests rank 2 by one cross product.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ class RNCModel:
     in integer brackets.  With [v@i] the bracket of p_0..p_d with p_i
     replaced by v, and s, t the scales of p_{d+1}, p_{d+2}:
     frame_map[i][j] = [e_j@i] s t, unit[i] = [p_{d+1}@i] t and
-    last[i] = [p_{d+2}@i] s.  The map to the standard frame is
-    frame_map[i][j] / unit[i] and alphas_i = -unit[i] / last[i], the values
-    the brackets of the canonical coordinates give; there the curve is
-    t = [u:v]  ->  ( prod_{j != i} (u - alphas_j v) )_i.
+    last[i] = [p_{d+2}@i] s, so frame_map applied to v is ([v@i] s t)_i.
+    The standard frame map is frame_map[i][j] / unit[i] and alphas_i =
+    -unit[i] / last[i], as the canonical coordinates' brackets give; there
+    the curve is t = [u:v]  ->  ( prod_{j != i} (u - alphas_j v) )_i.
     """
 
     dim: int
@@ -137,6 +137,12 @@ class RNCModel:
     last: tuple[int, ...]
 
 
+def _apply(matrix, coords: Sequence[int], modulus: int) -> list[int]:
+    """The integer matrix times a vector, reduced mod a nonzero modulus."""
+    out = [sum(map(mul, row, coords)) for row in matrix]
+    return [x % modulus for x in out] if modulus else out
+
+
 def fit_rnc(config: Configuration) -> RNCModel:
     """The unique rational normal curve through d+3 points in general
     linear position.
@@ -144,13 +150,13 @@ def fit_rnc(config: Configuration) -> RNCModel:
     The first d+2 points are sent to the standard frame e_0..e_d, [1:...:1];
     the image [q_0:...:q_d] of the last point then has all q_i nonzero and
     pairwise distinct, and the curve is pinned by alphas_i = -1/q_i.  By
-    Cramer's rule, with u_i = [p_{d+1}@i] and w_i = [p_{d+2}@i], the frame
-    map is [e_j@i] / u_i and q_i = w_i / u_i.
+    Cramer's rule the frame map is C_ij / u_i and q_i = w_i / u_i, where
+    C_ij = [e_j@i] are the only brackets taken: u_i = [p_{d+1}@i] and
+    w_i = [p_{d+2}@i] are C applied to the points, by linearity in row i.
 
-    The checks that each u_i and w_i is nonzero and that no
-    u_i w_j - u_j w_i is zero are the general-position test: by the
-    three-term Pluecker relation, a dependent (d+1)-subset zeroes one of
-    them.
+    The checks that no u_i, w_i or u_i w_j - u_j w_i is zero are the
+    general-position test: by the three-term Pluecker relation, a
+    dependent (d+1)-subset zeroes one of them.
     """
     d = config.dim
     field = config.field
@@ -158,27 +164,23 @@ def fit_rnc(config: Configuration) -> RNCModel:
         raise MismatchError(
             f"fitting in P^{d} needs exactly {d + 3} points, got {len(config)}")
     points = config.points
-    frame = points[:d + 1]
-
-    def at(v: ProjectivePoint, i: int) -> int:
-        return bracket(frame[:i] + (v,) + frame[i + 1:])
-
-    unit = [at(points[d + 1], i) for i in range(d + 1)]
+    axes = [ProjectivePoint(tuple(int(k == j) for k in range(d + 1)), field)
+            for j in range(d + 1)]
+    cofactors = [[bracket(points[:i] + (e,) + points[i + 1:d + 1])
+                  for e in axes] for i in range(d + 1)]
+    unit = _apply(cofactors, points[d + 1].coords, field.characteristic)
     if not all(unit):
         raise DegenerateInputError("unit point degenerates against the frame")
-    last = [at(points[d + 2], i) for i in range(d + 1)]
+    last = _apply(cofactors, points[d + 2].coords, field.characteristic)
     if not all(last):
         raise DegenerateInputError("last point lies on a frame hyperplane")
     if not all(value for _, value in projective._maximal_minors(
             list(zip(unit, last)), field.characteristic)):
         raise DegenerateInputError("last point has coincident frame ratios")
     s, t = points[d + 1].scale, points[d + 2].scale
-    axes = [ProjectivePoint(tuple(int(k == j) for k in range(d + 1)), field)
-            for j in range(d + 1)]
     return RNCModel(
         dim=d, field=field,
-        frame_map=tuple(tuple(at(e, i) * s * t for e in axes)
-                        for i in range(d + 1)),
+        frame_map=tuple(tuple(c * s * t for c in row) for row in cofactors),
         unit=tuple(u * t for u in unit), last=tuple(w * s for w in last))
 
 
@@ -186,37 +188,35 @@ def curve_contains(model: RNCModel,
                    p: ProjectivePoint) -> Optional[ProjectivePoint]:
     """The parameter mapping to p under the model's curve, or None.
 
-    Let v_i be the frame_map row i applied to p, [p@i] up to one common
-    factor, so that x_i = v_i / unit[i] are p's frame coordinates.  The
-    curve meets the frame hyperplanes only at the frame points: x = e_i is
-    the point at [alphas_i : 1].  Elsewhere x_i is proportional to
+    Let v be the frame_map applied to p, ([p@i])_i up to one common factor,
+    so that x_i = v_i / unit[i] are p's frame coordinates.  The curve
+    meets the frame hyperplanes only at the frame points: x = e_i is the
+    point at [alphas_i : 1].  Elsewhere x_i is proportional to
     1/(u - alphas_i v), so p lies on the curve exactly when no v_i is zero
     and 1/x_i = c0 + c1 alphas_i for every i, that is
-    u_i w_i = c0 v_i w_i - c1 u_i v_i with u = unit and w = last.  The
-    (w_i, -u_i) are pairwise independent, so that holds exactly when the
-    rows (u_i w_i, v_i w_i, u_i v_i) have rank 2: every 3x3 minor is zero.
-    Then [u : v] = [c0 : -c1] is the kernel of the first two rows.
+    u_i w_i = c0 v_i w_i - c1 u_i v_i with u = unit and w = last: the rows
+    r_i = (u_i w_i, v_i w_i, u_i v_i) have rank 2.  With the (u_i, w_i)
+    pairwise independent, as fit_rnc's checks make them, r_0 and r_1 are
+    independent, the rank is 2 exactly when every r_i is orthogonal to
+    their cross product k, and [u : v] = [c0 : -c1] = [k_1 : k_2].
     """
     if p.field != model.field or p.dim != model.dim:
         raise MismatchError("point does not match the model")
-    field = model.field
-    modulus = field.characteristic
-    v = [sum(map(mul, row, p.coords)) for row in model.frame_map]
-    if modulus:
-        v = [x % modulus for x in v]
+    modulus = model.field.characteristic
+    v = _apply(model.frame_map, p.coords, modulus)
     nonzero = [i for i, x in enumerate(v) if x]
     if len(nonzero) == 1:
         i = nonzero[0]
-        return ProjectivePoint((-model.unit[i], model.last[i]), field)
+        return ProjectivePoint((-model.unit[i], model.last[i]), model.field)
     if len(nonzero) <= model.dim:
         return None
     rows = [(u * w, x * w, u * x)
             for u, x, w in zip(model.unit, v, model.last)]
-    if any(value for _, value in projective._maximal_minors(rows, modulus)):
+    (a0, a1, a2), (b0, b1, b2) = rows[:2]
+    k = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    if any(_apply(rows[2:], k, modulus)):
         return None
-    (uw0, vw0, uv0), (uw1, vw1, uv1) = rows[:2]
-    return ProjectivePoint((uv0 * uw1 - uw0 * uv1, uw0 * vw1 - vw0 * uw1),
-                           field)
+    return ProjectivePoint(k[1:], model.field)
 
 
 def fit_and_test(config: Configuration) -> tuple[RNCModel, list[bool]]:

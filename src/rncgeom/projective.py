@@ -18,7 +18,7 @@ few points reads minors of the same vectors.  Every family of maximal
 minors of one integer matrix comes from one Bareiss walk, which shares
 each prefix's elimination among all the subsets extending it and yields
 the minors in combinations order.  A reader of each minor once (the
-small general-position test, the fit's checks, containment, a full
+small general-position test, the fit's coincident-ratio check, a full
 sym-factorization) reads the walk up to the first deciding value.  Minors
 read again, or sampled, are a BracketTable, a dict keyed by sorted row
 labels that the walk fills whole or that computes a missing minor by one

@@ -28,9 +28,11 @@ from oracles import (
     scalar_model,
     sympy_det,
 )
+from rncgeom import curve
 from rncgeom.curve import (
     RNCModel,
     curve_contains,
+    fit_and_test,
     fit_rnc,
     linear_product_coeffs,
     model_to_json,
@@ -539,6 +541,34 @@ def test_curve_contains_on_every_point_of_a_small_space(rng, q, d):
     assert checked == (q ** (d + 1) - 1) // (q - 1)
 
 
+@pytest.mark.parametrize("q", [7, 11])
+def test_curve_contains_agrees_with_the_scalar_route_over_small_primes(
+        rng, q):
+    """Over Z/7 and Z/11, where sample_instance cannot place 2d+2 distinct
+    parameters once d >= 3, curves are fitted through 60 random frames for
+    each d = 2..5 (most are degenerate at large d), and curve_contains
+    gives reference_curve_contains's answer on every fitted point, on
+    every point of the reference curve and on 20 random points."""
+    field = PrimeField(q)
+    outcomes = set()
+    for d, _ in product(range(2, 6), range(60)):
+        config = Configuration(field=field, dim=d, points=tuple(
+            random_point(rng, field, d) for _ in range(d + 3)))
+        try:
+            model = fit_rnc(config)
+        except DegenerateInputError:
+            continue
+        reference = reference_fit_rnc(config)
+        points = list(config.points)
+        points += [curve_point(reference, t) for t in parameter_line(field)]
+        points += [random_point(rng, field, d) for _ in range(20)]
+        for p in points:
+            found = curve_contains(model, p)
+            assert found == reference_curve_contains(reference, p)
+            outcomes.add((d, found is not None))
+    assert {(2, True), (2, False), (3, True), (3, False)} <= outcomes
+
+
 def test_model_json_round_trip(rng):
     """The printed model is the one the scalar fit computes by division."""
     ts = rand_distinct_fractions(rng, 6)
@@ -592,3 +622,25 @@ def test_integer_containment_pins_the_scalar_route(rng, field, d):
                 assert found == reference_curve_contains(reference, p)
                 outcomes.add(found is not None)
     assert {True, False} <= outcomes
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Z101"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_fit_and_test_takes_one_frame_map(monkeypatch, computed, field, d):
+    """On a vertex configuration, fit_and_test takes exactly the (d+1)^2
+    cofactor brackets [e_j@i] and walks once, for the fit's coincident
+    ratio check; containment of the d-1 tested points reads no minor."""
+    config = sample_instance(d, field, seed=d).vertices
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return bracket(points)
+
+    monkeypatch.setattr(curve, "bracket", counted)
+    computed.walks.clear()
+    _, contained = fit_and_test(config)
+    assert contained == [True] * (d - 1)
+    assert len(calls) == (d + 1) ** 2
+    assert computed.walks == [(d + 1, comb(d + 1, 2))]
+    assert computed.single == []

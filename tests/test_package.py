@@ -251,7 +251,7 @@ def calls_by_scope(path: Path) -> list[tuple[str, str]]:
 
 def test_a_bracket_table_is_built_only_where_minors_are_read_again():
     """A reader of each minor once (the small general-position test, the
-    fit's checks, containment, a full sym-factorization) reads the walk
+    fit's coincident-ratio check, a full sym-factorization) reads the walk
     itself: a table is built only for a configuration's brackets, which
     the general-position test and the equations share, and for the
     proof's sampled splits, and filled whole only by those two readers of
