@@ -327,6 +327,38 @@ def test_serialization_golden_output(capsys, argv, name):
     assert out == (DATA / name).read_text()
 
 
+@pytest.mark.parametrize("d,field,seed,height", [
+    (4, "prime:13", 2, 20),   # 0/13 is reduced and kept, 20/13 skipped
+    (4, "prime:13", 3, 20),   # 13/13 is reduced to [1 : 1] and kept
+    (2, "prime:7", 7, 20),    # 12/7 skipped, 7/14 kept as 1/2
+    (4, "prime:11", 0, 20),   # -16/11 and 7/11 skipped
+    (5, "prime:13", 6, 13),   # seven draws over 13 skipped, 0/13 kept
+])
+def test_gen_instance_pins_the_draws(capsys, d, field, seed, height):
+    """A draw num/den is reduced as a fraction before its image mod p is
+    taken; a draw whose reduced denominator vanishes mod p is skipped
+    like a collision.  Each case's draws hit one of these, and the
+    parameters come out exactly as recorded."""
+    suffix = "" if height == 20 else f"-height{height}"
+    name = f"gen-instance-d{d}-seed{seed}-{field.replace(':', '')}{suffix}"
+    code, out, err = run_cli(
+        ["gen-instance", "--d", str(d), "--field", field, "--seed",
+         str(seed), "--height", str(height)], capsys)
+    assert (code, err) == (0, f"instance d={d} n={2 * d + 2} field={field} "
+                              f"seed={seed} height={height}\n")
+    assert out == (DATA / f"{name}.json").read_text()
+
+
+def test_gen_instance_gives_up_after_its_draws(capsys):
+    """Height 1 has three values for six parameters: after 1000 draws per
+    parameter sampling stops with a usage error."""
+    code, out, err = run_cli(["gen-instance", "--d", "2", "--height", "1"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: sampling failed to find distinct parameters; "
+                   "raise the height\n")
+
+
 def test_check_psi_nonmember(tmp_path, capsys):
     # tamper one vertex so some equation values are nonzero
     path = gen_instance_file(tmp_path, capsys, d=3, seed=4)
