@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import NoneType
 from typing import Callable, Optional, Sequence
@@ -85,9 +85,6 @@ class VonStaudtInstance:
     planes: tuple[ProjectivePoint, ...]
     vertices: Configuration
     seed: Optional[int] = None
-    # instance_from_json's build of the params (maybe self); replace() drops it
-    rebuilt: Optional[VonStaudtInstance] = dataclass_field(
-        default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -141,10 +138,10 @@ def sample_instance(d: int, field: Field = QQ, seed: int = 0,
     """Seeded random instance: 2d+2 distinct parameters [a : 1] with a
     drawn as num/den, num in [-height, height], den in [1, height].
 
-    Over a prime field the drawn fraction is reduced mod p, so the same
-    seed yields the reduction of the rational sample unless two parameters
-    collide mod p (in which case extra draws are consumed).  p > 2d+2 is
-    required so the field can host the parameters at all.
+    Over a prime field the fraction, in lowest terms, is reduced mod p, so
+    the same seed yields the reduction of the rational sample unless two
+    parameters collide or a denominator vanishes mod p (then extra draws
+    are consumed).  p > 2d+2 is required to host the parameters at all.
     """
     if height < 1:
         raise ValueError("height must be positive")
@@ -153,27 +150,19 @@ def sample_instance(d: int, field: Field = QQ, seed: int = 0,
         raise CharacteristicError(
             f"cannot sample {needed} distinct parameters mod {field.p}")
     rng = random.Random(seed)
-    values = []
-    seen = set()
-    attempts = 0
-    while len(values) < needed:
-        attempts += 1
-        if attempts > 1000 * needed:
-            raise DegenerateInputError("sampling failed to find distinct "
-                                       "parameters; raise the height")
-        num = rng.randint(-height, height)
-        den = rng.randint(1, height)
+    params: dict = {}  # the distinct draws, in order
+    for _ in range(1000 * needed):
+        if len(params) == needed:
+            break
+        num, den = rng.randint(-height, height), rng.randint(1, height)
         try:
-            value = field.scalar(Fraction(num, den))
+            params[ProjectivePoint((Fraction(num, den), 1), field)] = None
         except ZeroDivisionError:
-            # den vanishes mod p; skip the draw like a collision
-            continue
-        if value in seen:
-            continue
-        seen.add(value)
-        values.append(value)
-    params = tuple(ProjectivePoint((v, field.one), field) for v in values)
-    return build_instance(d, params, seed=seed)
+            pass  # the reduced den vanishes mod p; skip like a collision
+    if len(params) < needed:
+        raise DegenerateInputError("sampling failed to find distinct "
+                                   "parameters; raise the height")
+    return build_instance(d, tuple(params), seed=seed)
 
 
 Evaluator = Callable[[Configuration, list], list]
@@ -221,8 +210,8 @@ def verify_instance(inst: VonStaudtInstance,
     config = inst.vertices
     # the stored points, planes and vertices are what the parameters build
     try:
-        construction_ok = inst == (inst.rebuilt or build_instance(
-            d, inst.params, seed=inst.seed))
+        construction_ok = inst == build_instance(d, inst.params,
+                                                 seed=inst.seed)
     except ValueError:  # the parameters build no instance
         construction_ok = False
     glp_ok = is_general_linear_position(config)
@@ -305,7 +294,7 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
         d = json_int(obj["d"], "d")
         seed = json_typed(obj.get("seed"), "seed", int, NoneType)
         params = points_from_json(obj["params"], field)
-        inst = built = build_instance(d, params, seed=seed)
+        inst = build_instance(d, params, seed=seed)
         n = 2 * d + 2
 
         def shaped(key: str, points: tuple) -> tuple:
@@ -327,7 +316,6 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
                                  "instance's field")
             shaped("vertices", vertices.points)
             inst = replace(inst, vertices=vertices)
-        object.__setattr__(inst, "rebuilt", built)
         return inst
 
 

@@ -21,16 +21,19 @@ def rng():
 
 @pytest.fixture
 def computed(monkeypatch):
-    """What the bracket tables compute: (rows, minors) of each filling walk
-    and each label set computed on its own."""
+    """What the minor walks and bracket tables compute: (rows, minors) of
+    each walk, counting only the minors its reader takes, and each label
+    set computed on its own."""
     log = SimpleNamespace(walks=[], single=[])
     walk = projective._maximal_minors
     compute = projective.BracketTable.__missing__
 
     def logged_walk(vectors, modulus=0):
-        out = dict(walk(vectors, modulus))
-        log.walks.append((len(vectors), len(out)))
-        return out.items()
+        entry = len(log.walks)
+        log.walks.append((len(vectors), 0))
+        for taken, item in enumerate(walk(vectors, modulus), 1):
+            log.walks[entry] = (len(vectors), taken)
+            yield item
 
     def logged(self, cols):
         log.single.append(cols)

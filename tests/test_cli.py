@@ -103,6 +103,16 @@ def test_gen_instance_deterministic(capsys):
     assert first != third
 
 
+def test_gen_instance_gives_up_after_its_draws(capsys):
+    """Height 1 has three values for six parameters: after 1000 draws per
+    parameter sampling stops with a usage error."""
+    code, out, err = run_cli(["gen-instance", "--d", "2", "--height", "1"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: sampling failed to find distinct parameters; "
+                   "raise the height\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -308,6 +318,20 @@ def test_sampled_golden_output(tmp_path, capsys, argv, name, expected,
      "gen-instance-d3-seed11.json"),
     (["gen-instance", "--d", "4", "--seed", "3", "--field", "prime:101"],
      "gen-instance-d4-seed3-prime101.json"),
+    # a draw is put in lowest terms before it is reduced mod p, and one
+    # whose denominator then vanishes mod p is skipped: 0/13 kept and
+    # 20/13 skipped; 13/13 kept as [1 : 1]; 12/7 skipped and 7/14 kept
+    # as 1/2; -16/11 and 7/11 skipped; seven draws over 13 skipped
+    (["gen-instance", "--d", "4", "--seed", "2", "--field", "prime:13"],
+     "gen-instance-d4-seed2-prime13.json"),
+    (["gen-instance", "--d", "4", "--seed", "3", "--field", "prime:13"],
+     "gen-instance-d4-seed3-prime13.json"),
+    (["gen-instance", "--d", "2", "--seed", "7", "--field", "prime:7"],
+     "gen-instance-d2-seed7-prime7.json"),
+    (["gen-instance", "--d", "4", "--seed", "0", "--field", "prime:11"],
+     "gen-instance-d4-seed0-prime11.json"),
+    (["gen-instance", "--d", "5", "--seed", "6", "--field", "prime:13",
+      "--height", "13"], "gen-instance-d5-seed6-prime13-height13.json"),
     (["fit-curve", "--input", str(DATA / "d3.json")], "d3.fit-curve.json"),
     (["fit-curve", "--input", str(DATA / "d5.json")], "d5.fit-curve.json"),
     (["fit-curve", "--input",
@@ -316,7 +340,10 @@ def test_sampled_golden_output(tmp_path, capsys, argv, name, expected,
     (["dual-check", "--input", str(DATA / "d3.json")], "d3.dual-check.json"),
     (["dual-check", "--d", "4", "--seed", "2", "--field", "prime:101"],
      "dual-check-d4-seed2-prime101.json"),
-], ids=["gen-instance-d3", "gen-instance-d4-mod101", "fit-curve",
+], ids=["gen-instance-d3", "gen-instance-d4-mod101",
+        "gen-instance-d4-mod13-zero", "gen-instance-d4-mod13-one",
+        "gen-instance-d2-mod7", "gen-instance-d4-mod11",
+        "gen-instance-d5-mod13-height13", "fit-curve",
         "fit-curve-d5", "fit-curve-d4-mod101", "dual-check",
         "dual-check-d4-mod101"])
 def test_serialization_golden_output(capsys, argv, name):
@@ -325,38 +352,6 @@ def test_serialization_golden_output(capsys, argv, name):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == (DATA / name).read_text()
-
-
-@pytest.mark.parametrize("d,field,seed,height", [
-    (4, "prime:13", 2, 20),   # 0/13 is reduced and kept, 20/13 skipped
-    (4, "prime:13", 3, 20),   # 13/13 is reduced to [1 : 1] and kept
-    (2, "prime:7", 7, 20),    # 12/7 skipped, 7/14 kept as 1/2
-    (4, "prime:11", 0, 20),   # -16/11 and 7/11 skipped
-    (5, "prime:13", 6, 13),   # seven draws over 13 skipped, 0/13 kept
-])
-def test_gen_instance_pins_the_draws(capsys, d, field, seed, height):
-    """A draw num/den is reduced as a fraction before its image mod p is
-    taken; a draw whose reduced denominator vanishes mod p is skipped
-    like a collision.  Each case's draws hit one of these, and the
-    parameters come out exactly as recorded."""
-    suffix = "" if height == 20 else f"-height{height}"
-    name = f"gen-instance-d{d}-seed{seed}-{field.replace(':', '')}{suffix}"
-    code, out, err = run_cli(
-        ["gen-instance", "--d", str(d), "--field", field, "--seed",
-         str(seed), "--height", str(height)], capsys)
-    assert (code, err) == (0, f"instance d={d} n={2 * d + 2} field={field} "
-                              f"seed={seed} height={height}\n")
-    assert out == (DATA / f"{name}.json").read_text()
-
-
-def test_gen_instance_gives_up_after_its_draws(capsys):
-    """Height 1 has three values for six parameters: after 1000 draws per
-    parameter sampling stops with a usage error."""
-    code, out, err = run_cli(["gen-instance", "--d", "2", "--height", "1"],
-                             capsys)
-    assert (code, out) == (2, "")
-    assert err == ("error: sampling failed to find distinct parameters; "
-                   "raise the height\n")
 
 
 def test_check_psi_nonmember(tmp_path, capsys):

@@ -644,3 +644,20 @@ def test_fit_and_test_takes_one_frame_map(monkeypatch, computed, field, d):
     assert len(calls) == (d + 1) ** 2
     assert computed.walks == [(d + 1, comb(d + 1, 2))]
     assert computed.single == []
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Z101"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fit_ratio_check_stops_at_the_first_zero(computed, field, d):
+    """The coincident-ratio check reads the walk of 2x2 minors of the
+    (u_i, w_i) only up to its first zero: with the standard frame, unit
+    point [1 : ... : 1] and last point [2 : 2 : 3 : ... : d+1], the first
+    minor u_1 w_2 - u_2 w_1 is zero and no other minor is taken."""
+    rows = [tuple(int(k == j) for k in range(d + 1)) for j in range(d + 1)]
+    rows += [(1,) * (d + 1), (2,) + tuple(range(2, d + 2))]
+    config = Configuration(field=field, dim=d, points=tuple(
+        ProjectivePoint(r, field) for r in rows))
+    computed.walks.clear()
+    with pytest.raises(DegenerateInputError, match="coincident frame ratios"):
+        fit_rnc(config)
+    assert computed.walks == [(d + 1, 1)]

@@ -1,11 +1,11 @@
 """Whole-package guards: the standard library only, no worker processes
 or threads, one integer kernel for exact linear algebra, geometry on
 integer vectors with no scalar type of its own, polynomials over Z only,
-no inverse frame map for curve containment, factorizations by
-proof rather than by orbit, sampled equations picked by rank, one kernel
-for integer minors and a table of them only where they are read again or
-sampled, no single-use layers or dead surface, and an explicit public
-API."""
+no inverse frame map for curve containment, instances with no hidden
+field, factorizations by proof rather than by orbit, sampled equations
+picked by rank, one kernel for integer minors and a table of them only
+where they are read again or sampled, no single-use layers or dead
+surface, and an explicit public API."""
 
 import ast
 import dataclasses
@@ -97,6 +97,15 @@ def test_curve_containment_needs_no_inverse_frame_map():
     assert not hasattr(rncgeom.curve, "curve_point")
     assert [f.name for f in dataclasses.fields(rncgeom.curve.RNCModel)] == \
         ["dim", "field", "frame_map", "unit", "last"]
+
+
+def test_an_instance_holds_only_what_it_declares():
+    """An instance is its seven declared fields: no hidden field carries a
+    build from the load, so the construction check always compares with
+    a fresh build of the parameters."""
+    assert [f.name for f in dataclasses.fields(rncgeom.VonStaudtInstance)] \
+        == ["d", "field", "params", "curve_points", "planes", "vertices",
+            "seed"]
 
 
 def test_factorizations_are_proved_not_carried_along_orbits():

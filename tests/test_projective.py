@@ -239,6 +239,23 @@ def test_glp_small_configs_use_rank():
         Configuration(field=QQ, dim=2, points=()))
 
 
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Z101"])
+@pytest.mark.parametrize("axes,taken", [
+    ((0,), 1), ((0, 1), 1), ((0, 1, 2), 1), ((1, 2), 4), ((2,), 3)])
+def test_glp_small_configs_stop_at_the_first_nonzero_minor(
+        computed, field, axes, taken):
+    """Fewer than d+1 points are in general position as soon as one
+    maximal minor of their coordinate rows is nonzero, so the walk is read
+    up to that minor only: axis points e_a in P^3 take the minors in
+    combinations order up to the first one on rows a + 1."""
+    config = Configuration(field=field, dim=3, points=tuple(
+        ProjectivePoint(tuple(int(k == a) for k in range(4)), field)
+        for a in axes))
+    computed.walks.clear()
+    assert is_general_linear_position(config)
+    assert computed.walks == [(4, taken)]
+
+
 def test_glp_small_configs_match_sympy(rng):
     """With at most d+1 points, general position is full rank in the field
     itself, which the minors of the integer lifts read mod p: the lifts of
