@@ -617,6 +617,16 @@ def test_unknown_field_flag_exits_two(capsys):
     assert "rationals" in capsys.readouterr().err
 
 
+def test_field_flag_refuses_a_nonprime(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gen-instance", "--d", "2", "--field", "prime:0"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("rncgeom gen-instance: error: argument --field: "
+                            "0 is not prime\n")
+
+
 @pytest.mark.parametrize("command", [
     "verify", "check-psi", "sym-factorization", "sym-psi"])
 def test_numeric_commands_reject_jobs(command, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -71,7 +72,50 @@ def test_prime_parse_accepts_fraction_syntax():
     assert FP.ratio(-1, 1) == str(P - 1)
 
 
+def test_rational_parse_reads_decimals_and_exponents():
+    """Over Q text is read as ``Fraction`` reads it, so decimals and
+    exponents are accepted (and, from Python 3.11, digit underscores), but
+    a fraction's denominator carries no sign."""
+    assert QQ.parse("0.5") == Fraction(1, 2)
+    assert QQ.parse("1e2") == 100
+    if sys.version_info >= (3, 11):
+        assert QQ.parse("1_0") == 10
+    else:
+        with pytest.raises(ValueError):
+            QQ.parse("1_0")
+    with pytest.raises(ValueError):
+        QQ.parse("-3/-7")
+
+
+def test_prime_parse_reads_integers_and_integer_fractions():
+    """Over Z/p text is an int or a fraction of two ints: decimals and
+    exponents are refused, and a denominator divisible by p has no
+    image."""
+    f7 = PrimeField(7)
+    for text in ("0.5", "1e2"):
+        with pytest.raises(ValueError):
+            f7.parse(text)
+    for text in ("1/7", "-3/-7"):
+        with pytest.raises(ZeroDivisionError):
+            f7.parse(text)
+    assert f7.parse("3/2") == 5
+    assert f7.parse(" 5/10 ") == 4
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+def test_scalar_of_an_int_is_exact(field):
+    """An int becomes a Fraction over Q and its least residue over Z/p."""
+    for k in range(-8, 16):
+        want = (Fraction(k) if not field.characteristic
+                else k % field.characteristic)
+        got = field.scalar(k)
+        assert got == want and type(got) is type(want)
+
+
 def test_prime_field_rejects_composites():
+    for bad in (0, 1, 4, -7):
+        with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
+            PrimeField(bad)
     for bad in (0, 1, 4, 91):
         with pytest.raises(ValueError):
             PrimeField(bad)

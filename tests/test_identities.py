@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import time
 import tracemalloc
@@ -359,10 +360,15 @@ def test_full_sym_factorization_holds_no_table(tmp_path, capsys):
     """A full run streams each verdict from the walk to the output: with
     the vertex rows cached beforehand, tracemalloc's peak over a full
     --d 7 run (12,870 splits) stays under 1.5 MiB.  Reading the walk into
-    a list first, then the verdicts from it, peaked at about 3.8 MiB."""
+    a list first, then the verdicts from it, peaked at about 3.8 MiB.  A
+    sampled run first warms the lazy imports and the allocator's free
+    lists, so the peak is the same whichever tests ran before."""
     d = 7
     for k in range(1, 2 * d + 3):
         vertex_polys(d, k)
+    assert main(["sym-factorization", "--d", str(d), "--sample", "1",
+                 "--output", os.devnull]) == 0
+    capsys.readouterr()
     out = tmp_path / f"d{d}.jsonl"
     tracemalloc.start()
     try:
