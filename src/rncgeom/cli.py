@@ -75,7 +75,8 @@ def _at_least_one(text: str) -> int:
 
 
 def _field_label(field: Field) -> str:
-    return "rationals" if field == QQ else f"prime:{field.p}"
+    p = field.characteristic
+    return f"prime:{p}" if p else "rationals"
 
 
 @contextmanager

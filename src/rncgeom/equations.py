@@ -253,7 +253,7 @@ class EquationReport:
     def _scalar(self, n: int) -> Fraction | int:
         field = self.config.field
         if field.characteristic:
-            return field.from_int(n)
+            return field.scalar(n)
         if not n:
             return Fraction(0)
         if self._scale is None:

@@ -1,12 +1,12 @@
-"""The two fields of the package: the rationals and the prime fields.
+"""The fields of the package: the rationals and the prime fields.
 
 Every computation in this package is exact and runs on integers.  Points
 hold integer vectors, and brackets are integer determinants reduced mod p
-over Z/p.  A "field" is a small descriptor object (:class:`Rationals` or
-:class:`PrimeField`) that coerces and parses scalars and formats a ratio of
-two integers; functions throughout the package take one and stay generic
-over it.  Rational scalars are ``fractions.Fraction``; prime-field scalars
-are plain ints in [0, p).
+over Z/p.  A :class:`Field` is one value, its characteristic: 0 for Q
+(:data:`QQ`), a prime p for Z/p (:func:`PrimeField`).  It coerces and
+parses scalars and formats a ratio of two integers; functions throughout
+the package take one and stay generic over it.  Rational scalars are
+``fractions.Fraction``; prime-field scalars are plain ints in [0, p).
 
 Serialized scalars are strings: ``"5"``, ``"-3/7"`` for rationals (always in
 lowest terms, denominator positive), the least nonnegative representative for
@@ -15,9 +15,9 @@ prime fields.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
 from .errors import CharacteristicError, json_int
 
@@ -67,98 +67,60 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class Rationals:
-    """The field of rational numbers."""
+@dataclass(frozen=True)
+class Field:
+    """Q for characteristic 0, Z/p for a prime characteristic p."""
 
-    kind = "rationals"
-    characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    characteristic: int
 
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
+    def __post_init__(self):
+        if self.characteristic and not is_prime(self.characteristic):
+            raise ValueError(f"{self.characteristic} is not prime")
 
-    def scalar(self, x) -> Fraction:
-        """Coerce an int, Fraction or string to a rational scalar."""
-        if isinstance(x, str):
-            return self.parse(x)
-        return Fraction(x)
+    def scalar(self, x) -> Fraction | int:
+        """Coerce an int, Fraction or string to a scalar of the field.
 
-    def parse(self, text: str) -> Fraction:
-        return Fraction(text.strip())
-
-    def ratio(self, n: int, m: int) -> str:
-        """The string of n/m for integers n and m != 0."""
-        return format_ratio(n, m) if m > 0 else format_ratio(-n, -m)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Rationals)
-
-    def __hash__(self) -> int:
-        return hash("rationals")
-
-    def __repr__(self) -> str:
-        return "Rationals()"
-
-
-class PrimeField:
-    """The finite field Z/p for a prime p, its scalars ints in [0, p)."""
-
-    kind = "prime"
-    zero = 0
-    one = 1
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    def from_int(self, k: int) -> int:
-        return k % self.p
-
-    def scalar(self, x) -> int:
-        """Coerce an int, Fraction or string to its residue mod p.
-
-        Fractions reduce as numerator times inverse denominator; a
-        denominator divisible by p has no image and raises.
+        Over Z/p a Fraction reduces as numerator times inverse
+        denominator; a denominator divisible by p has no image and raises.
         """
         if isinstance(x, str):
             return self.parse(x)
+        p = self.characteristic
+        if not p:
+            return Fraction(x)
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(
-                    f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+            if x.denominator % p == 0:
+                raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return int(x) % p
 
-    def parse(self, text: str) -> int:
+    def parse(self, text: str) -> Fraction | int:
+        """Q reads what Fraction reads; Z/p reads an int or int/int."""
         text = text.strip()
+        p = self.characteristic
+        if not p:
+            return Fraction(text)
         if "/" in text:
             num, den = text.split("/", 1)
             return self.scalar(Fraction(int(num), int(den)))
-        return int(text) % self.p
+        return int(text) % p
 
     def ratio(self, n: int, m: int) -> str:
-        """The residue of n/m, for integers n and m != 0 mod p."""
-        return str(n * pow(m, -1, self.p) % self.p)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("prime", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
+        """The string of n/m for integers n and m, m nonzero in the field."""
+        p = self.characteristic
+        if p:
+            return str(n * pow(m, -1, p) % p)
+        return format_ratio(n, m) if m > 0 else format_ratio(-n, -m)
 
 
-Field = Union[Rationals, PrimeField]
+QQ = Field(0)
 
-QQ = Rationals()
+
+def PrimeField(p: int) -> Field:
+    """The finite field Z/p; p must be prime and below PRIME_LIMIT."""
+    if not p:
+        raise ValueError("0 is not prime")
+    return Field(p)
 
 
 def require_characteristic_over(field: Field, d: int) -> None:
@@ -171,9 +133,8 @@ def require_characteristic_over(field: Field, d: int) -> None:
 
 
 def field_to_json(field: Field) -> dict:
-    if field.kind == "rationals":
-        return {"kind": "rationals"}
-    return {"kind": "prime", "p": field.p}
+    p = field.characteristic
+    return {"kind": "prime", "p": p} if p else {"kind": "rationals"}
 
 
 def field_from_json(obj: dict) -> Field:

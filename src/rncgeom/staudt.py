@@ -146,9 +146,9 @@ def sample_instance(d: int, field: Field = QQ, seed: int = 0,
     if height < 1:
         raise ValueError("height must be positive")
     needed = 2 * d + 2
-    if isinstance(field, PrimeField) and field.p <= needed:
-        raise CharacteristicError(
-            f"cannot sample {needed} distinct parameters mod {field.p}")
+    if 0 < field.characteristic <= needed:
+        raise CharacteristicError(f"cannot sample {needed} distinct "
+                                  f"parameters mod {field.characteristic}")
     rng = random.Random(seed)
     params: dict = {}  # the distinct draws, in order
     for _ in range(1000 * needed):
@@ -255,7 +255,7 @@ def reduce_instance_mod(inst: VonStaudtInstance, p: int) -> VonStaudtInstance:
     Every parameter reduces (as a point of the projective line), but two
     may collide mod p, which raises through the distinctness check.
     """
-    if inst.field != QQ:
+    if inst.field.characteristic:
         raise MismatchError("only rational instances can be reduced")
     field = PrimeField(p)
     # reduce the primitive integer pair, so a parameter like 1/p lands on

@@ -53,13 +53,13 @@ def to_element(x, field: Field):
     """A scalar (an int, Fraction or string) as an element that divides
     in the field: a Fraction over Q, sympy's GF(p) element over Z/p."""
     if field.characteristic:
-        return sympy.GF(field.p)(field.scalar(x))
+        return sympy.GF(field.characteristic)(field.scalar(x))
     return field.scalar(x)
 
 
 def to_scalar(e, field: Field):
     """An element back as the field's scalar."""
-    return field.from_int(int(e)) if field.characteristic else e
+    return field.scalar(int(e)) if field.characteristic else e
 
 
 def canonical_scalars(point: ProjectivePoint) -> tuple:
@@ -74,16 +74,16 @@ def sympy_det(rows, field: Field = QQ):
     """Exact determinant of a square scalar matrix, as a field scalar."""
     m = sympy.Matrix([[to_sympy(x) for x in row] for row in rows])
     d = m.det(method="berkowitz")
-    if field.kind == "prime":
-        return field.from_int(int(d))
+    if field.characteristic:
+        return field.scalar(int(d))
     return Fraction(int(d.p), int(d.q))
 
 
 def domain_matrix(rows, field: Field = QQ) -> DomainMatrix:
     """A matrix of field scalars over sympy's QQ or GF(p), so that rank,
     null space and inverse are taken in the field itself."""
-    if field.kind == "prime":
-        dom = sympy.GF(field.p)
+    if field.characteristic:
+        dom = sympy.GF(field.characteristic)
         vals = [[dom(int(x)) for x in row] for row in rows]
     else:
         dom = sympy.QQ
@@ -94,8 +94,8 @@ def domain_matrix(rows, field: Field = QQ) -> DomainMatrix:
 
 def from_domain(row, field: Field = QQ) -> tuple:
     """Entries of a DomainMatrix row as field scalars."""
-    if field.kind == "prime":
-        return tuple(field.from_int(int(x)) for x in row)
+    if field.characteristic:
+        return tuple(field.scalar(int(x)) for x in row)
     return tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row)
 
 
@@ -547,14 +547,14 @@ class BinaryForm:
             _convolve(self.coeffs, other.coeffs, self.field), self.field)
 
     def power(self, k: int) -> "BinaryForm":
-        out = BinaryForm((self.field.one,), self.field)
+        out = BinaryForm((self.field.scalar(1),), self.field)
         for _ in range(k):
             out = out * self
         return out
 
 
 def _convolve(c1: tuple, c2: tuple, field: Field) -> tuple:
-    out = [field.zero] * (len(c1) + len(c2) - 1)
+    out = [field.scalar(0)] * (len(c1) + len(c2) - 1)
     for i, a in enumerate(c1):
         if a:
             for j, b in enumerate(c2):
@@ -574,9 +574,9 @@ def apolar_operator(q: ProjectivePoint) -> BinaryForm:
 
 
 def _falling(field: Field, n: int, k: int):
-    out = field.one
+    out = field.scalar(1)
     for t in range(k):
-        out = out * field.from_int(n - t)
+        out = out * field.scalar(n - t)
     return out
 
 
@@ -594,9 +594,9 @@ def apolarity_apply(op: BinaryForm, f: BinaryForm):
         raise MismatchError(
             f"cannot apply a degree-{k} operator to a degree-{n} form")
     field = f.field
-    out = [field.zero] * (n - k + 1)
+    out = [field.scalar(0)] * (n - k + 1)
     for r in range(n - k + 1):
-        acc = field.zero
+        acc = field.scalar(0)
         for i in range(k + 1):
             j = r + i
             c = op.coeffs[i] * f.coeffs[j]

@@ -78,8 +78,8 @@ def coplanar_configuration(d, field):
     # hyperplane x_d = 0, so every bracket vanishes but so does the span
     points = tuple(
         ProjectivePoint(
-            tuple(field.from_int(t ** i) for i in range(d))
-            + (field.zero,), field)
+            tuple(field.scalar(t ** i) for i in range(d))
+            + (field.scalar(0),), field)
         for t in range(1, d + 5))
     return Configuration(field=field, dim=d, points=points)
 
@@ -100,7 +100,7 @@ def tampered_certificate(d, field, trial):
                 Fraction(rng.randint(-30, 30)) for _ in range(d + 1))
         else:
             coords = tuple(
-                field.from_int(rng.randrange(field.p))
+                field.scalar(rng.randrange(field.characteristic))
                 for _ in range(d + 1))
         if not any(coords):
             continue

@@ -251,26 +251,26 @@ def test_apolarity_monomial_pairing_is_diagonal(d):
     """D0^(d-i) D1^i against x0^(d-j) x1^j pairs to (d-i)! i! on the
     diagonal and zero off it: a perfect pairing."""
     for i in range(d + 1):
-        op_c = tuple(QQ.one if k == i else QQ.zero for k in range(d + 1))
+        op_c = tuple(QQ.scalar(int(k == i)) for k in range(d + 1))
         op = BinaryForm(op_c, QQ)
         for j in range(d + 1):
-            f_c = tuple(QQ.one if k == j else QQ.zero for k in range(d + 1))
+            f_c = tuple(QQ.scalar(int(k == j)) for k in range(d + 1))
             f = BinaryForm(f_c, QQ)
             expected = factorial(d - i) * factorial(i) if i == j else 0
             assert apolarity_apply(op, f) == expected
 
 
 def test_apolarity_degree_mismatch_raises():
-    op = BinaryForm((QQ.one, QQ.one), QQ)
-    f = BinaryForm((QQ.one,), QQ)
+    op = BinaryForm((QQ.scalar(1), QQ.scalar(1)), QQ)
+    f = BinaryForm((QQ.scalar(1),), QQ)
     with pytest.raises(MismatchError):
         apolarity_apply(op, f)
 
 
 def test_apolarity_partial_application_differentiates():
     # D0 applied to x0^2 x1 gives 2 x0 x1
-    op = BinaryForm((QQ.one, QQ.zero), QQ)
-    f = BinaryForm((QQ.zero, QQ.one, QQ.zero, QQ.zero), QQ)
+    op = BinaryForm((QQ.scalar(1), QQ.scalar(0)), QQ)
+    f = BinaryForm(tuple(map(QQ.scalar, (0, 1, 0, 0))), QQ)
     g = apolarity_apply(op, f)
     assert g.coeffs == (Fraction(0), Fraction(2), Fraction(0))
 
@@ -399,7 +399,7 @@ def test_fit_over_prime_field():
 def random_scalar(rng, field):
     if field == QQ:
         return rand_fraction(rng)
-    return field.from_int(rng.randrange(field.p))
+    return field.scalar(rng.randrange(field.characteristic))
 
 
 def random_point(rng, field, dim=1):
@@ -412,7 +412,7 @@ def random_point(rng, field, dim=1):
 def parameter_line(field):
     """Every point of P^1 over a prime field."""
     return [param_point(field, 1, 0)] + [param_point(field, t)
-                                         for t in range(field.p)]
+                                         for t in range(field.characteristic)]
 
 
 def random_model(rng, field, d):
@@ -440,7 +440,7 @@ def combination(rng, field, points):
     """A random nonzero combination of the given points' coordinates."""
     while True:
         cs = [random_scalar(rng, field) for _ in points]
-        coords = tuple(sum((c * x for c, x in zip(cs, xs)), field.zero)
+        coords = tuple(sum((c * x for c, x in zip(cs, xs)), field.scalar(0))
                        for xs in zip(*(p.coords for p in points)))
         if any(coords):
             return ProjectivePoint(coords, field)
@@ -503,7 +503,7 @@ def test_curve_contains_pins_the_oracle_parametrization(rng, field, d):
             assert curve_contains(model, curve_point(model, t)) == t
         for k in range(2, d + 1):
             for _ in range(5):
-                xs = [field.zero] * (d + 1)
+                xs = [field.scalar(0)] * (d + 1)
                 for i in rng.sample(range(d + 1), k):
                     xs[i] = rng.choice(nonzero)
                 assert curve_contains(model, from_frame(model, xs)) is None
@@ -513,7 +513,7 @@ def test_curve_contains_pins_the_oracle_parametrization(rng, field, d):
                 t = random_point(rng, field)
             xs = curve_frame_coords(model, t)
             i = rng.randrange(d + 1)
-            scale = rng.choice([x for x in nonzero if x != field.one])
+            scale = rng.choice([x for x in nonzero if x != field.scalar(1)])
             xs[i] = xs[i] * scale
             assert curve_contains(model, from_frame(model, xs)) is None
         for _ in range(10):
@@ -535,7 +535,7 @@ def test_curve_contains_on_every_point_of_a_small_space(rng, q, d):
     for coords in product(range(q), repeat=d + 1):
         if next((c for c in coords if c), None) != 1:
             continue  # not the canonical representative of its point
-        p = ProjectivePoint(tuple(map(field.from_int, coords)), field)
+        p = ProjectivePoint(tuple(map(field.scalar, coords)), field)
         assert curve_contains(model, p) == on_curve.get(p)
         checked += 1
     assert checked == (q ** (d + 1) - 1) // (q - 1)

@@ -194,7 +194,7 @@ def perturbed(config, label):
     """The configuration with one coordinate of one point shifted by 1."""
     points = list(config.points)
     coords = list(canonical_scalars(points[label - 1]))
-    coords[-1] = coords[-1] + config.field.one
+    coords[-1] = coords[-1] + config.field.scalar(1)
     points[label - 1] = ProjectivePoint(tuple(coords), config.field)
     return Configuration(field=config.field, dim=config.dim,
                          points=tuple(points))

@@ -11,8 +11,8 @@ from rncgeom.errors import CharacteristicError
 from rncgeom.fields import (
     QQ,
     PRIME_LIMIT,
+    Field,
     PrimeField,
-    Rationals,
     field_from_json,
     field_to_json,
     is_prime,
@@ -42,9 +42,9 @@ def test_residue_zero_division_raises():
 
 
 def test_residue_truthiness():
-    assert not FP.zero and not FP.from_int(P)
-    assert FP.from_int(3) and FP.one == 1
-    assert FP.from_int(P) == FP.from_int(0) == FP.scalar("0")
+    assert not FP.scalar(0) and not FP.scalar(P)
+    assert FP.scalar(3) and FP.scalar(1) == 1
+    assert FP.scalar(P) == FP.scalar(0) == FP.scalar("0")
 
 
 def test_rationals_scalar_and_parse():
@@ -59,16 +59,16 @@ def test_rationals_scalar_and_parse():
 def test_prime_scalar_reduces_fractions():
     # 1/2 mod 101 is the inverse of 2
     half = FP.scalar(Fraction(1, 2))
-    assert half * 2 % P == FP.one
-    assert FP.scalar(Fraction(-3, 7)) * 7 % P == FP.from_int(-3)
-    assert FP.scalar(-1) == FP.from_int(-1) == P - 1
+    assert half * 2 % P == FP.scalar(1)
+    assert FP.scalar(Fraction(-3, 7)) * 7 % P == FP.scalar(-3)
+    assert FP.scalar(-1) == P - 1
     with pytest.raises(ZeroDivisionError):
         FP.scalar(Fraction(1, P))
 
 
 def test_prime_parse_accepts_fraction_syntax():
     assert FP.parse("3/4") == FP.scalar(Fraction(3, 4))
-    assert FP.parse("-1") == FP.from_int(-1)
+    assert FP.parse("-1") == FP.scalar(-1)
     assert FP.ratio(-1, 1) == str(P - 1)
 
 
@@ -113,11 +113,8 @@ def test_scalar_of_an_int_is_exact(field):
 
 
 def test_prime_field_rejects_composites():
-    for bad in (0, 1, 4, -7):
+    for bad in (0, 1, 4, -7, 91):
         with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
-            PrimeField(bad)
-    for bad in (0, 1, 4, 91):
-        with pytest.raises(ValueError):
             PrimeField(bad)
     PrimeField(2)
     PrimeField(7919)
@@ -141,7 +138,7 @@ def test_strong_pseudoprimes_are_composite():
 @pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 64 - 59])
 def test_large_prime_modulus_builds_fast(p):
     start = time.perf_counter()
-    assert PrimeField(p).p == p
+    assert PrimeField(p).characteristic == p
     assert time.perf_counter() - start < 0.1
 
 
@@ -155,11 +152,11 @@ def test_modulus_beyond_the_exact_bound_is_refused():
 
 
 def test_field_equality_and_hash():
-    assert QQ == Rationals()
+    assert QQ == Field(0)
     assert PrimeField(7) == PrimeField(7)
     assert PrimeField(7) != PrimeField(11)
     assert QQ != PrimeField(7)
-    assert len({QQ, Rationals(), PrimeField(7), PrimeField(7)}) == 2
+    assert len({QQ, Field(0), PrimeField(7), PrimeField(7)}) == 2
 
 
 def test_characteristic_guard():

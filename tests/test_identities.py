@@ -192,7 +192,8 @@ def test_vertex_polys_specialize_to_numeric_vertices(rng):
             for omit in group:
                 sym = vertex_polys(d, omit)
                 numeric = linear_product_coeffs(
-                    [values[i - 1] for i in group if i != omit], QQ.one)
+                    [values[i - 1] for i in group if i != omit],
+                    QQ.scalar(1))
                 assert tuple(evaluate(p, values) for p in sym) == numeric
 
 

@@ -2,10 +2,11 @@
 or threads, one integer kernel for exact linear algebra, geometry on
 integer vectors with no scalar type of its own, polynomials over Z only,
 no inverse frame map for curve containment, instances with no hidden
-field, factorizations by proof rather than by orbit, sampled equations
-picked by rank, one kernel for integer minors and a table of them only
-where they are read again or sampled, no single-use layers or dead
-surface, and an explicit public API."""
+field, a field that is its characteristic, factorizations by proof
+rather than by orbit, sampled equations picked by rank, one kernel for
+integer minors and a table of them only where they are read again or
+sampled, no single-use layers or dead surface, and an explicit public
+API."""
 
 import ast
 import dataclasses
@@ -106,6 +107,37 @@ def test_an_instance_holds_only_what_it_declares():
     assert [f.name for f in dataclasses.fields(rncgeom.VonStaudtInstance)] \
         == ["d", "field", "params", "curve_points", "planes", "vertices",
             "seed"]
+
+
+def test_a_field_is_its_characteristic():
+    """One field class whose only datum is the characteristic: no module
+    names the old rational class or an int coercion beside scalar, asks
+    whether a field is Q by comparing it with QQ, or tests for a prime
+    field by its type."""
+    from rncgeom import fields
+
+    assert [name for name, obj in vars(fields).items()
+            if isinstance(obj, type) and obj.__module__ == fields.__name__] \
+        == ["Field"]
+    assert [f.name for f in dataclasses.fields(fields.Field)] == \
+        ["characteristic"]
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not named(path) & {"Rationals", "from_int"}, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                assert not any(isinstance(x, ast.Name) and x.id == "QQ"
+                               for x in operands), (path.name, node.lineno)
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2):
+                kinds = node.args[1]
+                kinds = getattr(kinds, "elts", [kinds])
+                assert not any(isinstance(x, ast.Name)
+                               and x.id == "PrimeField"
+                               for x in kinds), (path.name, node.lineno)
 
 
 def test_factorizations_are_proved_not_carried_along_orbits():

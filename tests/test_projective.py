@@ -82,8 +82,8 @@ def test_point_equality_is_projective():
 
 
 def test_prime_field_canonicalization():
-    p = ProjectivePoint((FP.from_int(3), FP.from_int(6)), FP)
-    assert p.coords == (FP.one, FP.from_int(2))
+    p = ProjectivePoint((FP.scalar(3), FP.scalar(6)), FP)
+    assert p.coords == (FP.scalar(1), FP.scalar(2))
 
 
 def test_primitive_vector_is_integral_and_reduced():
@@ -123,7 +123,7 @@ def random_points(rng, n, field):
         if field == QQ:
             row = [rand_fraction(rng) for _ in range(n)]
         else:
-            row = [field.from_int(rng.randint(0, field.p - 1))
+            row = [field.scalar(rng.randint(0, field.characteristic - 1))
                    for _ in range(n)]
         if any(row):
             points.append(ProjectivePoint(tuple(row), field))
@@ -154,7 +154,7 @@ def test_det_prime_agrees_with_rational_reduction(rng):
         points = [ProjectivePoint(tuple(map(Fraction, row)), QQ)
                   for row in rows]
         b_q = bracket(points)
-        b_p = bracket([ProjectivePoint(tuple(map(FP.from_int, row)), FP)
+        b_p = bracket([ProjectivePoint(tuple(map(FP.scalar, row)), FP)
                        for row in rows])
         # b_p is over the canonical coordinates, first nonzero entry 1
         assert FP.scalar(Fraction(b_q, prod(p.scale for p in points))) == b_p
@@ -190,7 +190,7 @@ def test_bracket_vectors_scale_linearly(n, lam, data):
 def test_bracket_validates_shape():
     with pytest.raises(MismatchError):
         bracket([pt(1, 0, 0), pt(0, 1, 0)])
-    q = ProjectivePoint((FP.one, FP.one, FP.one), FP)
+    q = ProjectivePoint((FP.scalar(1), FP.scalar(1), FP.scalar(1)), FP)
     with pytest.raises(MismatchError):
         bracket([pt(1, 0, 0), pt(0, 1, 0), q])
 
@@ -265,7 +265,7 @@ def test_glp_small_configs_match_sympy(rng):
     rows = ((1, 0, 60), (0, 1, 60), (1, 1, 19))
     lifted = config_of(*rows)
     reduced = Configuration(field=FP, dim=2, points=tuple(
-        ProjectivePoint(tuple(map(FP.from_int, row)), FP) for row in rows))
+        ProjectivePoint(tuple(map(FP.scalar, row)), FP) for row in rows))
     assert is_general_linear_position(lifted)
     assert not is_general_linear_position(reduced)
     for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(5), FP):
@@ -281,9 +281,9 @@ def test_glp_small_configs_match_sympy(rng):
                     row = [x + k * y for x, y in zip(a, b)]
                 else:
                     row = [rng.randint(-6, 6) for _ in range(d + 1)]
-                if any(field.from_int(x) for x in row):
+                if any(field.scalar(x) for x in row):
                     rows.append(row)
-            points = tuple(ProjectivePoint(tuple(map(field.from_int, row)),
+            points = tuple(ProjectivePoint(tuple(map(field.scalar, row)),
                                            field) for row in rows)
             config = Configuration(field=field, dim=d, points=points)
             full = sympy_rank([p.coords for p in points], field) == n
@@ -374,9 +374,9 @@ def test_filled_table_matches_each_determinant(case, field, lazy):
     the fill, and the general-position test is the per-minor rule."""
     d, rows = case
     # a point needs a nonzero vector in the field
-    rows = [row if any(field.from_int(x) for x in row) else [1] + row[1:]
+    rows = [row if any(field.scalar(x) for x in row) else [1] + row[1:]
             for row in rows]
-    points = tuple(ProjectivePoint(tuple(map(field.from_int, row)), field)
+    points = tuple(ProjectivePoint(tuple(map(field.scalar, row)), field)
                    for row in rows)
     config = Configuration(field=field, dim=d, points=points)
     table = config.bracket_table
@@ -415,7 +415,7 @@ def test_glp_agrees_with_the_per_minor_rule():
         repeated = points[:-1] + [points[0]]
         tampered = list(points)
         vec = list(tampered[2].coords)
-        vec[-1] += field.one
+        vec[-1] += field.scalar(1)
         tampered[2] = ProjectivePoint(tuple(vec), field)
         for pts, general in ((points, True), (repeated, False),
                              (tampered, None)):
@@ -452,7 +452,7 @@ def test_config_json_round_trip():
 
 
 def test_config_json_round_trip_prime():
-    pts = tuple(ProjectivePoint((FP.from_int(a), FP.from_int(b)), FP)
+    pts = tuple(ProjectivePoint((FP.scalar(a), FP.scalar(b)), FP)
                 for a, b in ((1, 5), (0, 1), (1, 0)))
     config = Configuration(field=FP, dim=1, points=pts)
     assert config_from_json(config_to_json(config)) == config

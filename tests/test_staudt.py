@@ -106,7 +106,7 @@ def test_build_rejects_mixed_fields():
 def test_build_rejects_params_outside_p1():
     # a parameter must be a point of the projective line
     params = [param_point(QQ, t) for t in (0, 1, 2, 3, 4)]
-    params.append(ProjectivePoint((QQ.one, QQ.one, QQ.one), QQ))
+    params.append(ProjectivePoint((1, 1, 1), QQ))
     with pytest.raises(MismatchError, match=r"parameter point \[1:1:1\] "
                                             r"is not in P\^1"):
         build_instance(2, params)
@@ -604,7 +604,7 @@ def shifted(inst, label, coord, delta):
     benchmark tampers an instance file."""
     points = list(inst.vertices.points)
     coords = list(canonical_scalars(points[label - 1]))
-    coords[coord] += inst.field.from_int(delta)
+    coords[coord] += inst.field.scalar(delta)
     points[label - 1] = ProjectivePoint(tuple(coords), inst.field)
     return dataclasses.replace(inst, vertices=Configuration(
         field=inst.field, dim=inst.d, points=tuple(points)))
