@@ -5,7 +5,7 @@
 BASE_SRC and CHANGE_SRC are directories holding the ``rncgeom`` package,
 such as the ``src`` of a ``git archive`` of a base commit and the working
 tree's ``src``.  Each run is ``python -m rncgeom.cli ...`` with one tree
-alone on PYTHONPATH, in a scratch directory that holds the inputs; a run
+alone on PYTHONPATH, in a temporary directory that holds the inputs; a run
 is identical when its stdout, stderr and exit code are the same under
 both trees.  Prints "N of M identical" and then each differing command,
 and exits 1 if any run differs.
@@ -84,10 +84,10 @@ def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
         out, _, _ = compare(["gen-instance", "--d", "4", "--seed", "5",
                              *extra])
         (work / name).write_bytes(out)
-    for path in sorted(DATA.glob("*.json")):
-        shutil.copy(path, work / path.name)
-    inputs = [*FRESH, *(path.name for path in sorted(DATA.glob("*.json")))]
-    for name in inputs:
+    data = sorted(DATA.glob("*.json"))
+    for path in data:
+        shutil.copy(path, work)
+    for name in [*FRESH, *(path.name for path in data)]:
         for command in READERS:
             compare([*command, "--input", name])
     for name in (
