@@ -364,33 +364,42 @@ def _picks(dim: int, n: int, ranks: Optional[list[int]]) -> Iterator[tuple]:
             for j, i in map(divmod, ranks, repeat(comb(dim + 4, 6))))
 
 
+def _sampled_products(config: Configuration, picks: list) -> Iterator[tuple]:
+    """The support stream of (support, sextet rank) picks on the bracket
+    table, filled first with the brackets they read."""
+    template = _template(config.dim)
+    table = config.bracket_table.fill(
+        template.columns[c](support)
+        for support, i in picks for c in template[i][1] + template[i][2])
+    return support_products(table.minor, config.dim, picks, table.modulus)
+
+
 def equation_products(config: Configuration, sample: Optional[int] = None,
                       seed: int = 0) -> Iterator[tuple]:
     """The support stream of the equation_picks on the configuration's
     bracket table, reduced mod p over Z/p.  Every equation reads every
-    bracket, so that run fills the table first by its shared walk; a
-    sample reads only the brackets its equations use, one by one."""
+    bracket, so that run fills the table by the whole walk; a sample
+    fills only the brackets its equations read, by one pruned walk."""
     dim, n = config.dim, len(config)
     ranks = sample_ranks(count_equations(dim, n), sample, seed)
-    table = config.bracket_table
-    table = table.fill() if ranks is None else table
-    return support_products(table.minor, dim, _picks(dim, n, ranks),
+    if ranks is not None:
+        return _sampled_products(config, list(_picks(dim, n, ranks)))
+    table = config.bracket_table.fill()
+    return support_products(table.minor, dim, _picks(dim, n, None),
                             table.modulus)
 
 
 def evaluate_many(config: Configuration,
                   eqs: Sequence[BracketEquation]) -> list[EquationReport]:
     """Exact values of the equations on the configuration, in order, each
-    read bracket by bracket: the slow path the streaming evaluation of
+    picked on its own: the slow path the streaming evaluation of
     equation_products is pinned against."""
     for eq in eqs:
         if eq.dim != config.dim or eq.n_points != len(config):
             raise MismatchError(
                 f"equation for {eq.n_points} points in P^{eq.dim} does not "
                 f"match {len(config)} points in P^{config.dim}")
-    table = config.bracket_table
-    stream = support_products(table.minor, config.dim,
-                              (eq.pick for eq in eqs), table.modulus)
+    stream = _sampled_products(config, [eq.pick for eq in eqs])
     return [EquationReport(eq, n1, n2, config)
             for eq, (_, [(_, n1, n2)]) in zip(eqs, stream)]
 

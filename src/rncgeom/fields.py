@@ -10,11 +10,13 @@ the package take one and stay generic over it.  Rational scalars are
 
 Serialized scalars are strings: ``"5"``, ``"-3/7"`` for rationals (always in
 lowest terms, denominator positive), the least nonnegative representative for
-prime fields.
+prime fields.  Both fields read one grammar: an optional ``-``, ASCII
+digits, and optionally ``/`` and ASCII digits not all zero, nothing else.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -30,6 +32,9 @@ def format_ratio(n: int, scale: int) -> str:
     if g == scale:
         return str(n // g)
     return f"{n // g}/{scale // g}"
+
+
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below psi_13
@@ -95,15 +100,15 @@ class Field:
         return int(x) % p
 
     def parse(self, text: str) -> Fraction | int:
-        """Q reads what Fraction reads; Z/p reads an int or int/int."""
-        text = text.strip()
-        p = self.characteristic
-        if not p:
-            return Fraction(text)
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.scalar(Fraction(int(num), int(den)))
-        return int(text) % p
+        """The scalar a string names, in the one grammar of both fields
+        (module docstring), coerced by scalar; other text raises a
+        ValueError that names the field and quotes it."""
+        if not _SCALAR.fullmatch(text):
+            p = self.characteristic
+            raise ValueError(f"not a scalar over {f'Z/{p}' if p else 'Q'}: "
+                             f"{text!r} (expected [-]n or [-]n/m, m > 0)")
+        num, _, den = text.partition("/")
+        return self.scalar(Fraction(int(num), int(den or 1)))
 
     def ratio(self, n: int, m: int) -> str:
         """The string of n/m for integers n and m, m nonzero in the field."""

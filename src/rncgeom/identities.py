@@ -199,7 +199,8 @@ class FactorizationProofs:
     factorization B_K = F_K exactly when factor_pairs(K) are the predicted
     pairs, unordered, and c is split_sign(K) times their orientation sign.
     A split with a failing row, or with c = 0, reads 0 and falls back to
-    expansion; expanded counts those.  Only a sample reads the table.
+    expansion; expanded counts those.  Only a sample reads the table,
+    filled first from one walk pruned to its picks.
     """
 
     def __init__(self, d: int):
@@ -212,14 +213,16 @@ class FactorizationProofs:
             else [0] * (d + 1) for k, row in rows])
 
     def verdicts(self, picks: Optional[Iterable] = None) -> Iterator[tuple]:
-        """(split, verdict) per picked sorted (d+1)-subset, else per split in
-        the walk's combinations order; a bad pick raises ValueError."""
+        """(split, verdict) per picked sorted (d+1)-subset, in pick order,
+        else per split in the walk's combinations order; a bad pick raises
+        ValueError before any verdict."""
         if picks is None:
             minors = ((SubsetSplit(self.d, labels), value) for labels, value
                       in projective._maximal_minors(self.table.vectors))
         else:
-            splits = (SubsetSplit(self.d, members) for members in picks)
-            minors = ((split, self.table[split.members]) for split in splits)
+            splits = [SubsetSplit(self.d, members) for members in picks]
+            table = self.table.fill(split.members for split in splits)
+            minors = ((split, table.minor(split.members)) for split in splits)
         for split, value in minors:  # c times the factors, at the point
             if value == 0:
                 self.expanded += 1

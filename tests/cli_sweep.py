@@ -11,11 +11,15 @@ both trees.  Prints "N of M identical" and then each differing command,
 and exits 1 if any run differs.
 
 The runs cover every subcommand: ``gen-instance`` on valid and invalid
-fields, each reading command on two fresh d=4 instances (over Q and
-Z/101) and on every ``tests/data/*.json``, ``verify`` on three edited
-instances (a decimal parameter over Q and over Z/101, a field with p=4),
-``dual-check`` over three fields and the two symbolic commands.  The file
-is not a pytest module: it compares two trees rather than testing one.
+fields, each reading command (``verify`` whole, with ``--castelnuovo``
+and sampled; ``check-psi`` whole and sampled; ``fit-curve``;
+``dual-check``) on two fresh d=4 instances (over Q and Z/101) and on
+every ``tests/data/*.json``, ``verify`` on three edited instances (a
+decimal parameter over Q and over Z/101, a field with p=4),
+``dual-check`` over three fields, ``sym-factorization`` whole and
+sampled, and a sampled ``sym-psi``.  The sampled ``check-psi`` and ``sym-factorization``
+runs read their minors from walks pruned to them.  The file is not a
+pytest module: it compares two trees rather than testing one.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ BAD_FIELDS = ["prime:0", "prime:1", "prime:4", "prime:abc",
               "prime:3317044064679887385961981"]
 READERS = [["verify"], ["verify", "--castelnuovo"],
            ["verify", "--sample", "7", "--seed", "3"], ["check-psi"],
+           ["check-psi", "--sample", "50", "--seed", "3"],
            ["fit-curve"], ["dual-check"]]
 FRESH = {"fresh-d4.json": [],
          "fresh-d4-mod101.json": ["--field", "prime:101"]}
@@ -101,6 +106,7 @@ def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
     for field in ("rationals", "prime:11", "prime:101"):
         compare(["dual-check", "--d", "3", "--field", field])
     compare(["sym-factorization", "--d", "3"])
+    compare(["sym-factorization", "--d", "4", "--sample", "30", "--seed", "2"])
     compare(["sym-psi", "--d", "3", "--sample", "20"])
     return count, differing
 

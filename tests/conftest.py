@@ -21,24 +21,17 @@ def rng():
 
 @pytest.fixture
 def computed(monkeypatch):
-    """What the minor walks and bracket tables compute: (rows, minors) of
-    each walk, counting only the minors its reader takes, and each label
-    set computed on its own."""
-    log = SimpleNamespace(walks=[], single=[])
+    """What the minor walks compute: (rows, minors) of each walk, whole
+    or pruned, counting only the minors its reader takes."""
+    log = SimpleNamespace(walks=[])
     walk = projective._maximal_minors
-    compute = projective.BracketTable.__missing__
 
-    def logged_walk(vectors, modulus=0):
+    def logged_walk(vectors, modulus=0, wanted=None):
         entry = len(log.walks)
         log.walks.append((len(vectors), 0))
-        for taken, item in enumerate(walk(vectors, modulus), 1):
+        for taken, item in enumerate(walk(vectors, modulus, wanted), 1):
             log.walks[entry] = (len(vectors), taken)
             yield item
 
-    def logged(self, cols):
-        log.single.append(cols)
-        return compute(self, cols)
-
     monkeypatch.setattr(projective, "_maximal_minors", logged_walk)
-    monkeypatch.setattr(projective.BracketTable, "__missing__", logged)
     return log

@@ -4,7 +4,9 @@ Everything here goes through sympy or first-principles formulas, never
 through the package's own linear algebra, so a bug cannot cancel out of
 both sides of an assertion.  sympy is a test dependency only.
 
-The last sections hold helpers only the tests use: the equation at a
+Bareiss elimination of one integer matrix at a time, det_int, is the
+slow exact reference for the package's walk of maximal minors.  The last
+sections hold helpers only the tests use: the equation at a
 rank of the enumeration order, unranked subset by subset, polynomial
 evaluation and degrees over MultiPoly.exponents(), powers by repeated
 product, the vertex bracket by the plain row DP, the raw vector bracket,
@@ -168,6 +170,37 @@ def rand_distinct_fractions(rng, count, height=30):
             seen.add(v)
             out.append(v)
     return out
+
+
+def det_int(m) -> int:
+    """Exact determinant of a square integer matrix (rows may be tuples) by
+    fraction-free Bareiss elimination, one matrix at a time; the empty
+    matrix has determinant 1.  The slow exact reference the package's
+    prefix-shared walk of maximal minors is pinned against."""
+    n = len(m)
+    if not n:
+        return 1
+    m = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        row_k = m[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def element_det(rows, field: Field):

@@ -628,8 +628,9 @@ def test_integer_containment_pins_the_scalar_route(rng, field, d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_fit_and_test_takes_one_frame_map(monkeypatch, computed, field, d):
     """On a vertex configuration, fit_and_test takes exactly the (d+1)^2
-    cofactor brackets [e_j@i] and walks once, for the fit's coincident
-    ratio check; containment of the d-1 tested points reads no minor."""
+    cofactor brackets [e_j@i], each the one minor of its own walk, and
+    walks once more, for the fit's coincident ratio check; containment of
+    the d-1 tested points reads no minor."""
     config = sample_instance(d, field, seed=d).vertices
     calls = []
 
@@ -642,8 +643,8 @@ def test_fit_and_test_takes_one_frame_map(monkeypatch, computed, field, d):
     _, contained = fit_and_test(config)
     assert contained == [True] * (d - 1)
     assert len(calls) == (d + 1) ** 2
-    assert computed.walks == [(d + 1, comb(d + 1, 2))]
-    assert computed.single == []
+    assert computed.walks == [(d + 1, 1)] * (d + 1) ** 2 + [
+        (d + 1, comb(d + 1, 2))]
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Z101"])
@@ -652,7 +653,8 @@ def test_fit_ratio_check_stops_at_the_first_zero(computed, field, d):
     """The coincident-ratio check reads the walk of 2x2 minors of the
     (u_i, w_i) only up to its first zero: with the standard frame, unit
     point [1 : ... : 1] and last point [2 : 2 : 3 : ... : d+1], the first
-    minor u_1 w_2 - u_2 w_1 is zero and no other minor is taken."""
+    minor u_1 w_2 - u_2 w_1 is zero and no other minor is taken.  The
+    (d+1)^2 cofactor brackets before it are a one-minor walk each."""
     rows = [tuple(int(k == j) for k in range(d + 1)) for j in range(d + 1)]
     rows += [(1,) * (d + 1), (2,) + tuple(range(2, d + 2))]
     config = Configuration(field=field, dim=d, points=tuple(
@@ -660,4 +662,4 @@ def test_fit_ratio_check_stops_at_the_first_zero(computed, field, d):
     computed.walks.clear()
     with pytest.raises(DegenerateInputError, match="coincident frame ratios"):
         fit_rnc(config)
-    assert computed.walks == [(d + 1, 1)]
+    assert computed.walks == [(d + 1, 1)] * ((d + 1) ** 2 + 1)

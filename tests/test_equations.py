@@ -39,8 +39,15 @@ from rncgeom.equations import (
 )
 from rncgeom.errors import MismatchError
 from rncgeom.fields import QQ, PrimeField
+from rncgeom import projective
 from rncgeom.cli import main
-from rncgeom.projective import BracketTable, Configuration, ProjectivePoint
+from rncgeom.identities import FactorizationProofs
+from rncgeom.projective import (
+    BracketTable,
+    Configuration,
+    ProjectivePoint,
+    is_general_linear_position,
+)
 from rncgeom.staudt import (
     dual_configuration,
     instance_from_json,
@@ -594,9 +601,9 @@ def test_prime_field_membership_matches_reduction(rng):
 
 
 def filled_once(computed) -> bool:
-    """One table, filled by one walk with every bracket of 8 points of P^3,
-    and no bracket computed on its own."""
-    return computed.walks == [(8, comb(8, 4))] and not computed.single
+    """One table, filled by one walk with every bracket of 8 points of
+    P^3."""
+    return computed.walks == [(8, comb(8, 4))]
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "F101"])
@@ -618,7 +625,8 @@ def test_lies_on_rnc_and_dual_check_share_one_table(computed, capsys):
 
 def test_every_equation_fills_the_table_and_a_sample_does_not(computed):
     """A run over every equation fills the table before its first support;
-    a sample on an unfilled table computes only the brackets it reads."""
+    a sample on an unfilled table fills only the brackets it reads, by
+    one pruned walk."""
     config = curve_config(3, list(range(1, 9)))
     assert membership(config).member
     assert filled_once(computed)
@@ -627,5 +635,44 @@ def test_every_equation_fills_the_table_and_a_sample_does_not(computed):
     products = flat(equation_products(config, 3, seed=1))
     assert len(products) == 3
     assert all(n1 == n2 for _, _, n1, n2 in products)
-    assert not computed.walks
-    assert 0 < len(computed.single) == len(set(computed.single)) <= 3 * 8
+    assert computed.walks == [(8, len(config.bracket_table))]
+    assert 0 < len(config.bracket_table) <= 3 * 8
+
+
+def test_sampled_readers_start_one_walk_at_most(monkeypatch):
+    """The readers the benchmark runs: on a table the general-position
+    test filled, a sampled equation_products starts no walk and gathers
+    no wanted minor; evaluate_many on an unfilled table and a sampled
+    FactorizationProofs(4).verdicts start exactly one walk each."""
+    walks, gathered = [], []
+    walk, fill = projective._maximal_minors, BracketTable.fill
+
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def counted_fill(self, wanted=None):
+        return fill(self, None if wanted is None else (
+            gathered.append(cols) or cols for cols in wanted))
+
+    monkeypatch.setattr(projective, "_maximal_minors", counted_walk)
+    monkeypatch.setattr(BracketTable, "fill", counted_fill)
+    points = sample_instance(6, FP, seed=1, height=6).vertices.points
+    config = Configuration(field=FP, dim=6, points=points)
+    assert is_general_linear_position(config)
+    assert len(walks) == 1
+    rows = [row for _, rows in equation_products(config, 2000, seed=1)
+            for row in rows]
+    assert len(rows) == 2000
+    assert len(walks) == 1 and not gathered
+    fresh = Configuration(field=FP, dim=6, points=points)
+    reports = evaluate_many(fresh, sample_equations(6, 14, 50, seed=2))
+    assert len(reports) == 50 and not any(r.nonzero for r in reports)
+    assert len(walks) == 2 and 0 < len(gathered) <= 50 * 8
+    assert 0 < len(fresh.bracket_table) < comb(14, 7)
+    proofs = FactorizationProofs(4)
+    picks = list(combinations(range(1, 11), 5))[::3]
+    verdicts = list(proofs.verdicts(picks))
+    assert [split.members for split, _ in verdicts] == picks
+    assert all(ok for _, ok in verdicts)
+    assert len(walks) == 3 and len(proofs.table) == len(picks)

@@ -315,13 +315,12 @@ SYM_FACTORIZATION_D6_SHA256 = (
     "d2ee8dd4d190a53a7c6ca4ad56a8a0987eb89881e263dd4bfdbb2bad877fb148")
 
 
-def test_full_sym_factorization_walks_once_and_a_sample_never(
+def test_full_sym_factorization_walks_once_and_a_sample_walks_its_picks(
         computed, capsys, monkeypatch):
     """A full run reads its splits and their minors from one walk over the
-    2d+2 vertex rows, computes no minor on its own and unranks no split; a
-    sample never walks, and unranks and computes each sampled split's
-    minor on its own, once.  A sample of every split, or more, is a full
-    run."""
+    2d+2 vertex rows and unranks no split; a sample unranks each sampled
+    split and takes exactly their minors from one walk pruned to them.  A
+    sample of every split, or more, is a full run."""
     unranked = []
     unrank = cli._unrank_combination
     monkeypatch.setattr(cli, "_unrank_combination", lambda *args: (
@@ -329,7 +328,6 @@ def test_full_sym_factorization_walks_once_and_a_sample_never(
     assert main(["sym-factorization", "--d", "4"]) == 0
     capsys.readouterr()
     assert computed.walks == [(10, comb(10, 5))]
-    assert not computed.single
     assert not unranked
     computed.walks.clear()
     assert main(["sym-factorization", "--d", "4", "--sample", "40",
@@ -337,10 +335,9 @@ def test_full_sym_factorization_walks_once_and_a_sample_never(
     records = [json.loads(line)
                for line in capsys.readouterr().out.splitlines()]
     assert len(records) == 40
-    assert not computed.walks
-    assert computed.single == [tuple(record["K"]) for record in records]
+    assert computed.walks == [(10, 40)]
     assert len(unranked) == 40
-    computed.single.clear()
+    computed.walks.clear()
     unranked.clear()
     golden = (DATA / "sym-factorization-d3.jsonl").read_text()
     for sample in ("70", "71"):
@@ -348,7 +345,7 @@ def test_full_sym_factorization_walks_once_and_a_sample_never(
                      "--sample", sample]) == 0
         assert capsys.readouterr().out == golden
         assert computed.walks == [(8, comb(8, 4))]
-        assert not computed.single and not unranked
+        assert not unranked
         computed.walks.clear()
     assert main(["sym-factorization", "--d", "6"]) == 0
     out = capsys.readouterr().out
@@ -391,13 +388,15 @@ def all_splits(d):
 
 def proof_verdicts(d, splits, walked=False):
     """The proof route's verdicts on the splits, in order, and the number
-    of splits it expanded: each split's minor computed on its own, as a
-    sample's picks are, or every split's read from one walk, as a full
-    run reads them, and the splits' verdicts taken from that run."""
+    of splits it expanded: each split's minor taken on its own, by a walk
+    pruned to it, as a one-split sample takes it, or every split's read
+    from one walk, as a full run reads them, and the splits' verdicts
+    taken from that run."""
     proofs = FactorizationProofs(d)
     if not walked:
-        picked = proofs.verdicts([split.members for split in splits])
-        return [ok for _, ok in picked], proofs.expanded
+        return [ok for split in splits
+                for _, ok in proofs.verdicts([split.members])], \
+            proofs.expanded
     every = dict(proofs.verdicts())
     assert list(every) == all_splits(d)
     return [every[split] for split in splits], proofs.expanded
@@ -531,9 +530,9 @@ def test_proof_route_matches_per_subset_route_under_mutation(
     """A row that fails a fact sends its splits back to their own
     expansion; where both facts hold, the factor pairs, the sign and the
     constant decide without expanding, never to a verdict that expansion
-    would not give.  The walk, which meets the zero row of a failing row
-    mid-tree or at the leaves, decides as the picked minors computed one
-    by one do."""
+    would not give.  The whole walk, which meets the zero row of a failing
+    row mid-tree or at the leaves, decides as the walks pruned to one
+    picked minor each do."""
     names, replaces, falls_back, hit = PROOF_MUTATIONS[mutation]
     if isinstance(names, str):
         names, replaces = (names,), (replaces,)

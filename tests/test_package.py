@@ -3,10 +3,10 @@ or threads, one integer kernel for exact linear algebra, geometry on
 integer vectors with no scalar type of its own, polynomials over Z only,
 no inverse frame map for curve containment, instances with no hidden
 field, a field that is its characteristic, factorizations by proof
-rather than by orbit, sampled equations picked by rank, one kernel for
-integer minors and a table of them only where they are read again or
-sampled, no single-use layers or dead surface, and an explicit public
-API."""
+rather than by orbit, sampled equations picked by rank, one walk for
+integer minors and a table of them, filled before it is read, only where
+they are read again or sampled, no single-use layers or dead surface,
+and an explicit public API."""
 
 import ast
 import dataclasses
@@ -14,6 +14,8 @@ import inspect
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import rncgeom
 
@@ -225,8 +227,10 @@ def test_per_run_tables_are_dicts_that_fill_when_missing():
     """The bracket table is a dict whose named read is the dict read, and
     whose memo scaffolding (a private cache, a compute hook, a
     general-position reader, a back-reference to the configuration) stays
-    out; the per-degree memos are cached constructors of their dicts; the
-    readers keep no single-use guard or sampling options."""
+    out: it computes no missing minor, and a minor is read only after a
+    fill put it there.  The per-degree memos are cached constructors of
+    their dicts; the readers keep no single-use guard or sampling
+    options."""
     import rncgeom.equations
     import rncgeom.identities
     from rncgeom.fields import QQ
@@ -234,10 +238,14 @@ def test_per_run_tables_are_dicts_that_fill_when_missing():
 
     assert issubclass(BracketTable, dict)
     assert BracketTable.minor is dict.__getitem__
+    assert "__missing__" not in vars(BracketTable)
     table = Configuration(field=QQ, dim=1, points=(
         rncgeom.param_point(QQ, 0), rncgeom.param_point(QQ, 1))).bracket_table
     for name in ("_compute", "_cache", "all_nonzero", "config"):
         assert not hasattr(table, name), name
+    with pytest.raises(KeyError):
+        table.minor((1, 2))
+    assert table.fill([(1, 2)]) is table
     assert table[(1, 2)] == table.minor((1, 2)) != 0
     assert not hasattr(rncgeom.equations, "check_match")
     assert rncgeom.equations._template.__wrapped__ \
@@ -251,8 +259,8 @@ def test_per_run_tables_are_dicts_that_fill_when_missing():
 def test_integer_minors_have_one_kernel_in_projective():
     """A bracket table holds the minors of one integer matrix and nothing
     about a field; the proof of the factorizations keeps one over its
-    vertex rows for a sample; only projective names the determinant
-    kernel."""
+    vertex rows for a sample; the walk of maximal minors is the one
+    determinant, so no module defines a second one, _det_int."""
     from rncgeom.fields import QQ
     from rncgeom.identities import FactorizationProofs
     from rncgeom.projective import BracketTable, Configuration
@@ -264,8 +272,7 @@ def test_integer_minors_have_one_kernel_in_projective():
     for name in ("field", "scales"):
         assert not hasattr(table, name), name
     for path in SOURCES:
-        assert ("_det_int" in named(path)) == (path.name == "projective.py"), \
-            path.name
+        assert "_det_int" not in named(path), path.name
     assert isinstance(FactorizationProofs(2).table, BracketTable)
 
 
@@ -295,8 +302,9 @@ def test_a_bracket_table_is_built_only_where_minors_are_read_again():
     fit's coincident-ratio check, a full sym-factorization) reads the walk
     itself: a table is built only for a configuration's brackets, which
     the general-position test and the equations share, and for the
-    proof's sampled splits, and filled whole only by those two readers of
-    every bracket."""
+    proof's sampled splits.  It is filled whole by the two readers of
+    every bracket, and in part, with the minors its picks read, by each
+    sampled reader: sampled equations and the proof's sampled splits."""
     built, filled = set(), set()
     for path in SOURCES:
         for name, scope in calls_by_scope(path):
@@ -307,4 +315,6 @@ def test_a_bracket_table_is_built_only_where_minors_are_read_again():
     assert built == {"projective.Configuration.bracket_table",
                      "identities.FactorizationProofs.__init__"}
     assert filled == {"projective.is_general_linear_position",
-                      "equations.equation_products"}
+                      "equations.equation_products",
+                      "equations._sampled_products",
+                      "identities.FactorizationProofs.verdicts"}

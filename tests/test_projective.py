@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     bracket_vectors,
     contains,
+    det_int,
     hyperplane_intersection,
     is_degenerate,
     pairing,
@@ -27,7 +28,6 @@ from rncgeom.identities import FactorizationProofs
 from rncgeom.projective import (
     Configuration,
     ProjectivePoint,
-    _det_int,
     _maximal_minors,
     bracket,
     canonical_coords,
@@ -295,8 +295,8 @@ def test_glp_small_configs_match_sympy(rng):
 
 
 def per_minor(vectors, d, modulus=0):
-    """Each maximal minor by its own _det_int: the slow path fill replaces."""
-    minors = {cols: _det_int([vectors[c - 1] for c in cols])
+    """Each maximal minor by its own det_int, the slow exact reference."""
+    minors = {cols: det_int([vectors[c - 1] for c in cols])
               for cols in combinations(range(1, len(vectors) + 1), d + 1)}
     if modulus:
         return {cols: m % modulus for cols, m in minors.items()}
@@ -349,6 +349,50 @@ def test_walk_streams_labels_in_combinations_order(case, zeroed):
     assert labels == list(combinations(range(1, len(rows) + 1), d + 1))
 
 
+def d5_vectors(field, kind):
+    """The 12 integer vectors of the d = 5 vertices over the field, as
+    they are, with row 3 the sum of rows 1 and 2 (a dependent prefix,
+    whose subtree is zero) or with row 2 all zero (a zero pivot row)."""
+    rows = [list(p.coords)
+            for p in sample_instance(5, field, seed=1).vertices.points]
+    if kind == "dependent":
+        rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+    elif kind == "zero-row":
+        rows[1] = [0] * 6
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Z101"])
+@pytest.mark.parametrize("kind", ["vertices", "dependent", "zero-row"])
+@pytest.mark.parametrize("count", [1, 5, 50, 400, 924])
+def test_pruned_walk_is_the_full_walk_restricted(field, kind, count):
+    """A walk pruned to a random set of wanted minors yields the full
+    walk's minors of exactly that set, in the full walk's order."""
+    rows = d5_vectors(field, kind)
+    full = list(_maximal_minors(rows, field.characteristic))
+    assert len(full) == 924
+    wanted = set(random.Random(count).sample([cols for cols, _ in full],
+                                             count))
+    assert list(_maximal_minors(rows, field.characteristic, wanted)) == [
+        (cols, m) for cols, m in full if cols in wanted]
+    if kind != "vertices":
+        assert any(not m for _, m in full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_vectors(), st.sampled_from([0, 7]), st.randoms())
+def test_pruned_walk_matches_on_random_matrices(case, modulus, rnd):
+    """On random integer matrices with zero columns, repeated rows and
+    dependent prefixes, every wanted subset of any size, none included,
+    walks to the full walk restricted to it."""
+    _, rows = case
+    full = list(_maximal_minors(rows, modulus))
+    wanted = set(rnd.sample([cols for cols, _ in full],
+                            rnd.randint(0, len(full))))
+    assert list(_maximal_minors(rows, modulus, wanted)) == [
+        (cols, m) for cols, m in full if cols in wanted]
+
+
 def test_fill_holds_one_copy_of_the_minors():
     """fill() streams the walk into the table: tracemalloc's peak during
     the fill of the d = 6 proof table (3,432 minors) is within 10% of the
@@ -368,10 +412,10 @@ def test_fill_holds_one_copy_of_the_minors():
 @settings(max_examples=60, deadline=None)
 @given(integer_vectors(), st.sampled_from([QQ, PrimeField(7), FP]),
        st.lists(st.integers(0, 10 ** 6), max_size=6))
-def test_filled_table_matches_each_determinant(case, field, lazy):
+def test_filled_table_matches_each_determinant(case, field, sampled):
     """Through a configuration: the table holds every subset's bracket,
-    reduced mod p over Z/p, whether or not some were read lazily before
-    the fill, and the general-position test is the per-minor rule."""
+    reduced mod p over Z/p, whether or not a sample filled some before
+    the whole fill, and the general-position test is the per-minor rule."""
     d, rows = case
     # a point needs a nonzero vector in the field
     rows = [row if any(field.scalar(x) for x in row) else [1] + row[1:]
@@ -382,9 +426,11 @@ def test_filled_table_matches_each_determinant(case, field, lazy):
     table = config.bracket_table
     expected = per_minor(table.vectors, d, field.characteristic)
     keys = list(expected)
-    for i in lazy:
+    for i in sampled:
         cols = keys[i % len(keys)]
+        assert table.fill([cols]) is table
         assert table[cols] == table.minor(cols) == expected[cols]
+        assert table.items() <= expected.items()
     assert table.fill() is table
     assert table == expected
     if len(rows) > d + 1:
