@@ -158,7 +158,7 @@ def _maximal_minors(vectors: Sequence[Sequence[int]], modulus: int = 0,
                 yield labels, 0
             continue
         if left == 1:
-            # only at the root; a node's rows carry consecutive labels
+            # only a root of width 1 gets here; its labels start at 1
             for label, row in rows if want is None else [
                     rows[labels[-1] - 1] for labels in want]:
                 value = sign * row[0]
@@ -182,6 +182,7 @@ def _maximal_minors(vectors: Sequence[Sequence[int]], modulus: int = 0,
             pivot = row[q]   # 0 for a zero row, which zeroes each leaf
             sgn = -sign if q & 1 else sign
             if left == 2:   # one column stays: the reduced entries are leaves
+                # a node's rows carry consecutive labels from rows[0]'s on
                 other = row[1 - q]
                 for k, r in rows[at + 1:] if below is None else [
                         rows[labels[-1] - rows[0][0]] for labels in below]:
