@@ -199,8 +199,7 @@ class FactorizationProofs:
     factorization B_K = F_K exactly when factor_pairs(K) are the predicted
     pairs, unordered, and c is split_sign(K) times their orientation sign.
     A split with a failing row, or with c = 0, reads 0 and falls back to
-    expansion; expanded counts those.  Only a sample reads the table,
-    filled first from one walk pruned to its picks.
+    expansion; expanded counts those.  Only a sample fills the table.
     """
 
     def __init__(self, d: int):
@@ -214,8 +213,7 @@ class FactorizationProofs:
 
     def verdicts(self, picks: Optional[Iterable] = None) -> Iterator[tuple]:
         """(split, verdict) per picked sorted (d+1)-subset, in pick order,
-        else per split in the walk's combinations order; a bad pick raises
-        ValueError before any verdict."""
+        else per split in the walk's order; a bad pick raises ValueError."""
         if picks is None:
             minors = ((SubsetSplit(self.d, labels), value) for labels, value
                       in projective._maximal_minors(self.table.vectors))
