@@ -28,16 +28,20 @@ def malformed_input(what: str):
 
 
 _JSON_TYPES = {int: "a JSON integer", bool: "a JSON boolean",
-               type(None): "null"}
+               str: "a JSON string", dict: "a JSON object",
+               list: "a JSON array", type(None): "null"}
 
 
 def json_typed(value, what: str, *types: type):
-    """The value if its type is exactly one of types (int, bool or
-    NoneType), refusing what int() or bool() would quietly convert: a bool
-    is no integer here, and the string "false" no boolean."""
+    """The value if its type is exactly one of types (int, bool, str, dict
+    or NoneType), refusing what int() or bool() would quietly convert: a
+    bool is no integer here, and the string "false" no boolean.  A wrong
+    array or object is named by its type, not echoed."""
     if type(value) not in types:
         kinds = " or ".join(_JSON_TYPES[t] for t in types)
-        raise TypeError(f"{what} must be {kinds}, got {value!r}")
+        got = (_JSON_TYPES[type(value)] if type(value) in (list, dict)
+               else repr(value))
+        raise TypeError(f"{what} must be {kinds}, got {got}")
     return value
 
 

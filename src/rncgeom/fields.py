@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import CharacteristicError, json_int
+from .errors import CharacteristicError, json_int, json_typed
 
 
 def format_ratio(n: int, scale: int) -> str:
@@ -102,8 +102,9 @@ class Field:
     def parse(self, text: str) -> Fraction | int:
         """The scalar a string names, in the one grammar of both fields
         (module docstring), coerced by scalar; other text raises a
-        ValueError that names the field and quotes it."""
-        if not _SCALAR.fullmatch(text):
+        ValueError that names the field and quotes it, and a value that is
+        no string a TypeError."""
+        if not _SCALAR.fullmatch(json_typed(text, "scalar", str)):
             p = self.characteristic
             raise ValueError(f"not a scalar over {f'Z/{p}' if p else 'Q'}: "
                              f"{text!r} (expected [-]n or [-]n/m, m > 0)")
@@ -143,7 +144,7 @@ def field_to_json(field: Field) -> dict:
 
 
 def field_from_json(obj: dict) -> Field:
-    kind = obj.get("kind")
+    kind = json_typed(obj, "field", dict).get("kind")
     if kind == "rationals":
         return QQ
     if kind == "prime":

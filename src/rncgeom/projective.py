@@ -31,13 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from bisect import bisect_right
 from itertools import combinations
 from math import comb, gcd, lcm
-from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .errors import MismatchError, json_int, malformed_input
+from .errors import MismatchError, json_int, json_typed, malformed_input
 from .fields import Field, field_from_json, field_to_json, format_ratio
 
 
@@ -133,64 +131,53 @@ def _maximal_minors(vectors: Sequence[Sequence[int]], modulus: int = 0,
     it.  The pivot column is the pivot row's first nonzero entry, the sign
     following the column moved to the front; a pivot row that is all zero
     is dependent on its prefix, which zeroes its whole subtree (sign 0).
-    A wanted set prunes the tree: each node holds the sorted wanted labels
-    below it, split among its children by bisection on their next label,
-    and a child with none is never reduced.  The tree is walked by an
-    explicit stack, never by recursion, and only the stack's reduced rows
-    are held: the minors are yielded, not kept.
+    A wanted set prunes the tree: a child whose labels begin no wanted
+    minor is never reduced, a leaf is yielded when it is wanted, and a
+    zero subtree yields its wanted leaves straight from the set.  The
+    tree is walked by an explicit stack, never by recursion, and only the
+    stack's reduced rows are held: the minors are yielded, not kept.
     """
-    n = len(vectors)
-    size = len(vectors[0]) if n else 0
-    if not size or size > n:
+    size = len(vectors[0]) if vectors else 0
+    if not size or size > len(vectors):
         return
-    # (prefix labels, sign, previous pivot, [(label, reduced row)] after it,
-    # the sorted wanted labels below it or None for every leaf)
-    stack = [((), 1, 1, list(enumerate(vectors, 1)),
-              None if wanted is None else sorted(wanted))]
+    if wanted is not None:   # every prefix of a wanted minor, level by level
+        begun = level = set(wanted)
+        for _ in range(size - 1):
+            level = {cols[:-1] for cols in level}
+            begun |= level
+    # (prefix labels, sign, previous pivot, [(label, reduced row)] after it)
+    stack = [((), 1, 1, list(enumerate(vectors, 1)))]
     while stack:
-        prefix, sign, prev, rows, want = stack.pop()
+        prefix, sign, prev, rows = stack.pop()
         left = size - len(prefix)   # labels still to pick, at least 1
-        if not sign:
-            leaves = want if want is not None else (
-                prefix + rest
-                for rest in combinations([k for k, _ in rows], left))
-            for labels in leaves:
-                yield labels, 0
-            continue
-        if left == 1:
-            # only a root of width 1 gets here; its labels start at 1
-            for label, row in rows if want is None else [
-                    rows[labels[-1] - 1] for labels in want]:
-                value = sign * row[0]
-                yield prefix + (label,), value % modulus if modulus else value
+        if not sign:   # a zero subtree: its leaves, or its wanted ones
+            leaves = (prefix + rest for rest in combinations(
+                [k for k, _ in rows], left)) if wanted is None else sorted(
+                    cols for cols in wanted if cols[:len(prefix)] == prefix)
+            yield from ((labels, 0) for labels in leaves)
             continue
         children = []
-        if want is not None:
-            lo, after = 0, itemgetter(len(prefix))
-        below = None
         for at in range(len(rows) - left + 1):
             label, row = rows[at]
-            if want is not None:
-                hi = bisect_right(want, label, lo, key=after)
-                below, lo = want[lo:hi], hi
-                if not below:
-                    continue
-                if len(below) == comb(len(rows) - at - 1, left - 1):
-                    below = None   # every leaf below is wanted
             head = prefix + (label,)
+            if wanted is not None and head not in begun:
+                continue
             q = 0 if row[0] else next((c for c, x in enumerate(row) if x), 0)
             pivot = row[q]   # 0 for a zero row, which zeroes each leaf
             sgn = -sign if q & 1 else sign
+            if left == 1:   # only a root of width 1 has leaves for children
+                yield head, sgn * pivot % modulus if modulus else sgn * pivot
+                continue
             if left == 2:   # one column stays: the reduced entries are leaves
-                # a node's rows carry consecutive labels from rows[0]'s on
                 other = row[1 - q]
-                for k, r in rows[at + 1:] if below is None else [
-                        rows[labels[-1] - rows[0][0]] for labels in below]:
+                for k, r in rows[at + 1:] if wanted is None else [
+                        (k, r) for k, r in rows[at + 1:]
+                        if head + (k,) in wanted]:
                     value = sgn * ((pivot * r[1 - q] - r[q] * other) // prev)
                     yield head + (k,), value % modulus if modulus else value
                 continue
             if not pivot:
-                children.append((head, 0, prev, rows[at + 1:], below))
+                children.append((head, 0, prev, rows[at + 1:]))
                 continue
             reduced = []
             for k, r in rows[at + 1:]:
@@ -198,7 +185,7 @@ def _maximal_minors(vectors: Sequence[Sequence[int]], modulus: int = 0,
                 r = [(pivot * a - x * b) // prev for a, b in zip(r, row)]
                 del r[q]   # the pivot column, now zero
                 reduced.append((k, r))
-            children.append((head, sgn, pivot, reduced, below))
+            children.append((head, sgn, pivot, reduced))
         stack.extend(reversed(children))
 
 
@@ -241,24 +228,23 @@ class BracketTable(dict):
         super().__init__()
         self.vectors = vectors
         self.modulus = modulus
-        self._filled = False
+        self.size = comb(len(vectors), len(vectors[0])) if vectors else 0
 
     minor = dict.__getitem__
 
     def fill(self, wanted: Optional[Iterable[tuple[int, ...]]] = None
              ) -> "BracketTable":
         """The table holding every maximal minor, or at least the wanted
-        sorted label tuples, filled in place by one walk.  A whole table
-        reads nothing of wanted.  The wanted minors it lacks come from a
-        walk pruned to them, or from the whole walk once they pass half of
-        all minors: gathering and pruning then cost more than they save
-        (measured at d = 4, 5, 6 on both fields)."""
-        if self._filled:
+        sorted label tuples, filled in place by one walk.  A table holding
+        all C(n, d+1) minors is whole and reads nothing of wanted.  The
+        wanted minors it lacks come from a walk pruned to them, or from the
+        whole walk once they pass half of all minors: gathering and pruning
+        then cost more than they save (measured at d = 4, 5, 6 on both
+        fields)."""
+        if len(self) == self.size:
             return self
         if wanted is not None:
-            n = len(self.vectors)
-            half = comb(n, len(self.vectors[0])) // 2 if n else 0
-            missing = set()
+            missing, half = set(), self.size // 2
             for cols in wanted:
                 if cols not in self:
                     missing.add(cols)
@@ -269,7 +255,6 @@ class BracketTable(dict):
                                             missing))
                 return self
         self.update(_maximal_minors(self.vectors, self.modulus))
-        self._filled = True
         return self
 
 
@@ -322,6 +307,7 @@ def config_to_json(config: Configuration) -> dict:
 
 def config_from_json(obj: dict) -> Configuration:
     with malformed_input("configuration"):
+        json_typed(obj, "document", dict)
         field = field_from_json(obj["field"])
         dim = json_int(obj["dim"], "dim")
         points = points_from_json(obj["points"], field)

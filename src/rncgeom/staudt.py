@@ -288,6 +288,7 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
     have the instance's shape: 2d+2 points of P^d, the vertices over the
     instance's field.  A wrong shape or schema raises ValueError."""
     with malformed_input("instance"):
+        json_typed(obj, "document", dict)
         if obj.get("schema", INSTANCE_SCHEMA) != INSTANCE_SCHEMA:
             raise ValueError(f"unknown instance schema {obj['schema']!r}")
         field = field_from_json(obj["field"])
@@ -372,6 +373,7 @@ def certificate_from_json(obj: dict) -> Certificate:
     give, and a /2 sample has a seed exactly when it is a sample.  Anything
     else raises ValueError."""
     with malformed_input("certificate"):
+        json_typed(obj, "document", dict)
         if obj.get("schema") not in ("vonstaudt-cert/1", CERT_SCHEMA):
             raise ValueError(
                 f"unknown certificate schema {obj.get('schema')!r}")

@@ -15,11 +15,13 @@ fields, each reading command (``verify`` whole, with ``--castelnuovo``
 and sampled; ``check-psi`` whole and sampled; ``fit-curve``;
 ``dual-check``) on two fresh d=4 instances (over Q and Z/101) and on
 every ``tests/data/*.json``, ``verify`` on three edited instances (a
-decimal parameter over Q and over Z/101, a field with p=4),
-``dual-check`` over three fields, ``sym-factorization`` whole and
-sampled, and a sampled ``sym-psi``.  The sampled ``check-psi`` and ``sym-factorization``
-runs read their minors from walks pruned to them.  The file is not a
-pytest module: it compares two trees rather than testing one.
+decimal parameter over Q and over Z/101, a field with p=4), ``verify``
+and ``check-psi`` on three of the wrong JSON type (a number parameter
+coordinate, a string field and a list document), ``dual-check`` over
+three fields, ``sym-factorization`` whole and sampled, and a sampled
+``sym-psi``.  The sampled ``check-psi`` and ``sym-factorization`` runs
+read their minors from walks pruned to them.  The file is not a pytest
+module: it compares two trees rather than testing one.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def run(tree: Path, argv: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
 
 def edited(source: Path, target: Path, edit) -> str:
     obj = json.loads(source.read_text(encoding="utf-8"))
-    edit(obj)
+    obj = edit(obj) or obj
     target.write_text(json.dumps(obj, indent=2), encoding="utf-8")
     return target.name
 
@@ -66,6 +68,19 @@ def decimal_param(obj: dict) -> None:
 
 def field_p4(obj: dict) -> None:
     obj["field"]["p"] = 4
+
+
+def number_param(obj: dict) -> None:
+    """The first parameter's first coordinate, 1, written as a number."""
+    obj["params"][0][0] = 1
+
+
+def string_field(obj: dict) -> None:
+    obj["field"] = "rationals"
+
+
+def list_document(obj: dict) -> list:
+    return [obj]
 
 
 def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
@@ -103,6 +118,15 @@ def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
             edited(work / "fresh-d4-mod101.json", work / "field-p4.json",
                    field_p4)):
         compare(["verify", "--input", name])
+    for name in (
+            edited(work / "fresh-d4.json", work / "number-param.json",
+                   number_param),
+            edited(work / "fresh-d4.json", work / "string-field.json",
+                   string_field),
+            edited(work / "fresh-d4.json", work / "list-document.json",
+                   list_document)):
+        for command in ("verify", "check-psi"):
+            compare([command, "--input", name])
     for field in ("rationals", "prime:11", "prime:101"):
         compare(["dual-check", "--d", "3", "--field", field])
     compare(["sym-factorization", "--d", "3"])

@@ -891,6 +891,53 @@ def test_instance_seed_must_be_an_integer(tmp_path, capsys, argv, seed):
                    f"or null, got {seed!r}\n")
 
 
+def number_param(obj):
+    obj["params"][0][0] = 1
+
+
+def float_point(obj):
+    obj["points"][0][0] = 1.5
+
+
+def null_vertex(obj):
+    obj["vertices"]["points"][0][0] = None
+
+
+def string_field(obj):
+    obj["field"] = "rationals"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (number_param, "malformed instance: scalar must be a JSON string, got 1"),
+    (float_point,
+     "malformed instance: scalar must be a JSON string, got 1.5"),
+    (null_vertex,
+     "malformed configuration: scalar must be a JSON string, got None"),
+    (string_field,
+     "malformed instance: field must be a JSON object, got 'rationals'"),
+    (lambda obj: [obj], "malformed {}: document must be a JSON object, "
+     "got a JSON array"),
+], ids=["number-param", "float-point", "null-vertex", "string-field",
+        "list-document"])
+@pytest.mark.parametrize("command", [
+    "verify", "check-psi", "fit-curve", "dual-check"])
+def test_wrong_json_types_are_named(tmp_path, capsys, command, edit,
+                                    message):
+    """A scalar is a JSON string and a field or a document a JSON object;
+    any other JSON type is an input error with one line in the package's
+    words.  A document is named by its type, not echoed; check-psi and
+    fit-curve read a list as a bare configuration."""
+    obj = json.loads((DATA / "d3.json").read_text())
+    obj = edit(obj) or obj
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    document = ("configuration" if command in ("check-psi", "fit-curve")
+                else "instance")
+    assert err == f"error: {message.format(document)}\n"
+
+
 @pytest.mark.parametrize("schema", [1, "x", None, []],
                          ids=["int", "string", "null", "list"])
 @pytest.mark.parametrize("command", [

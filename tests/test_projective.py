@@ -24,8 +24,10 @@ from oracles import (
 )
 from rncgeom.errors import DegenerateInputError, MismatchError
 from rncgeom.fields import QQ, PrimeField
+from rncgeom import projective
 from rncgeom.identities import FactorizationProofs
 from rncgeom.projective import (
+    BracketTable,
     Configuration,
     ProjectivePoint,
     _maximal_minors,
@@ -435,6 +437,53 @@ def test_filled_table_matches_each_determinant(case, field, sampled):
     assert table == expected
     if len(rows) > d + 1:
         assert is_general_linear_position(config) == all(expected.values())
+
+
+def test_partial_fills_that_cover_every_minor_make_a_whole_table(computed):
+    """A table is whole once it holds all C(n, d+1) minors: three pruned
+    fills of a third each start three walks, and fill() after them starts
+    none, with or without a wanted set."""
+    rows = d5_vectors(QQ, "vertices")
+    keys = list(combinations(range(1, 13), 6))
+    table = BracketTable(rows)
+    for third in (keys[0::3], keys[1::3], keys[2::3]):
+        assert table.fill(third) is table
+    assert [taken for _, taken in computed.walks] == [308, 308, 308]
+    computed.walks.clear()
+    assert table.fill() is table and table.fill(keys[:5]) is table
+    assert computed.walks == []
+    assert table == dict(_maximal_minors(rows))
+
+
+def test_pruned_walk_draws_no_unwanted_leaf_of_a_zero_subtree(monkeypatch):
+    """26 vectors of length 13 with row 2 twice row 1, so the subtree of
+    (1, 2) is zero: a walk pruned to 20 minors under it and 20 elsewhere
+    yields exactly those 40, in combinations order, each its det_int.  It
+    draws at most the 20 wanted leaves of that subtree, of its C(24, 11)
+    = 2,496,144."""
+    rng = random.Random(13)
+    rows = [[rng.randint(-9, 9) for _ in range(13)] for _ in range(26)]
+    rows[1] = [2 * x for x in rows[0]]
+    zero, elsewhere = set(), set()
+    while len(zero) < 20:
+        zero.add((1, 2, *sorted(rng.sample(range(3, 27), 11))))
+    while len(elsewhere) < 20:
+        cols = tuple(sorted(rng.sample(range(1, 27), 13)))
+        if cols[:2] != (1, 2):
+            elsewhere.add(cols)
+    drawn = []
+
+    def counted(labels, k):
+        for cols in combinations(labels, k):
+            drawn.append(cols)
+            yield cols
+
+    monkeypatch.setattr(projective, "combinations", counted)
+    walked = list(_maximal_minors(rows, 0, zero | elsewhere))
+    assert len(drawn) <= 20
+    assert [cols for cols, _ in walked] == sorted(zero | elsewhere)
+    assert all(m == det_int([rows[c - 1] for c in cols]) for cols, m in walked)
+    assert all(m == 0 for cols, m in walked if cols in zero)
 
 
 def test_fill_needs_no_recursion():

@@ -804,8 +804,13 @@ def test_sample_seed_is_null_exactly_when_sample_is(sample, sample_seed):
 
 
 def test_certificate_json_refuses_non_object():
-    with pytest.raises(ValueError):
-        certificate_from_json(["vonstaudt-cert/2"])
+    """A certificate is a JSON object; another document is named by its
+    type, not echoed."""
+    for obj in (["vonstaudt-cert/2"], []):
+        with pytest.raises(ValueError) as err:
+            certificate_from_json(obj)
+        assert str(err.value) == ("malformed certificate: document must be "
+                                  "a JSON object, got a JSON array")
 
 
 @pytest.mark.parametrize("key", ["d", "field", "glp_ok", "psi_total",
