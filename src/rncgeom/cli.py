@@ -55,8 +55,12 @@ def _field_flag(text: str) -> Field:
     if text == "rationals":
         return QQ
     if text.startswith("prime:"):
+        p = text.removeprefix("prime:")
+        if not (p.isascii() and p.removeprefix("-").isdigit()):
+            raise argparse.ArgumentTypeError(
+                f"p in prime:p must be [-]n in ASCII digits, got {p!r}")
         try:
-            return PrimeField(int(text.split(":", 1)[1]))
+            return PrimeField(int(p))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(
@@ -350,13 +354,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: input is missing key {exc}", file=sys.stderr)
-        return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except (OSError, OverflowError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

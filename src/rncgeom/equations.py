@@ -38,7 +38,7 @@ from math import comb, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import MismatchError, json_int
+from .errors import MismatchError, json_int, json_typed
 from .fields import Field, format_ratio
 # BracketTable stays importable from here: perfbench/tracing.py reads it
 from .projective import BracketTable, Configuration, is_general_linear_position
@@ -117,8 +117,10 @@ def _equation(dim: int, n_points: int, support: tuple[int, ...],
 def equation_from_json(obj: dict, dim: int, n_points: int) -> BracketEquation:
     return BracketEquation(
         dim=dim, n_points=n_points,
-        support=tuple(json_int(k, "J label") for k in obj["J"]),
-        sextet=tuple(json_int(k, "I label") for k in obj["I"]))
+        support=tuple(json_int(k, "J label")
+                      for k in json_typed(obj["J"], "J", list)),
+        sextet=tuple(json_int(k, "I label")
+                     for k in json_typed(obj["I"], "I", list)))
 
 
 # ---------------------------------------------------------------------------

@@ -377,30 +377,28 @@ def certificate_from_json(obj: dict) -> Certificate:
         if obj.get("schema") not in ("vonstaudt-cert/1", CERT_SCHEMA):
             raise ValueError(
                 f"unknown certificate schema {obj.get('schema')!r}")
-        try:
-            d = json_int(obj["d"], "d")
-            n = 2 * d + 2
-            cert = Certificate(
-                d=d,
-                field=field_from_json(obj["field"]),
-                seed=json_typed(obj.get("seed"), "seed", int, NoneType),
-                construction_ok=json_typed(obj.get("construction_ok"),
-                                           "construction_ok", bool, NoneType),
-                glp_ok=json_typed(obj["glp_ok"], "glp_ok", bool),
-                psi_total=json_int(obj["psi_total"], "psi_total"),
-                psi_zero=json_int(obj["psi_zero"], "psi_zero"),
-                psi_failures=tuple(
-                    equation_from_json(x, d, n) for x in obj["psi_failures"]),
-                castelnuovo_ok=json_typed(obj.get("castelnuovo_ok"),
-                                          "castelnuovo_ok", bool, NoneType),
-                sample=json_typed(obj.get("sample"), "sample", int, NoneType),
-                sample_seed=json_typed(obj.get("sample_seed"), "sample_seed",
-                                       int, NoneType),
-                verdict=json_typed(obj["verdict"], "verdict", bool),
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"malformed certificate: missing key {exc}") from None
+        d = json_int(obj["d"], "d")
+        n = 2 * d + 2
+        cert = Certificate(
+            d=d,
+            field=field_from_json(obj["field"]),
+            seed=json_typed(obj.get("seed"), "seed", int, NoneType),
+            construction_ok=json_typed(obj.get("construction_ok"),
+                                       "construction_ok", bool, NoneType),
+            glp_ok=json_typed(obj["glp_ok"], "glp_ok", bool),
+            psi_total=json_int(obj["psi_total"], "psi_total"),
+            psi_zero=json_int(obj["psi_zero"], "psi_zero"),
+            psi_failures=tuple(
+                equation_from_json(json_typed(x, "failure", dict), d, n)
+                for x in json_typed(obj["psi_failures"], "psi_failures",
+                                    list)),
+            castelnuovo_ok=json_typed(obj.get("castelnuovo_ok"),
+                                      "castelnuovo_ok", bool, NoneType),
+            sample=json_typed(obj.get("sample"), "sample", int, NoneType),
+            sample_seed=json_typed(obj.get("sample_seed"), "sample_seed",
+                                   int, NoneType),
+            verdict=json_typed(obj["verdict"], "verdict", bool),
+        )
         failed = len(cert.psi_failures)
         if cert.psi_zero + failed != cert.psi_total:
             raise ValueError(

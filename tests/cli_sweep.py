@@ -10,18 +10,21 @@ is identical when its stdout, stderr and exit code are the same under
 both trees.  Prints "N of M identical" and then each differing command,
 and exits 1 if any run differs.
 
-The runs cover every subcommand: ``gen-instance`` on valid and invalid
-fields, each reading command (``verify`` whole, with ``--castelnuovo``
-and sampled; ``check-psi`` whole and sampled; ``fit-curve``;
-``dual-check``) on two fresh d=4 instances (over Q and Z/101) and on
-every ``tests/data/*.json``, ``verify`` on three edited instances (a
-decimal parameter over Q and over Z/101, a field with p=4), ``verify``
-and ``check-psi`` on three of the wrong JSON type (a number parameter
-coordinate, a string field and a list document), ``dual-check`` over
-three fields, ``sym-factorization`` whole and sampled, and a sampled
-``sym-psi``.  The sampled ``check-psi`` and ``sym-factorization`` runs
-read their minors from walks pruned to them.  The file is not a pytest
-module: it compares two trees rather than testing one.
+The runs cover every subcommand: ``gen-instance`` on valid fields and on
+invalid ones (p not prime, too large, or not ASCII digits), each reading
+command (``verify`` whole, with ``--castelnuovo`` and sampled;
+``check-psi`` whole and sampled; ``fit-curve``; ``dual-check``) on two
+fresh d=4 instances (over Q and Z/101) and on every ``tests/data/*.json``,
+``verify`` on three edited instances (a decimal parameter over Q and over
+Z/101, a field with p=4), ``verify`` and ``check-psi`` on three of the
+wrong JSON type (a number parameter coordinate, a string field and a list
+document) and on three missing a key (an instance without ``d``, a Z/101
+field without ``p``, a bare configuration without ``dim``),
+``dual-check`` over three fields, ``sym-factorization`` whole and
+sampled, and a sampled ``sym-psi``.  The sampled ``check-psi`` and
+``sym-factorization`` runs read their minors from walks pruned to them.
+The file is not a pytest module: it compares two trees rather than
+testing one.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from pathlib import Path
 
 DATA = Path(__file__).resolve().parent / "data"
 FIELDS = ["rationals", "prime:7", "prime:11", "prime:101"]
-BAD_FIELDS = ["prime:0", "prime:1", "prime:4", "prime:abc",
+BAD_FIELDS = ["prime:0", "prime:1", "prime:4", "prime:abc", "prime:1.5",
+              "prime:\u0667", "prime:1_01",
               "prime:3317044064679887385961981"]
 READERS = [["verify"], ["verify", "--castelnuovo"],
            ["verify", "--sample", "7", "--seed", "3"], ["check-psi"],
@@ -83,6 +87,20 @@ def list_document(obj: dict) -> list:
     return [obj]
 
 
+def without_d(obj: dict) -> None:
+    del obj["d"]
+
+
+def without_p(obj: dict) -> None:
+    del obj["field"]["p"]
+
+
+def bare_without_dim(obj: dict) -> dict:
+    """The instance's vertices alone, a bare configuration, without "dim"."""
+    del obj["vertices"]["dim"]
+    return obj["vertices"]
+
+
 def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
     """Run every command under both trees; the count of runs and the
     commands whose runs differ."""
@@ -124,7 +142,13 @@ def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
             edited(work / "fresh-d4.json", work / "string-field.json",
                    string_field),
             edited(work / "fresh-d4.json", work / "list-document.json",
-                   list_document)):
+                   list_document),
+            edited(work / "fresh-d4.json", work / "without-d.json",
+                   without_d),
+            edited(work / "fresh-d4-mod101.json", work / "without-p.json",
+                   without_p),
+            edited(work / "fresh-d4.json", work / "bare-without-dim.json",
+                   bare_without_dim)):
         for command in ("verify", "check-psi"):
             compare([command, "--input", name])
     for field in ("rationals", "prime:11", "prime:101"):

@@ -27,7 +27,7 @@ from rncgeom import (
 from rncgeom import cli
 from rncgeom.cli import main
 from rncgeom.fields import field_to_json
-from rncgeom.projective import config_to_json
+from rncgeom.projective import BracketTable, config_to_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -618,13 +618,32 @@ def test_unknown_field_flag_exits_two(capsys):
 
 
 def test_field_flag_refuses_a_nonprime(capsys):
+    for p in ("0", "-7"):
+        with pytest.raises(SystemExit) as info:
+            main(["gen-instance", "--d", "2", "--field", f"prime:{p}"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("rncgeom gen-instance: error: argument "
+                                f"--field: {p} is not prime\n")
+
+
+@pytest.mark.parametrize("p", ["abc", "1.5", "", "\u0667", " 7", "+7",
+                               "1_01"],
+                         ids=["letters", "decimal", "empty", "arabic-indic",
+                              "space", "plus", "underscore"])
+def test_field_flag_reads_p_in_ascii_digits(capsys, p):
+    """p in --field prime:p is read by the input files' integer grammar, an
+    optional - and ASCII digits; other text is refused in one line that
+    quotes it, never read as int() would read it."""
     with pytest.raises(SystemExit) as info:
-        main(["gen-instance", "--d", "2", "--field", "prime:0"])
+        main(["gen-instance", "--d", "2", "--field", f"prime:{p}"])
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("rncgeom gen-instance: error: argument --field: "
-                            "0 is not prime\n")
+    assert captured.err == (
+        "rncgeom gen-instance: error: argument --field: p in prime:p must "
+        f"be [-]n in ASCII digits, got {p!r}\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -738,6 +757,58 @@ def test_input_missing_key(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--input", str(path)], capsys)
     assert code == 2
     assert "missing key" in err
+
+
+def _without(*path):
+    """The document with the key at path deleted."""
+    def edit(obj):
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        return obj
+    return edit
+
+
+def _bare_without(key):
+    """An instance's vertices without key, alone as a bare configuration."""
+    return lambda obj: _without(key)(obj["vertices"])
+
+
+@pytest.mark.parametrize("name, edit, document, key", [
+    ("d3.json", _without("d"), "instance", "d"),
+    ("d3.json", _without("field"), "instance", "field"),
+    ("d3.json", _without("params"), "instance", "params"),
+    ("d3-mod101-tampered.json", _without("field", "p"), "instance", "p"),
+    ("d3.json", _without("vertices", "dim"), "configuration", "dim"),
+    ("d3.json", _without("vertices", "points"), "configuration", "points"),
+    ("d3.json", _bare_without("dim"), "configuration", "dim"),
+    ("d3.json", _bare_without("points"), "configuration", "points"),
+], ids=["instance-d", "instance-field", "instance-params", "field-p",
+        "vertices-dim", "vertices-points", "bare-dim", "bare-points"])
+def test_a_missing_key_names_its_document(tmp_path, capsys, name, edit,
+                                          document, key):
+    """A document without a required key exits 2 with one line naming the
+    document and the key: an instance as verify and dual-check read it,
+    a bare configuration as check-psi and fit-curve do."""
+    obj = edit(json.loads((DATA / name).read_text()))
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(obj))
+    bare = "vertices" not in obj
+    for command in (["check-psi", "fit-curve"] if bare
+                    else ["verify", "dual-check"]):
+        code, out, err = run_cli([command, "--input", str(path)], capsys)
+        assert (code, out, err) == (
+            2, "", f"error: malformed {document}: missing key '{key}'\n")
+
+
+def test_a_key_error_from_a_fault_is_no_input_error(monkeypatch):
+    """A KeyError that a fault in the program raises, here a bracket read
+    from a table never filled, ends in a traceback: exit 2 would report it
+    as a key missing from the input."""
+    monkeypatch.setattr(BracketTable, "fill", lambda self, wanted=None: self)
+    with pytest.raises(KeyError):
+        main(["check-psi", "--sample", "5", "--input", str(DATA / "d5.json")])
 
 
 def test_input_invalid_json(tmp_path, capsys):
@@ -873,14 +944,17 @@ def test_malformed_input_exits_two(tmp_path, capsys, command, field, corrupt):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("seed", ["7", 1.5, True],
-                         ids=["string", "float", "bool"])
+@pytest.mark.parametrize("seed, spelled", [
+    ("7", '"7"'), (1.5, "1.5"), (True, "true")],
+    ids=["string", "float", "bool"])
 @pytest.mark.parametrize("argv", [
     ["verify"], ["check-psi"], ["fit-curve"], ["dual-check"]],
     ids=["verify", "check-psi", "fit-curve", "dual-check"])
-def test_instance_seed_must_be_an_integer(tmp_path, capsys, argv, seed):
+def test_instance_seed_must_be_an_integer(tmp_path, capsys, argv, seed,
+                                          spelled):
     """An instance seed is a JSON integer or null; anything else is an input
-    error with one line, before a certificate or report is written."""
+    error with one line, before a certificate or report is written, that
+    spells the value as JSON does."""
     obj = json.loads((DATA / "d3.json").read_text())
     obj["seed"] = seed
     path = tmp_path / "inst.json"
@@ -888,7 +962,7 @@ def test_instance_seed_must_be_an_integer(tmp_path, capsys, argv, seed):
     code, out, err = run_cli([*argv, "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == ("error: malformed instance: seed must be a JSON integer "
-                   f"or null, got {seed!r}\n")
+                   f"or null, got {spelled}\n")
 
 
 def number_param(obj):
@@ -912,9 +986,9 @@ def string_field(obj):
     (float_point,
      "malformed instance: scalar must be a JSON string, got 1.5"),
     (null_vertex,
-     "malformed configuration: scalar must be a JSON string, got None"),
+     "malformed configuration: scalar must be a JSON string, got null"),
     (string_field,
-     "malformed instance: field must be a JSON object, got 'rationals'"),
+     'malformed instance: field must be a JSON object, got "rationals"'),
     (lambda obj: [obj], "malformed {}: document must be a JSON object, "
      "got a JSON array"),
 ], ids=["number-param", "float-point", "null-vertex", "string-field",
@@ -925,8 +999,9 @@ def test_wrong_json_types_are_named(tmp_path, capsys, command, edit,
                                     message):
     """A scalar is a JSON string and a field or a document a JSON object;
     any other JSON type is an input error with one line in the package's
-    words.  A document is named by its type, not echoed; check-psi and
-    fit-curve read a list as a bare configuration."""
+    words.  A wrong scalar is spelled as JSON spells it, a wrong document
+    named by its type, not echoed; check-psi and fit-curve read a list as a
+    bare configuration."""
     obj = json.loads((DATA / "d3.json").read_text())
     obj = edit(obj) or obj
     path = tmp_path / "inst.json"

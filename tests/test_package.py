@@ -6,7 +6,7 @@ field, a field that is its characteristic, factorizations by proof
 rather than by orbit, sampled equations picked by rank, one walk for
 integer minors and a table of them, filled before it is read, only where
 they are read again or sampled, no single-use layers or dead surface,
-and an explicit public API."""
+one rule that words a malformed document, and an explicit public API."""
 
 import ast
 import dataclasses
@@ -318,3 +318,36 @@ def test_a_bracket_table_is_built_only_where_minors_are_read_again():
                       "equations.equation_products",
                       "equations._sampled_products",
                       "identities.FactorizationProofs.verdicts"}
+
+
+def function_node(module: str, name: str) -> ast.FunctionDef:
+    """The one top-level function of that name in a source module."""
+    tree = ast.parse((Path(rncgeom.__file__).parent / module).read_text(
+        encoding="utf-8"))
+    [node] = [n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def test_one_rule_words_a_malformed_document():
+    """errors.malformed_input alone words a missing key, so a KeyError from
+    a fault ends in a traceback and never poses as a key missing from the
+    input: cli.main catches neither KeyError nor json.JSONDecodeError (a
+    ValueError, caught as one), and certificate_from_json has no try."""
+    for path in SOURCES:
+        if path.name != "errors.py":
+            assert "missing key" not in path.read_text(encoding="utf-8"), (
+                path.name)
+    caught = set()
+    for node in ast.walk(function_node("cli.py", "main")):
+        if isinstance(node, ast.ExceptHandler):
+            assert node.type is not None, "a bare except"
+            caught |= {ast.unparse(e) for e in (
+                node.type.elts if isinstance(node.type, ast.Tuple)
+                else [node.type])}
+    assert "ValueError" in caught
+    assert not caught & {"KeyError", "LookupError", "JSONDecodeError",
+                         "json.JSONDecodeError", "Exception",
+                         "BaseException"}, caught
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(
+        function_node("staudt.py", "certificate_from_json")))

@@ -3,7 +3,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -326,6 +326,26 @@ def integer_vectors(draw):
         a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
     return d, rows
+
+
+def test_walk_takes_each_pivot_from_the_first_nonzero_column():
+    """Rows that begin with zeros take their pivot from a later column,
+    with the sign of moving it to the front: every permutation matrix up
+    to 5 x 5 has its one minor the permutation's sign, and each maximal
+    minor of sparse 9 x 4 matrices over {-1, 0, 1} is its det_int, whole
+    and mod 7."""
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            rows = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+            assert list(_maximal_minors(rows)) == [
+                (tuple(range(1, n + 1)), det_int(rows))]
+    rng = random.Random(9)
+    for _ in range(4):
+        rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(4)]
+                for _ in range(9)]
+        for modulus in (0, 7):
+            assert dict(_maximal_minors(rows, modulus)) == per_minor(
+                rows, 3, modulus)
 
 
 @settings(max_examples=150, deadline=None)

@@ -791,6 +791,29 @@ def test_failure_labels_are_json_integers(key, label):
     refuse(obj, f"{key} label must be a JSON integer")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.update(psi_failures=[[1]]),
+     "failure must be a JSON object, got a JSON array"),
+    (lambda obj: obj.update(psi_failures=5),
+     "psi_failures must be a JSON array, got 5"),
+    (lambda obj: obj["psi_failures"][0].update(J=1),
+     "J must be a JSON array, got 1"),
+    (lambda obj: obj["psi_failures"][0].update(I=None),
+     "I must be a JSON array, got null"),
+    (lambda obj: obj.update(psi_failures=["x"]),
+     'failure must be a JSON object, got "x"'),
+], ids=["failure-array", "failures-number", "J-number", "I-null",
+        "failure-string"])
+def test_failures_are_objects_of_label_arrays(edit, message):
+    """psi_failures is a JSON array of JSON objects whose J and I are JSON
+    arrays; any other JSON type is refused in the package's words."""
+    obj = tampered_d3_certificate()
+    edit(obj)
+    with pytest.raises(ValueError) as err:
+        certificate_from_json(obj)
+    assert str(err.value) == f"malformed certificate: {message}"
+
+
 @pytest.mark.parametrize("sample, sample_seed", [(None, 5), (3, None)])
 def test_sample_seed_is_null_exactly_when_sample_is(sample, sample_seed):
     obj = certificate_to_json(verify_instance(small_instance(3, seed=1),
