@@ -51,31 +51,36 @@ from .staudt import (
 )
 
 
+def _integer(text: str, name: str = "") -> int:
+    """[-]n in ASCII digits, as the input files write integers; int() also
+    reads '+3', ' 3', '1_0' and other scripts' digits."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError as exc:  # more digits than int() converts
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(
+        f"{name}must be [-]n in ASCII digits, got {text!r}")
+
+
+def _at_least_one(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _field_flag(text: str) -> Field:
     if text == "rationals":
         return QQ
     if text.startswith("prime:"):
         p = text.removeprefix("prime:")
-        if not (p.isascii() and p.removeprefix("-").isdigit()):
-            raise argparse.ArgumentTypeError(
-                f"p in prime:p must be [-]n in ASCII digits, got {p!r}")
         try:
-            return PrimeField(int(p))
-        except ValueError as exc:
+            return PrimeField(_integer(p, "p in prime:p "))
+        except ValueError as exc:  # PrimeField's refusal
             raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(
         f"unknown field {text!r}; use 'rationals' or 'prime:p'")
-
-
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _field_label(field: Field) -> str:
@@ -140,7 +145,8 @@ def _cmd_verify(args) -> int:
 
 def _load_configuration(path: str) -> Configuration:
     obj = _load_json(path)
-    if isinstance(obj, dict) and "params" in obj:
+    # of the two documents read here, only an instance holds d or params
+    if isinstance(obj, dict) and ("d" in obj or "params" in obj):
         return instance_from_json(obj).vertices
     return config_from_json(obj)
 
@@ -259,13 +265,13 @@ def _cmd_dual_check(args) -> int:
 def _add_common(sub, *, seed=False, field=False, height=False, sample=False,
                 inp=False):
     if seed:
-        sub.add_argument("--seed", type=int, default=0,
+        sub.add_argument("--seed", type=_integer, default=0,
                          help="random seed (default 0)")
     if field:
         sub.add_argument("--field", type=_field_flag, default=QQ,
                          help="rationals or prime:p (default rationals)")
     if height:
-        sub.add_argument("--height", type=int, default=20,
+        sub.add_argument("--height", type=_integer, default=20,
                          help="bound on sampled numerators/denominators")
     if sample:
         sub.add_argument("--sample", type=_at_least_one, default=None,
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gen-instance",
                         help="sample an instance and print its JSON")
-    p.add_argument("--d", type=int, required=True, help="curve degree")
+    p.add_argument("--d", type=_integer, required=True, help="curve degree")
     _add_common(p, seed=True, field=True, height=True)
     p.set_defaults(func=_cmd_gen_instance)
 
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check-psi",
                         help="evaluate the bracket equations of a "
                              "configuration, one JSON line each")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_integer, default=None,
                    help="assert the configuration has this many points")
     _add_common(p, seed=True, sample=True, inp=True)
     p.set_defaults(func=_cmd_check_psi)
@@ -323,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sym-factorization",
                         help="prove that each symbolic vertex bracket "
                              "factors into 2x2 brackets")
-    p.add_argument("--d", type=int, required=True, help="curve degree")
+    p.add_argument("--d", type=_integer, required=True, help="curve degree")
     _add_common(p, seed=True, sample=True)
     p.set_defaults(func=_cmd_sym_factorization)
 
     p = subs.add_parser("sym-psi",
                         help="check that each equation vanishes "
                              "identically on the symbolic vertices")
-    p.add_argument("--d", type=int, required=True, help="curve degree")
+    p.add_argument("--d", type=_integer, required=True, help="curve degree")
     p.add_argument("--method", choices=("auto", "factors", "expand"),
                    default="auto",
                    help="factor-multiset route or full expansion")
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="check that the osculating hyperplane "
                              "coefficients lie on a rational normal curve")
     p.add_argument("--input", default=None, help="instance JSON file")
-    p.add_argument("--d", type=int, default=None,
+    p.add_argument("--d", type=_integer, default=None,
                    help="sample an instance instead of reading one")
     _add_common(p, seed=True, field=True, height=True)
     p.set_defaults(func=_cmd_dual_check)

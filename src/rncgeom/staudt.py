@@ -282,11 +282,13 @@ def instance_to_json(inst: VonStaudtInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> VonStaudtInstance:
-    """Load an instance; missing derived fields are rebuilt from the
-    parameters, present ones are taken as stored (they may legitimately
-    disagree with the construction, e.g. in negative controls) but must
-    have the instance's shape: 2d+2 points of P^d, the vertices over the
-    instance's field.  A wrong shape or schema raises ValueError."""
+    """Decode an instance document, then build it.  Only the decoding is
+    under malformed_input, so a wrong type, an absent key or a bad scalar
+    is an input error and a fault in the construction a traceback.  Missing
+    derived fields are the build's; stored ones are kept (a negative
+    control may disagree with the construction) but must be 2d+2 points of
+    P^d, the vertices over the instance's field.  A wrong shape or schema,
+    like the build's own refusals, raises ValueError."""
     with malformed_input("instance"):
         json_typed(obj, "document", dict)
         if obj.get("schema", INSTANCE_SCHEMA) != INSTANCE_SCHEMA:
@@ -295,29 +297,23 @@ def instance_from_json(obj: dict) -> VonStaudtInstance:
         d = json_int(obj["d"], "d")
         seed = json_typed(obj.get("seed"), "seed", int, NoneType)
         params = points_from_json(obj["params"], field)
-        inst = build_instance(d, params, seed=seed)
-        n = 2 * d + 2
-
-        def shaped(key: str, points: tuple) -> tuple:
-            if len(points) != n or any(p.dim != d for p in points):
-                raise ValueError(
-                    f"stored {key} must be {n} points of P^{d}")
-            return points
-
-        if "points" in obj:
-            inst = replace(inst, curve_points=shaped(
-                "points", points_from_json(obj["points"], field)))
-        if "planes" in obj:
-            inst = replace(inst, planes=shaped(
-                "planes", points_from_json(obj["planes"], field)))
+        stored = {key: points_from_json(obj[key], field)
+                  for key in ("points", "planes") if key in obj}
         if "vertices" in obj:
-            vertices = config_from_json(obj["vertices"])
-            if vertices.field != field:
+            stored["vertices"] = config_from_json(obj["vertices"])
+    inst = build_instance(d, params, seed=seed)
+    n = 2 * d + 2
+    for key, points in stored.items():
+        if key == "vertices":
+            if points.field != field:
                 raise ValueError("stored vertices are not over the "
                                  "instance's field")
-            shaped("vertices", vertices.points)
-            inst = replace(inst, vertices=vertices)
-        return inst
+            points = points.points
+        if len(points) != n or any(p.dim != d for p in points):
+            raise ValueError(f"stored {key} must be {n} points of P^{d}")
+    if "points" in stored:
+        stored["curve_points"] = stored.pop("points")
+    return replace(inst, **stored)
 
 
 def certificate_to_json(cert: Certificate) -> dict:

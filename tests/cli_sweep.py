@@ -8,7 +8,7 @@ tree's ``src``.  Each run is ``python -m rncgeom.cli ...`` with one tree
 alone on PYTHONPATH, in a temporary directory that holds the inputs; a run
 is identical when its stdout, stderr and exit code are the same under
 both trees.  Prints "N of M identical" and then each differing command,
-and exits 1 if any run differs.
+quoted as a shell would read it, and exits 1 if any run differs.
 
 The runs cover every subcommand: ``gen-instance`` on valid fields and on
 invalid ones (p not prime, too large, or not ASCII digits), each reading
@@ -18,10 +18,14 @@ fresh d=4 instances (over Q and Z/101) and on every ``tests/data/*.json``,
 ``verify`` on three edited instances (a decimal parameter over Q and over
 Z/101, a field with p=4), ``verify`` and ``check-psi`` on three of the
 wrong JSON type (a number parameter coordinate, a string field and a list
-document) and on three missing a key (an instance without ``d``, a Z/101
-field without ``p``, a bare configuration without ``dim``),
-``dual-check`` over three fields, ``sym-factorization`` whole and
-sampled, and a sampled ``sym-psi``.  The sampled ``check-psi`` and
+document) and on four missing a key (an instance without ``d``, one
+without ``params``, which ``fit-curve`` reads too, a Z/101 field without
+``p``, a bare configuration without ``dim``), ``dual-check`` over three
+fields, ``sym-factorization`` whole and sampled, and a sampled
+``sym-psi``.  Each integer flag (``--seed``, ``--height`` and ``--d`` of
+``gen-instance``, ``--sample`` of ``verify``, ``--n`` of ``check-psi``)
+is given text that is no optional ``-`` and ASCII digits; ``--seed -3``
+is given too.  The sampled ``check-psi`` and
 ``sym-factorization`` runs read their minors from walks pruned to them.
 The file is not a pytest module: it compares two trees rather than
 testing one.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -42,6 +47,7 @@ FIELDS = ["rationals", "prime:7", "prime:11", "prime:101"]
 BAD_FIELDS = ["prime:0", "prime:1", "prime:4", "prime:abc", "prime:1.5",
               "prime:\u0667", "prime:1_01",
               "prime:3317044064679887385961981"]
+BAD_INTEGERS = ["\u0667", "+3", "1_0", " 3", "0x10", ""]
 READERS = [["verify"], ["verify", "--castelnuovo"],
            ["verify", "--sample", "7", "--seed", "3"], ["check-psi"],
            ["check-psi", "--sample", "50", "--seed", "3"],
@@ -91,6 +97,10 @@ def without_d(obj: dict) -> None:
     del obj["d"]
 
 
+def without_params(obj: dict) -> None:
+    del obj["params"]
+
+
 def without_p(obj: dict) -> None:
     del obj["field"]["p"]
 
@@ -112,7 +122,7 @@ def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
         count += 1
         before = run(base, argv, work)
         if run(change, argv, work) != before:
-            differing.append(" ".join(argv))
+            differing.append(shlex.join(argv))
         return before
 
     for d in ("2", "3"):
@@ -145,12 +155,23 @@ def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
                    list_document),
             edited(work / "fresh-d4.json", work / "without-d.json",
                    without_d),
+            edited(work / "fresh-d4.json", work / "without-params.json",
+                   without_params),
             edited(work / "fresh-d4-mod101.json", work / "without-p.json",
                    without_p),
             edited(work / "fresh-d4.json", work / "bare-without-dim.json",
                    bare_without_dim)):
         for command in ("verify", "check-psi"):
             compare([command, "--input", name])
+    compare(["fit-curve", "--input", "without-params.json"])
+    for text in BAD_INTEGERS:
+        for argv in (["gen-instance", "--d", "2", "--seed"],
+                     ["gen-instance", "--d", "2", "--height"],
+                     ["gen-instance", "--d"],
+                     ["verify", "--input", "fresh-d4.json", "--sample"],
+                     ["check-psi", "--input", "fresh-d4.json", "--n"]):
+            compare([*argv, text])
+    compare(["gen-instance", "--d", "2", "--seed", "-3"])
     for field in ("rationals", "prime:11", "prime:101"):
         compare(["dual-check", "--d", "3", "--field", field])
     compare(["sym-factorization", "--d", "3"])

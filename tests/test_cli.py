@@ -24,7 +24,7 @@ from rncgeom import (
     sample_instance,
     verify_instance,
 )
-from rncgeom import cli
+from rncgeom import cli, staudt
 from rncgeom.cli import main
 from rncgeom.fields import field_to_json
 from rncgeom.projective import BracketTable, config_to_json
@@ -646,6 +646,60 @@ def test_field_flag_reads_p_in_ascii_digits(capsys, p):
         f"be [-]n in ASCII digits, got {p!r}\n")
 
 
+# each integer flag with a command that takes it, before the flag
+INTEGER_FLAGS = {
+    "--seed": ["gen-instance", "--d", "2"],
+    "--height": ["gen-instance", "--d", "2"],
+    "--d": ["gen-instance"],
+    "--sample": ["verify", "--input", str(DATA / "d3.json")],
+    "--n": ["check-psi", "--input", str(DATA / "d3.json")],
+}
+
+
+@pytest.mark.parametrize("text", ["\u0667", "+3", "1_0", " 3", "0x10", ""],
+                         ids=["arabic-indic", "plus", "underscore", "space",
+                              "hex", "empty"])
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+def test_integer_flags_read_ascii_digits(capsys, flag, text):
+    """Every integer flag reads an optional - and ASCII digits, as p in
+    prime:p and the input files do; text that int() reads otherwise is
+    refused in one line that quotes it."""
+    with pytest.raises(SystemExit) as info:
+        main([*INTEGER_FLAGS[flag], flag, text])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    command = INTEGER_FLAGS[flag][0]
+    assert captured.err == (
+        f"rncgeom {command}: error: argument {flag}: must be [-]n in ASCII "
+        f"digits, got {text!r}\n")
+
+
+def test_an_integer_flag_past_the_digit_limit_is_one_line(capsys):
+    """Digits past what int() converts (sys.get_int_max_str_digits, from
+    Python 3.11) are refused in int()'s words, without echoing them."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts any number of digits here")
+    with pytest.raises(SystemExit) as info:
+        main(["gen-instance", "--d", "2", "--seed", "1" * (limit + 1)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(
+        "rncgeom gen-instance: error: argument --seed: Exceeds the limit")
+    assert "1" * 100 not in line
+
+
+def test_a_negative_seed_still_runs(capsys):
+    code, out, err = run_cli(
+        ["gen-instance", "--d", "2", "--seed", "-3"], capsys)
+    assert code == 0
+    assert json.loads(out)["seed"] == -3
+    assert err == "instance d=2 n=6 field=rationals seed=-3 height=20\n"
+
+
 @pytest.mark.parametrize("command", [
     "verify", "check-psi", "sym-factorization", "sym-psi"])
 def test_numeric_commands_reject_jobs(command, tmp_path, capsys):
@@ -789,26 +843,73 @@ def _bare_without(key):
 def test_a_missing_key_names_its_document(tmp_path, capsys, name, edit,
                                           document, key):
     """A document without a required key exits 2 with one line naming the
-    document and the key: an instance as verify and dual-check read it,
-    a bare configuration as check-psi and fit-curve do."""
+    document and the key: an instance as every reading command reads it,
+    a bare configuration as check-psi and fit-curve do.  An instance holds
+    d or params, which no configuration does, so one missing params is
+    still an instance to check-psi and fit-curve."""
     obj = edit(json.loads((DATA / name).read_text()))
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(obj))
     bare = "vertices" not in obj
-    for command in (["check-psi", "fit-curve"] if bare
-                    else ["verify", "dual-check"]):
+    for command in ["check-psi", "fit-curve"] + (
+            [] if bare else ["verify", "dual-check"]):
         code, out, err = run_cli([command, "--input", str(path)], capsys)
         assert (code, out, err) == (
             2, "", f"error: malformed {document}: missing key '{key}'\n")
 
 
-def test_a_key_error_from_a_fault_is_no_input_error(monkeypatch):
-    """A KeyError that a fault in the program raises, here a bracket read
-    from a table never filled, ends in a traceback: exit 2 would report it
-    as a key missing from the input."""
+def _unfilled_table(monkeypatch):
     monkeypatch.setattr(BracketTable, "fill", lambda self, wanted=None: self)
-    with pytest.raises(KeyError):
-        main(["check-psi", "--sample", "5", "--input", str(DATA / "d5.json")])
+
+
+def _faulty_build(monkeypatch):
+    def build_instance(*args, **kwargs):
+        raise KeyError("fault")
+    monkeypatch.setattr(staudt, "build_instance", build_instance)
+
+
+@pytest.mark.parametrize("fault, argv", [
+    (_unfilled_table,
+     ["check-psi", "--sample", "5", "--input", str(DATA / "d5.json")]),
+    (_faulty_build, ["verify", "--input", str(DATA / "d3.json")]),
+], ids=["unfilled-table", "faulty-build"])
+def test_a_key_error_from_a_fault_is_no_input_error(monkeypatch, fault,
+                                                    argv):
+    """A KeyError that a fault in the program raises ends in a traceback:
+    exit 2 would report it as a key missing from the input.  The faults
+    are a bracket read from a table never filled, and a construction that
+    raises after its document decoded."""
+    fault(monkeypatch)
+    with pytest.raises(KeyError, match="fault" if fault is _faulty_build
+                       else None):
+        main(argv)
+
+
+@pytest.mark.parametrize("edits, message", [
+    (("params", "planes"), "need 8 parameter points, got 7"),
+    (("planes", "vertices"), "stored planes must be 8 points of P^3"),
+    (("vertices-field", "vertices"),
+     "stored vertices are not over the instance's field"),
+], ids=["params-then-planes", "planes-then-vertices",
+        "field-then-vertices"])
+def test_a_document_with_two_faults_is_refused_by_the_first(
+        tmp_path, capsys, edits, message):
+    """The instance is built before its stored points, planes and
+    vertices are checked, in that order, and the vertices' field before
+    their shape: of two faults the first refuses the document."""
+    obj = json.loads((DATA / "d3.json").read_text())
+    for edit in edits:
+        if edit == "vertices-field":
+            obj["vertices"]["field"] = {"kind": "prime", "p": 101}
+        elif edit == "vertices":
+            obj["vertices"]["points"] = obj["vertices"]["points"][:7]
+        else:
+            obj[edit] = obj[edit][:7]
+    path = tmp_path / "two-faults.json"
+    path.write_text(json.dumps(obj))
+    for command in ("verify", "check-psi", "fit-curve", "dual-check"):
+        code, out, err = run_cli([command, "--input", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_input_invalid_json(tmp_path, capsys):

@@ -114,9 +114,57 @@ MUTANTS = {
         "_SCALAR.fullmatch(", "_SCALAR.match(",
         "test_fields::test_both_fields_parse_one_grammar['1.0'-QQ]"),
     "field-flag-unicode-digits": Mutant(
-        "cli:_field_flag",
-        "p.isascii() and ", "",
+        "cli:_integer",
+        "text.isascii() and ", "",
         "test_cli::test_field_flag_reads_p_in_ascii_digits[arabic-indic]"),
+    "integer-flag-plus": Mutant(
+        "cli:_integer",
+        'text.removeprefix("-").isdigit()', 'text.lstrip("+-").isdigit()',
+        "test_cli::test_integer_flags_read_ascii_digits[--seed-plus]"),
+    "instance-told-by-params": Mutant(
+        "cli:_load_configuration",
+        '("d" in obj or "params" in obj)', '"params" in obj',
+        "test_cli::test_a_missing_key_names_its_document[instance-params]"),
+    "instance-stored-dim": Mutant(
+        "staudt:instance_from_json",
+        "len(points) != n or any(p.dim != d for p in points)",
+        "len(points) != n",
+        "test_cli::test_malformed_input_exits_two[verify-plane-rows-short]"),
+    "instance-vertices-field": Mutant(
+        "staudt:instance_from_json",
+        "if points.field != field:", "if False:",
+        "test_cli::test_malformed_input_exits_two[verify-vertices-mod-101]"),
+    "construction-unchecked": Mutant(
+        "staudt:verify_instance",
+        "construction_ok = inst == build_instance(",
+        "construction_ok = None is not build_instance(",
+        "test_staudt::test_kept_build_is_not_used_for_other_parameters"),
+    "format-ratio-unreduced": Mutant(
+        "fields:format_ratio",
+        "if g == scale:", "if scale == 1:",
+        "test_equations::test_format_ratio_matches_fraction"),
+    "scalar-denominator-unchecked": Mutant(
+        "fields:Field.scalar",
+        "if x.denominator % p == 0:", "if False:",
+        "test_fields::test_residue_zero_division_raises"),
+    "fit-coincident-ratio": Mutant(
+        "curve:fit_rnc",
+        "if not all(value for _, value in", "if not all(True for _, value in",
+        "test_curve::test_fit_ratio_checks_decide_general_position[3-Q]"),
+    "verdicts-factor-sign": Mutant(
+        "identities:FactorizationProofs.verdicts",
+        "prod(i - j for i, j in claimed)", "prod(j - i for i, j in claimed)",
+        # a split has C(d+1, 2) factors: the flip shows at d = 2, not 3 or 4
+        "test_identities::test_proof_route_matches_per_subset_route"
+        "[2-filled]"),
+    "verdicts-pairs-ordered": Mutant(
+        "identities:FactorizationProofs.verdicts",
+        "1 << i | 1 << j for i, j in claimed} == {\n"
+        "            1 << i | 1 << j for i, j in predicted}",
+        "(i, j) for i, j in claimed} == {\n"
+        "            (i, j) for i, j in predicted}",
+        "test_identities::test_proof_route_matches_per_subset_route_under_"
+        "mutation[flip-orientation-and-sign]"),
 }
 
 
