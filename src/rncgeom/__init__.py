@@ -6,50 +6,41 @@ equations, and symbolic verification that those equations hold identically.
 All arithmetic is exact, over Q or over a prime field Z/p.
 
 The root exports the quick-start and certificate path; every other name is
-imported from its own module.
+imported from its own module.  An export's module is imported on its first
+read (PEP 562), so importing the package imports none of them.
 """
 
-from .curve import param_point
-from .fields import QQ, PrimeField
-from .identities import (
-    SubsetSplit,
-    split_sign,
-    two_bracket,
-    verify_equation_identity,
-    verify_factorization,
-)
-from .staudt import (
-    Certificate,
-    VonStaudtInstance,
-    build_instance,
-    certificate_from_json,
-    certificate_to_json,
-    instance_from_json,
-    instance_to_json,
-    reduce_instance_mod,
-    sample_instance,
-    verify_instance,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ",
-    "Certificate",
-    "PrimeField",
-    "SubsetSplit",
-    "VonStaudtInstance",
-    "build_instance",
-    "certificate_from_json",
-    "certificate_to_json",
-    "instance_from_json",
-    "instance_to_json",
-    "param_point",
-    "reduce_instance_mod",
-    "sample_instance",
-    "split_sign",
-    "two_bracket",
-    "verify_equation_identity",
-    "verify_factorization",
-    "verify_instance",
+    "QQ", "Certificate", "PrimeField", "SubsetSplit", "VonStaudtInstance",
+    "build_instance", "certificate_from_json", "certificate_to_json",
+    "instance_from_json", "instance_to_json", "param_point",
+    "reduce_instance_mod", "sample_instance", "split_sign", "two_bracket",
+    "verify_equation_identity", "verify_factorization", "verify_instance",
 ]
+
+# each export's home module
+_HOMES = {name: module for module, names in (
+    ("curve", "param_point"), ("fields", "QQ PrimeField"),
+    ("identities", "SubsetSplit split_sign two_bracket "
+                   "verify_equation_identity verify_factorization"),
+    ("staudt", "Certificate VonStaudtInstance build_instance "
+               "certificate_from_json certificate_to_json instance_from_json "
+               "instance_to_json reduce_instance_mod sample_instance "
+               "verify_instance"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

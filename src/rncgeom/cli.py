@@ -6,7 +6,8 @@ Exit codes: 0 for a true verdict or successful computation, 1 for a false
 verdict, 2 for usage or input errors or a computation too big to finish.
 
 Output is deterministic: identical command, flags and seed produce
-byte-identical JSON.
+byte-identical JSON.  A command imports the modules it calls when it runs,
+so --help and a usage error import only this module and errors.
 """
 
 from __future__ import annotations
@@ -16,39 +17,13 @@ import json
 import sys
 from contextlib import contextmanager
 from math import comb
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .curve import fit_and_test, model_to_json
-from .equations import (
-    _unrank_combination,
-    equation_picks,
-    equation_products,
-    membership,
-    report_lines,
-    sample_ranks,
-    support_products,
-)
 from .errors import DegenerateInputError
-from .fields import QQ, Field, PrimeField, field_to_json
-from .identities import (
-    FactorizationProofs,
-    factorization_record,
-    identity_minor,
-    require_degree,
-)
-from .projective import (
-    Configuration,
-    config_from_json,
-    is_general_linear_position,
-)
-from .staudt import (
-    certificate_text,
-    dual_configuration,
-    instance_from_json,
-    instance_to_json,
-    sample_instance,
-    verify_instance,
-)
+
+if TYPE_CHECKING:
+    from .fields import Field
+    from .projective import Configuration
 
 
 def _integer(text: str, name: str = "") -> int:
@@ -71,6 +46,8 @@ def _at_least_one(text: str) -> int:
 
 
 def _field_flag(text: str) -> Field:
+    from .fields import QQ, PrimeField
+
     if text == "rationals":
         return QQ
     if text.startswith("prime:"):
@@ -120,6 +97,8 @@ def _load_json(path: str):
 
 
 def _cmd_gen_instance(args) -> int:
+    from .staudt import instance_to_json, sample_instance
+
     inst = sample_instance(args.d, args.field, seed=args.seed,
                            height=args.height)
     _write_json(instance_to_json(inst), args.output)
@@ -130,6 +109,8 @@ def _cmd_gen_instance(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .staudt import certificate_text, instance_from_json, verify_instance
+
     inst = instance_from_json(_load_json(args.input))
     cert = verify_instance(
         inst, with_castelnuovo=args.castelnuovo, sample=args.sample,
@@ -144,7 +125,17 @@ def _cmd_verify(args) -> int:
 
 
 def _load_configuration(path: str) -> Configuration:
+    from .projective import config_from_json
+    from .staudt import CERT_SCHEMA, instance_from_json
+
     obj = _load_json(path)
+    # the package writes d into two more documents, which name themselves
+    named = isinstance(obj, dict) and (
+        "a dual-check output" if obj.get("kind") == "dual-check" else
+        "a certificate" if obj.get("schema") == CERT_SCHEMA else None)
+    if named:
+        raise ValueError(
+            f"{path} is {named}, not an instance or a configuration")
     # of the two documents read here, only an instance holds d or params
     if isinstance(obj, dict) and ("d" in obj or "params" in obj):
         return instance_from_json(obj).vertices
@@ -152,6 +143,8 @@ def _load_configuration(path: str) -> Configuration:
 
 
 def _cmd_check_psi(args) -> int:
+    from .equations import equation_products, report_lines
+
     config = _load_configuration(args.input)
     if args.n is not None and len(config) != args.n:
         raise ValueError(
@@ -169,6 +162,9 @@ def _cmd_check_psi(args) -> int:
 
 
 def _cmd_fit_curve(args) -> int:
+    from .curve import fit_and_test, model_to_json
+    from .fields import field_to_json
+
     config = _load_configuration(args.input)
     try:
         model, contained = fit_and_test(config)
@@ -191,6 +187,10 @@ def _cmd_fit_curve(args) -> int:
 
 
 def _cmd_sym_factorization(args) -> int:
+    from .equations import _unrank_combination, sample_ranks
+    from .identities import (
+        FactorizationProofs, factorization_record, require_degree)
+
     d = args.d
     require_degree(d)
     n = 2 * d + 2
@@ -209,6 +209,9 @@ def _cmd_sym_factorization(args) -> int:
 
 
 def _cmd_sym_psi(args) -> int:
+    from .equations import equation_picks, support_products
+    from .identities import identity_minor
+
     d, n = args.d, 2 * args.d + 2
     # both refusals come before the output is opened, the picks' first
     picks = equation_picks(d, n, args.sample, args.seed)
@@ -234,6 +237,11 @@ def _cmd_sym_psi(args) -> int:
 
 
 def _cmd_dual_check(args) -> int:
+    from .equations import membership
+    from .fields import field_to_json
+    from .projective import is_general_linear_position
+    from .staudt import dual_configuration, instance_from_json, sample_instance
+
     if args.input is not None:
         inst = instance_from_json(_load_json(args.input))
     elif args.d is not None:
@@ -268,7 +276,8 @@ def _add_common(sub, *, seed=False, field=False, height=False, sample=False,
         sub.add_argument("--seed", type=_integer, default=0,
                          help="random seed (default 0)")
     if field:
-        sub.add_argument("--field", type=_field_flag, default=QQ,
+        # argparse reads a string default through type, when it is used
+        sub.add_argument("--field", type=_field_flag, default="rationals",
                          help="rationals or prime:p (default rationals)")
     if height:
         sub.add_argument("--height", type=_integer, default=20,
@@ -356,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MemoryError:

@@ -10,11 +10,14 @@ is identical when its stdout, stderr and exit code are the same under
 both trees.  Prints "N of M identical" and then each differing command,
 quoted as a shell would read it, and exits 1 if any run differs.
 
-The runs cover every subcommand: ``gen-instance`` on valid fields and on
-invalid ones (p not prime, too large, or not ASCII digits), each reading
+The runs cover the help of the program and of ``verify``, a usage error
+(``verify`` without ``--input``) and every subcommand: ``gen-instance``
+on valid fields and on invalid ones (p not prime, too large, or not
+ASCII digits), each reading
 command (``verify`` whole, with ``--castelnuovo`` and sampled;
 ``check-psi`` whole and sampled; ``fit-curve``; ``dual-check``) on two
 fresh d=4 instances (over Q and Z/101) and on every ``tests/data/*.json``,
+``check-psi`` and ``fit-curve`` on a certificate that ``verify`` wrote,
 ``verify`` on three edited instances (a decimal parameter over Q and over
 Z/101, a field with p=4), ``verify`` and ``check-psi`` on three of the
 wrong JSON type (a number parameter coordinate, a string field and a list
@@ -125,6 +128,8 @@ def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
             differing.append(shlex.join(argv))
         return before
 
+    for argv in (["--help"], ["verify", "--help"], ["verify"]):
+        compare(argv)
     for d in ("2", "3"):
         for field in FIELDS + BAD_FIELDS:
             compare(["gen-instance", "--d", d, "--field", field])
@@ -138,6 +143,10 @@ def sweep(base: Path, change: Path, work: Path) -> tuple[int, list[str]]:
     for name in [*FRESH, *(path.name for path in data)]:
         for command in READERS:
             compare([*command, "--input", name])
+    certificate, _, _ = run(base, ["verify", "--input", "d3.json"], work)
+    (work / "d3.certificate.json").write_bytes(certificate)
+    for command in ("check-psi", "fit-curve"):
+        compare([command, "--input", "d3.certificate.json"])
     for name in (
             edited(work / "fresh-d4.json", work / "decimal-q.json",
                    decimal_param),

@@ -24,7 +24,7 @@ from rncgeom import (
     sample_instance,
     verify_instance,
 )
-from rncgeom import cli, staudt
+from rncgeom import staudt
 from rncgeom.cli import main
 from rncgeom.fields import field_to_json
 from rncgeom.projective import BracketTable, config_to_json
@@ -533,7 +533,7 @@ def test_a_computation_too_large_exits_2(error, message, monkeypatch,
     def raising(d):
         raise error
 
-    monkeypatch.setattr(cli, "FactorizationProofs", raising)
+    monkeypatch.setattr(identities, "FactorizationProofs", raising)
     code, out, err = run_cli(["sym-factorization", "--d", "2"], capsys)
     assert (code, out, err.splitlines()) == (2, "", [message])
 
@@ -856,6 +856,25 @@ def test_a_missing_key_names_its_document(tmp_path, capsys, name, edit,
         code, out, err = run_cli([command, "--input", str(path)], capsys)
         assert (code, out, err) == (
             2, "", f"error: malformed {document}: missing key '{key}'\n")
+
+
+@pytest.mark.parametrize("what", ["a dual-check output", "a certificate"])
+@pytest.mark.parametrize("command", ["check-psi", "fit-curve"])
+def test_another_document_holding_d_is_named(tmp_path, capsys, command,
+                                             what):
+    """A dual-check output and a certificate hold d, as an instance does;
+    check-psi and fit-curve name them by their kind and schema, with exit
+    2 and one line, rather than read them as a broken instance."""
+    if what == "a dual-check output":
+        path = DATA / "d3.dual-check.json"
+    else:
+        path = tmp_path / "cert.json"
+        assert run_cli(["verify", "--input", str(DATA / "d3.json"),
+                        "--output", str(path)], capsys)[0] == 0
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out, err) == (
+        2, "", f"error: {path} is {what}, not an instance or a "
+               "configuration\n")
 
 
 def _unfilled_table(monkeypatch):

@@ -23,7 +23,7 @@ from oracles import (
     total_degree,
     transposed_vertex_bracket,
 )
-from rncgeom import cli, equations, identities
+from rncgeom import equations, identities
 from rncgeom.cli import main
 from rncgeom.curve import linear_product_coeffs, param_point, simplex_vertex
 from rncgeom.equations import (
@@ -274,6 +274,10 @@ def affected(split):
     return 1 in split.members
 
 
+def holds_1_and_2(split):
+    return {1, 2} <= set(split.members)
+
+
 FACTORIZATION_MUTATIONS = {
     "drop-first-pair": ("factor_pairs", lambda pairs: lambda s: (
         pairs(s)[1:] if affected(s) else pairs(s))),
@@ -322,8 +326,8 @@ def test_full_sym_factorization_walks_once_and_a_sample_walks_its_picks(
     split and takes exactly their minors from one walk pruned to them.  A
     sample of every split, or more, is a full run."""
     unranked = []
-    unrank = cli._unrank_combination
-    monkeypatch.setattr(cli, "_unrank_combination", lambda *args: (
+    unrank = equations._unrank_combination
+    monkeypatch.setattr(equations, "_unrank_combination", lambda *args: (
         unranked.append(args) or unrank(*args)))
     assert main(["sym-factorization", "--d", "4"]) == 0
     capsys.readouterr()
@@ -521,6 +525,15 @@ PROOF_MUTATIONS = {
     "flip-orientation-and-sign": tuple(zip(
         FACTORIZATION_MUTATIONS["flip-orientation"],
         FACTORIZATION_MUTATIONS["flip-sign"])) + (False, first),
+    # the pair (1, 2) claimed twice and the sign flipped on the splits
+    # holding both: the extra factor is -1 at Q_i = [i : 1] and the set of
+    # pairs is unchanged, so only the count of pairs rejects it
+    "repeat-pair-1-2-and-flip-sign": (
+        ("factor_pairs", "split_sign"),
+        (lambda pairs: lambda s: (
+            pairs(s) + ((1, 2),) if holds_1_and_2(s) else pairs(s)),
+         lambda sign: lambda s: -sign(s) if holds_1_and_2(s) else sign(s)),
+        False, first),
 }
 
 
@@ -548,6 +561,8 @@ def test_proof_route_matches_per_subset_route_under_mutation(
         if mutation == "row-1-gains-row-2":
             assert expected == [not (1 in s.members and 2 not in s.members)
                                 for s in splits]
+        elif mutation == "repeat-pair-1-2-and-flip-sign":
+            assert expected == [not holds_1_and_2(s) for s in splits]
         elif mutation == "flip-orientation-and-sign":
             assert all(expected)
         elif mutation != "row-1-entry-doubled":

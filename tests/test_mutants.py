@@ -11,6 +11,7 @@ package's caches are cleared around the mutated run, so the mutant
 computes what it changes and leaves no entry behind.
 """
 
+import __future__
 import importlib
 import inspect
 import itertools
@@ -95,6 +96,12 @@ MUTANTS = {
         "split_sign(split) * prod(", "prod(",
         "test_identities::test_proof_route_matches_per_subset_route"
         "[3-filled]"),
+    "template-swapped-index": Mutant(
+        "equations:_Template.__missing__",
+        "for monomial in _monomial_columns(sextet, shared))",
+        "for monomial in _monomial_columns(\n"
+        "                [sextet[1], sextet[0], *sextet[2:]], shared))",
+        "test_equations::test_evaluate_many_matches_vector_oracle[3-F101]"),
     "rows-swapped-index": Mutant(
         "equations:_rows",
         "yield pick, m[a] * m[b] * m[c] * m[e], m[f]",
@@ -157,6 +164,11 @@ MUTANTS = {
         # a split has C(d+1, 2) factors: the flip shows at d = 2, not 3 or 4
         "test_identities::test_proof_route_matches_per_subset_route"
         "[2-filled]"),
+    "verdicts-length-unchecked": Mutant(
+        "identities:FactorizationProofs.verdicts",
+        "len(claimed) == len(predicted) and {", "{",
+        "test_identities::test_proof_route_matches_per_subset_route_under_"
+        "mutation[repeat-pair-1-2-and-flip-sign]"),
     "verdicts-pairs-ordered": Mutant(
         "identities:FactorizationProofs.verdicts",
         "1 << i | 1 << j for i, j in claimed} == {\n"
@@ -180,11 +192,13 @@ def resolve(target: str):
 
 def mutated(func, old: str, new: str):
     """func recompiled from its source with old replaced by new, against
-    the globals of its module; its decorators are applied again."""
+    the globals of its module and under its lazy annotations, if it has
+    them; its decorators are applied again."""
     source = textwrap.dedent(inspect.getsource(func))
     assert source.count(old) == 1, (func.__qualname__, old)
+    lazy = __future__.annotations.compiler_flag
     code = compile(source.replace(old, new), inspect.getsourcefile(func),
-                   "exec")
+                   "exec", inspect.unwrap(func).__code__.co_flags & lazy)
     namespace = {}
     exec(code, inspect.unwrap(func).__globals__, namespace)
     return namespace[func.__name__]

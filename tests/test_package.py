@@ -6,12 +6,17 @@ field, a field that is its characteristic, factorizations by proof
 rather than by orbit, sampled equations picked by rank, one walk for
 integer minors and a table of them, filled before it is read, only where
 they are read again or sampled, no single-use layers or dead surface,
-one rule that words a malformed document, and an explicit public API."""
+one rule that words a malformed document, an explicit public API, and
+modules imported where they are used."""
 
 import ast
 import dataclasses
 import inspect
+import json
+import os
+import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -186,6 +191,60 @@ def test_public_api_is_an_explicit_list():
     assert [e.value for e in value.elts] == rncgeom.__all__
     for name in rncgeom.__all__:
         assert not isinstance(getattr(rncgeom, name), types.ModuleType), name
+
+
+# run in a fresh interpreter: what each step leaves in sys.modules, what
+# dir() lists before any export is read, and each export's home
+IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, importlib, io, json, sys
+    import rncgeom
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.startswith("rncgeom."))
+
+    out = {"import rncgeom": loaded(), "dir": dir(rncgeom), "exits": []}
+    from rncgeom import cli
+    for argv in (["--help"], ["verify", "--help"], ["verify"],
+                 ["gen-instance", "--d", "x"]):
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.main(argv)
+            except SystemExit as exc:
+                out["exits"].append(exc.code)
+        out[" ".join(argv)] = loaded()
+    out["homes"] = {}
+    for name in rncgeom.__all__:
+        value = getattr(rncgeom, name)
+        home = importlib.import_module(value.__module__)
+        out["homes"][name] = [value.__module__, getattr(home, name) is value]
+    out["unknown"] = hasattr(rncgeom, "no_such_export")
+    print(json.dumps(out))
+""")
+
+
+def test_exports_and_commands_import_their_modules_when_used():
+    """A fresh import of the package imports no submodule, --help and usage
+    errors import only cli and errors (no geometry), every export is the
+    object of the module that defines it, and dir() lists every export
+    before its first read."""
+    src = str(Path(rncgeom.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    out = json.loads(done.stdout)
+    assert out["import rncgeom"] == []
+    for argv in ("--help", "verify --help", "verify", "gen-instance --d x"):
+        assert out[argv] == ["rncgeom.cli", "rncgeom.errors"], argv
+    assert out["exits"] == [0, 0, 2, 2]
+    assert set(rncgeom.__all__) <= set(out["dir"])
+    assert out["homes"] == {
+        name: [f"rncgeom.{rncgeom._HOMES[name]}", True]
+        for name in rncgeom.__all__}
+    assert set(rncgeom._HOMES) == set(rncgeom.__all__)
+    assert out["unknown"] is False
 
 
 def test_cli_reads_no_per_equation_layer():
