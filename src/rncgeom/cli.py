@@ -126,13 +126,13 @@ def _cmd_verify(args) -> int:
 
 def _load_configuration(path: str) -> Configuration:
     from .projective import config_from_json
-    from .staudt import CERT_SCHEMA, instance_from_json
+    from .staudt import CERT_SCHEMAS, instance_from_json
 
     obj = _load_json(path)
     # the package writes d into two more documents, which name themselves
     named = isinstance(obj, dict) and (
         "a dual-check output" if obj.get("kind") == "dual-check" else
-        "a certificate" if obj.get("schema") == CERT_SCHEMA else None)
+        "a certificate" if obj.get("schema") in CERT_SCHEMAS else None)
     if named:
         raise ValueError(
             f"{path} is {named}, not an instance or a configuration")
@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except MemoryError:

@@ -65,6 +65,7 @@ from .projective import (
 )
 
 CERT_SCHEMA = "vonstaudt-cert/2"
+CERT_SCHEMAS = ("vonstaudt-cert/1", CERT_SCHEMA)  # every one still read
 INSTANCE_SCHEMA = "vonstaudt-inst/1"
 
 
@@ -370,7 +371,7 @@ def certificate_from_json(obj: dict) -> Certificate:
     else raises ValueError."""
     with malformed_input("certificate"):
         json_typed(obj, "document", dict)
-        if obj.get("schema") not in ("vonstaudt-cert/1", CERT_SCHEMA):
+        if obj.get("schema") not in CERT_SCHEMAS:
             raise ValueError(
                 f"unknown certificate schema {obj.get('schema')!r}")
         d = json_int(obj["d"], "d")

@@ -858,19 +858,23 @@ def test_a_missing_key_names_its_document(tmp_path, capsys, name, edit,
             2, "", f"error: malformed {document}: missing key '{key}'\n")
 
 
-@pytest.mark.parametrize("what", ["a dual-check output", "a certificate"])
+@pytest.mark.parametrize("schema", [None, "vonstaudt-cert/1",
+                                    "vonstaudt-cert/2"])
 @pytest.mark.parametrize("command", ["check-psi", "fit-curve"])
 def test_another_document_holding_d_is_named(tmp_path, capsys, command,
-                                             what):
-    """A dual-check output and a certificate hold d, as an instance does;
-    check-psi and fit-curve name them by their kind and schema, with exit
-    2 and one line, rather than read them as a broken instance."""
-    if what == "a dual-check output":
-        path = DATA / "d3.dual-check.json"
+                                             schema):
+    """A dual-check output and a certificate of either schema that
+    certificate_from_json reads hold d, as an instance does; check-psi
+    and fit-curve name them by their kind and schema, with exit 2 and one
+    line, rather than read them as a broken instance."""
+    if schema is None:
+        path, what = DATA / "d3.dual-check.json", "a dual-check output"
     else:
-        path = tmp_path / "cert.json"
+        path, what = tmp_path / "cert.json", "a certificate"
         assert run_cli(["verify", "--input", str(DATA / "d3.json"),
                         "--output", str(path)], capsys)[0] == 0
+        cert = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(cert, schema=schema)))
     code, out, err = run_cli([command, "--input", str(path)], capsys)
     assert (code, out, err) == (
         2, "", f"error: {path} is {what}, not an instance or a "

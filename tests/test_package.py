@@ -213,6 +213,7 @@ IMPORT_PROBE = textwrap.dedent("""
             except SystemExit as exc:
                 out["exits"].append(exc.code)
         out[" ".join(argv)] = loaded()
+    out["submodule"] = [rncgeom.equations.__name__, loaded()]
     out["homes"] = {}
     for name in rncgeom.__all__:
         value = getattr(rncgeom, name)
@@ -225,9 +226,10 @@ IMPORT_PROBE = textwrap.dedent("""
 
 def test_exports_and_commands_import_their_modules_when_used():
     """A fresh import of the package imports no submodule, --help and usage
-    errors import only cli and errors (no geometry), every export is the
-    object of the module that defines it, and dir() lists every export
-    before its first read."""
+    errors import only cli and errors (no geometry), a submodule read as
+    an attribute is imported then, every export is the object of the
+    module that defines it, and dir() lists every export before its first
+    read."""
     src = str(Path(rncgeom.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -240,10 +242,18 @@ def test_exports_and_commands_import_their_modules_when_used():
         assert out[argv] == ["rncgeom.cli", "rncgeom.errors"], argv
     assert out["exits"] == [0, 0, 2, 2]
     assert set(rncgeom.__all__) <= set(out["dir"])
-    assert out["homes"] == {
-        name: [f"rncgeom.{rncgeom._HOMES[name]}", True]
-        for name in rncgeom.__all__}
-    assert set(rncgeom._HOMES) == set(rncgeom.__all__)
+    assert out["submodule"] == [
+        "rncgeom.equations", ["rncgeom.cli", "rncgeom.equations",
+                              "rncgeom.errors", "rncgeom.fields",
+                              "rncgeom.projective"]]
+    # the exports as the package's TYPE_CHECKING imports name them
+    tree = ast.parse(Path(rncgeom.__file__).read_text(encoding="utf-8"))
+    [block] = [node.body for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "TYPE_CHECKING"]
+    homes = {alias.name: [f"rncgeom.{node.module}", True]
+             for node in block for alias in node.names}
+    assert sorted(homes) == sorted(rncgeom.__all__)
+    assert out["homes"] == homes
     assert out["unknown"] is False
 
 
